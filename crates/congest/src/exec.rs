@@ -5,7 +5,10 @@
 //! [`Simulator`](crate::Simulator) in this crate, and the parallel
 //! sharded engine in `crates/engine`. The trait pins down the exact
 //! observable contract an engine must honor so that algorithms (and the
-//! paper's round-count experiments) behave identically on both:
+//! paper's round-count experiments) behave identically on both. Both
+//! embed one [`ExecCore`] — configuration, cumulative totals and the
+//! per-run [`RoundLog`] — so the bookkeeping around the contract is
+//! written once.
 //!
 //! **Determinism contract.** Each clause names its conformance tests
 //! inline (`prop_*` live in `crates/engine/tests/equivalence.rs`,
@@ -90,8 +93,12 @@
 //!    (`wall_ms`-like values, `*_ns` phase times) may differ between
 //!    runs; anything pinning observability output must scrub exactly
 //!    those. Observers must never deliver, reorder, combine, or drop a
-//!    message, and never change the active set. *Conformance:*
-//!    `prop_node_histograms_sum_and_observers_are_neutral`.
+//!    message, and never change the active set. Observers are
+//!    configuration, so [`Executor::sub`] executors inherit them.
+//!    *Conformance:* `prop_node_histograms_sum_and_observers_are_neutral`;
+//!    inheritance is pinned on both engines by
+//!    `sub_executors_inherit_configuration`
+//!    (`crates/engine/src/engine.rs`).
 //! 9. **Round fusion.** An engine may execute several *consecutive*
 //!    rounds of a node region without globally synchronizing between
 //!    them, provided the fused window is closed: every node that can
@@ -167,12 +174,18 @@
 //!   the executor totals, because clause 5 covers every intermediate
 //!   `run` invocation of a composite algorithm, not just the last.
 
-use crate::obs::NodeStats;
+use crate::obs::{NodeStats, PhaseWall, RoundTrace, RunReport, SharedTraceSink};
 use crate::program::{FrontierStats, Program, RunStats};
 use lightgraph::{Graph, NodeId};
+use std::time::Instant;
 
 /// An engine that runs one [`Program`] instance per node until global
 /// quiescence, with cumulative round accounting across runs.
+///
+/// An engine implements [`Executor::sub`], [`Executor::graph`],
+/// [`Executor::run`] and the [`ExecCore`] accessors; the bookkeeping
+/// and observability methods are implemented once, here, over that
+/// core.
 pub trait Executor {
     /// The same engine kind instantiated over another (sub)graph,
     /// inheriting configuration such as the bandwidth cap. Lets
@@ -181,79 +194,18 @@ pub trait Executor {
     type Sub<'h>: Executor;
 
     /// Creates a fresh executor of the same kind over `graph`,
-    /// inheriting this executor's configuration (cap, round guard) but
-    /// with zeroed statistics.
+    /// inheriting this executor's configuration (see [`ExecCore::sub`])
+    /// but with zeroed statistics.
     fn sub<'h>(&self, graph: &'h Graph) -> Self::Sub<'h>;
 
     /// The underlying graph.
     fn graph(&self) -> &Graph;
 
-    /// Messages allowed per directed edge per round.
-    fn cap(&self) -> usize;
+    /// The executor's configuration and cumulative accounting.
+    fn core(&self) -> &ExecCore;
 
-    /// Sets the bandwidth cap (`>= 1`).
-    ///
-    /// # Panics
-    /// Panics if `cap == 0`.
-    fn set_cap(&mut self, cap: usize);
-
-    /// Sets the livelock guard.
-    fn set_max_rounds(&mut self, max_rounds: u64);
-
-    /// Cumulative statistics over every run so far.
-    fn total(&self) -> RunStats;
-
-    /// Cumulative frontier-scheduling statistics over every run so far
-    /// (invocations add up; the peak is the max over runs). Like
-    /// [`Executor::total`], engine-identical for conforming engines.
-    fn frontier_total(&self) -> FrontierStats;
-
-    /// Resets the cumulative statistics (both [`Executor::total`] and
-    /// [`Executor::frontier_total`]).
-    fn reset_total(&mut self);
-
-    /// Adds externally-accounted rounds to the cumulative counter.
-    ///
-    /// Purely analytical charges (rounds a phase *would* cost, with no
-    /// programs actually run) have no frontier counterpart — the mean
-    /// active width is defined over executed rounds only. When the
-    /// charge accounts a real sub-executor run, also call
-    /// [`Executor::charge_frontier`] with the sub-executor's
-    /// [`Executor::frontier_total`], so invocation accounting stays
-    /// consistent with the charged rounds.
-    fn charge(&mut self, stats: RunStats);
-
-    /// Adds a sub-executor's frontier counters to the cumulative
-    /// [`Executor::frontier_total`] (invocations add, peaks max).
-    fn charge_frontier(&mut self, frontier: FrontierStats);
-
-    /// Enables or disables per-node accounting ([`NodeStats`]):
-    /// per-node sent/delivered/invocation counters, accumulated across
-    /// runs like [`Executor::total`]. Off by default (the `3 × n`
-    /// counter vector is allocated lazily, on enable); enabling resets
-    /// the counters. Recording is inherited by [`Executor::sub`]
-    /// executors (which count in their own node-id space) and is
-    /// observer-neutral (contract clause 8). The default
-    /// implementation ignores the request — engines without per-node
-    /// accounting simply report `None` from [`Executor::node_stats`].
-    fn set_record_node_stats(&mut self, record: bool) {
-        let _ = record;
-    }
-
-    /// The per-node counters accumulated so far, when
-    /// [`Executor::set_record_node_stats`] is enabled.
-    fn node_stats(&self) -> Option<&NodeStats> {
-        None
-    }
-
-    /// Adds a sub-executor's per-node counters into this executor's
-    /// [`Executor::node_stats`] — the per-node analogue of
-    /// [`Executor::charge`], for sub-runs whose graph shares this
-    /// executor's node-id space (e.g. a subgraph over the same
-    /// vertices). A no-op while recording is off.
-    fn charge_node_stats(&mut self, other: &NodeStats) {
-        let _ = other;
-    }
+    /// Mutable access to [`Executor::core`].
+    fn core_mut(&mut self) -> &mut ExecCore;
 
     /// Runs one program instance per node until global quiescence; see
     /// the module docs for the determinism contract.
@@ -269,6 +221,359 @@ pub trait Executor {
         P: Program + Send,
         P::Output: Send,
         F: FnMut(NodeId, &Graph) -> P;
+
+    /// Messages allowed per directed edge per round (default 1, the
+    /// standard CONGEST bound).
+    fn cap(&self) -> usize {
+        self.core().cap
+    }
+
+    /// Sets the bandwidth cap (`>= 1`). Useful for "CONGEST with
+    /// larger messages" ablations.
+    ///
+    /// # Panics
+    /// Panics if `cap == 0`.
+    fn set_cap(&mut self, cap: usize) {
+        assert!(cap >= 1, "bandwidth cap must be at least 1");
+        self.core_mut().cap = cap;
+    }
+
+    /// Sets the livelock guard (default 50 million rounds).
+    fn set_max_rounds(&mut self, max_rounds: u64) {
+        self.core_mut().max_rounds = max_rounds;
+    }
+
+    /// Cumulative statistics over every run so far.
+    fn total(&self) -> RunStats {
+        self.core().total
+    }
+
+    /// Cumulative frontier-scheduling statistics over every run so far
+    /// (invocations add up; the peak is the max over runs). Like
+    /// [`Executor::total`], engine-identical for conforming engines.
+    fn frontier_total(&self) -> FrontierStats {
+        self.core().frontier
+    }
+
+    /// Resets the cumulative statistics (both [`Executor::total`] and
+    /// [`Executor::frontier_total`]).
+    fn reset_total(&mut self) {
+        let core = self.core_mut();
+        core.total = RunStats::default();
+        core.frontier = FrontierStats::default();
+    }
+
+    /// Adds externally-accounted rounds to the cumulative counter.
+    ///
+    /// Purely analytical charges (rounds a phase *would* cost, with no
+    /// programs actually run) have no frontier counterpart — the mean
+    /// active width is defined over executed rounds only. When the
+    /// charge accounts a real sub-executor run, also call
+    /// [`Executor::charge_frontier`] with the sub-executor's
+    /// [`Executor::frontier_total`], so invocation accounting stays
+    /// consistent with the charged rounds.
+    fn charge(&mut self, stats: RunStats) {
+        self.core_mut().total.absorb(stats);
+    }
+
+    /// Adds a sub-executor's frontier counters to the cumulative
+    /// [`Executor::frontier_total`] (invocations add, peaks max).
+    fn charge_frontier(&mut self, frontier: FrontierStats) {
+        self.core_mut().frontier.absorb(frontier);
+    }
+
+    /// Enables or disables per-node accounting ([`NodeStats`]):
+    /// per-node sent/delivered/invocation counters, accumulated across
+    /// runs like [`Executor::total`]. Off by default (the `3 × n`
+    /// counter vector is allocated lazily, on enable); enabling resets
+    /// the counters. Recording is inherited by [`Executor::sub`]
+    /// executors (which count in their own node-id space) and is
+    /// observer-neutral (contract clause 8).
+    fn set_record_node_stats(&mut self, record: bool) {
+        let n = self.graph().n();
+        self.core_mut().node_stats = record.then(|| NodeStats::new(n));
+    }
+
+    /// The per-node counters accumulated so far, when
+    /// [`Executor::set_record_node_stats`] is enabled.
+    fn node_stats(&self) -> Option<&NodeStats> {
+        self.core().node_stats.as_ref()
+    }
+
+    /// Adds a sub-executor's per-node counters into this executor's
+    /// [`Executor::node_stats`] — the per-node analogue of
+    /// [`Executor::charge`], for sub-runs whose graph shares this
+    /// executor's node-id space (e.g. a subgraph over the same
+    /// vertices). A no-op while recording is off.
+    fn charge_node_stats(&mut self, other: &NodeStats) {
+        if let Some(ns) = self.core_mut().node_stats.as_mut() {
+            ns.absorb(other);
+        }
+    }
+
+    /// Enables or disables congestion instrumentation: per-round
+    /// message, queue-depth and active-node histograms, hot edges and
+    /// the per-phase wall breakdown, reported by
+    /// [`Executor::last_report`]. Off by default; the depth histogram
+    /// costs a backlog scan per round. Inherited by sub-executors;
+    /// observer-neutral (contract clause 8).
+    fn set_record_metrics(&mut self, record: bool) {
+        self.core_mut().record_metrics = record;
+    }
+
+    /// Enables per-phase wall sampling on its own — the cheap slice of
+    /// metrics recording (a few clock reads per round, no histogram
+    /// scans), enough to populate [`Executor::wall_total`] and the
+    /// process-wide breakdown accumulators in [`crate::plan`]. Implied
+    /// by metrics recording and tracing; inherited by sub-executors;
+    /// observer-neutral (contract clause 8).
+    fn set_time_phases(&mut self, time: bool) {
+        self.core_mut().time_phases = time;
+    }
+
+    /// Attaches (or detaches, with `None`) a profiling trace sink; one
+    /// [`RoundTrace`] record is pushed per executed round (rounds of a
+    /// fused block carry zero barrier time — they genuinely have none).
+    /// Inherited by sub-executors; observer-neutral (contract
+    /// clause 8).
+    fn set_trace(&mut self, sink: Option<SharedTraceSink>) {
+        self.core_mut().trace = sink;
+    }
+
+    /// Instrumentation from the most recent run, if
+    /// [`Executor::set_record_metrics`] was enabled. The deterministic
+    /// fields are bit-identical across conforming engines.
+    fn last_report(&self) -> Option<&RunReport> {
+        self.core().last_report.as_ref()
+    }
+
+    /// Cumulative per-phase wall time over every timed `run` driven
+    /// directly on this executor (sub-executors accumulate their own);
+    /// see [`PhaseWall`] for how the parallel engine aggregates its
+    /// workers. Zero unless metrics recording, phase timing or tracing
+    /// was enabled.
+    fn wall_total(&self) -> PhaseWall {
+        self.core().wall_total
+    }
+}
+
+/// The configuration and cumulative accounting every [`Executor`]
+/// shares, embedded by both engines: the bandwidth cap and livelock
+/// guard, the observer switches (metrics, phase timing, trace sink,
+/// per-node stats), and the totals over every run so far (`RunStats`,
+/// `FrontierStats`, `PhaseWall`, the last [`RunReport`]).
+///
+/// A run brackets its rounds with [`ExecCore::begin_run`] and
+/// [`ExecCore::end_run`]; in between it books every executed round
+/// once in the returned [`RoundLog`].
+#[derive(Debug)]
+pub struct ExecCore {
+    cap: usize,
+    max_rounds: u64,
+    record_metrics: bool,
+    time_phases: bool,
+    trace: Option<SharedTraceSink>,
+    node_stats: Option<NodeStats>,
+    total: RunStats,
+    frontier: FrontierStats,
+    wall_total: PhaseWall,
+    last_report: Option<RunReport>,
+}
+
+impl Default for ExecCore {
+    /// Cap 1, a 50-million-round livelock guard, every observer off.
+    fn default() -> Self {
+        ExecCore {
+            cap: 1,
+            max_rounds: 50_000_000,
+            record_metrics: false,
+            time_phases: false,
+            trace: None,
+            node_stats: None,
+            total: RunStats::default(),
+            frontier: FrontierStats::default(),
+            wall_total: PhaseWall::default(),
+            last_report: None,
+        }
+    }
+}
+
+impl ExecCore {
+    /// The core of a sub-executor over an `n`-node graph: inherits the
+    /// cap, the round guard, metrics recording, phase timing, the trace
+    /// sink and node-stats recording (zeroed, in the sub-graph's
+    /// node-id space); every total starts at zero.
+    pub fn sub(&self, n: usize) -> ExecCore {
+        ExecCore {
+            cap: self.cap,
+            max_rounds: self.max_rounds,
+            record_metrics: self.record_metrics,
+            time_phases: self.time_phases,
+            trace: self.trace.clone(),
+            node_stats: self.node_stats.as_ref().map(|_| NodeStats::new(n)),
+            ..ExecCore::default()
+        }
+    }
+
+    /// The livelock guard: a run may execute at most this many rounds.
+    pub fn max_rounds(&self) -> u64 {
+        self.max_rounds
+    }
+
+    /// Opens one run's books, at run entry: draws a trace run id
+    /// labelled `engine` (`"sim"` or `"parallel"`) when a sink is
+    /// attached, and moves the per-node counters out for the run
+    /// (`None` while node stats are off). The run's setup wall is
+    /// measured from here to [`RoundLog::setup_done`].
+    pub fn begin_run(&mut self, engine: &str) -> (RoundLog, Option<NodeStats>) {
+        let start = Instant::now();
+        let trace = self
+            .trace
+            .as_ref()
+            .map(|s| (s.clone(), s.lock().expect("trace sink").begin_run(engine)));
+        let log = RoundLog {
+            start,
+            record: self.record_metrics,
+            timed: self.record_metrics || trace.is_some() || self.time_phases,
+            trace,
+            frontier: FrontierStats::default(),
+            delivered: 0,
+            messages: Vec::new(),
+            depth: Vec::new(),
+            active: Vec::new(),
+            wall: PhaseWall::default(),
+        };
+        (log, self.node_stats.take())
+    }
+
+    /// Closes a quiesced run's books: absorbs its statistics, frontier
+    /// and wall into the totals, hands the per-node counters back and —
+    /// when recording — assembles [`Executor::last_report`], ranking hot
+    /// edges from `per_directed` (messages delivered per directed queue
+    /// `2 * edge_id + dir`).
+    pub fn end_run(
+        &mut self,
+        log: RoundLog,
+        node_stats: Option<NodeStats>,
+        stats: RunStats,
+        per_directed: &[u64],
+        threads: usize,
+    ) {
+        debug_assert_eq!(
+            log.frontier.rounds, stats.rounds,
+            "one booked round per round"
+        );
+        debug_assert_eq!(
+            log.delivered,
+            stats.messages_delivered(),
+            "staged = delivered + combined at quiescence"
+        );
+        self.total.absorb(stats);
+        self.frontier.absorb(log.frontier);
+        self.node_stats = node_stats;
+        self.wall_total.absorb(log.wall);
+        if log.timed {
+            let w = log.wall;
+            crate::plan::add_phase_wall_ns(w.deliver_ns, w.compute_ns, w.barrier_ns);
+        }
+        if log.record {
+            self.last_report = Some(RunReport {
+                rounds: stats.rounds,
+                total_messages: stats.messages,
+                messages_delivered: stats.messages_delivered(),
+                messages_combined: stats.messages_combined,
+                messages_per_round: log.messages,
+                max_queue_depth_per_round: log.depth,
+                active_per_round: log.active,
+                hot_edges: RunReport::rank_hot_edges(per_directed),
+                threads,
+                wall: log.wall,
+            });
+        }
+    }
+
+    /// Aborts a run that hit the livelock guard.
+    pub fn livelocked(&self) -> ! {
+        panic!(
+            "CONGEST run exceeded {} rounds — livelocked program?",
+            self.max_rounds
+        )
+    }
+}
+
+/// One run's per-round books, opened by [`ExecCore::begin_run`]. Each
+/// executed round is booked once, by [`RoundLog::round`]: that derives
+/// the run's [`FrontierStats`], appends the metrics histograms (only
+/// while recording — the log allocates nothing otherwise), pushes the
+/// [`RoundTrace`] record when a sink is attached, and sums the phase
+/// wall.
+#[derive(Debug)]
+pub struct RoundLog {
+    start: Instant,
+    record: bool,
+    timed: bool,
+    trace: Option<(SharedTraceSink, u64)>,
+    frontier: FrontierStats,
+    delivered: u64,
+    messages: Vec<u64>,
+    depth: Vec<u64>,
+    active: Vec<u64>,
+    wall: PhaseWall,
+}
+
+impl RoundLog {
+    /// Whether metrics recording is on: only then does the run track
+    /// queue depths and per-directed-edge deliveries.
+    pub fn recording(&self) -> bool {
+        self.record
+    }
+
+    /// Whether the run samples phase wall time.
+    pub fn timed(&self) -> bool {
+        self.timed
+    }
+
+    /// Rounds booked so far.
+    pub fn rounds(&self) -> u64 {
+        self.frontier.rounds
+    }
+
+    /// Ends the per-run setup interval (run entry to the first `init`)
+    /// and adds it to the process-wide setup wall
+    /// ([`crate::plan::setup_wall_ns`]).
+    pub fn setup_done(&self) {
+        crate::plan::add_setup_ns(self.start.elapsed().as_nanos() as u64);
+    }
+
+    /// Books the next round: `delivered` messages, `active` invoked
+    /// nodes, the largest queue `depth` after its sends (read only
+    /// while recording), and its phase `wall`.
+    pub fn round(&mut self, delivered: u64, active: u64, depth: u64, wall: PhaseWall) {
+        let f = &mut self.frontier;
+        f.rounds += 1;
+        f.invocations += active;
+        f.peak_active = f.peak_active.max(active);
+        self.delivered += delivered;
+        if self.record {
+            self.messages.push(delivered);
+            self.depth.push(depth);
+            self.active.push(active);
+        }
+        if let Some((sink, run)) = &self.trace {
+            sink.lock().expect("trace sink").push_round(
+                *run,
+                RoundTrace {
+                    round: f.rounds,
+                    delivered,
+                    active,
+                    deliver_ns: wall.deliver_ns,
+                    compute_ns: wall.compute_ns,
+                    barrier_ns: wall.barrier_ns,
+                },
+            );
+        }
+        self.wall.absorb(wall);
+    }
 }
 
 /// Iterates one round's active set (contract clause 5): the ascending

@@ -8,7 +8,7 @@
 //!
 //! This simulator realizes the model faithfully and *charges congestion
 //! automatically*: every directed edge carries a FIFO queue, and at most
-//! [`Simulator::cap`] messages per round cross each directed edge. A
+//! [`Executor::cap`] messages per round cross each directed edge. A
 //! program that enqueues `K` messages on one edge therefore pays
 //! `⌈K/cap⌉` rounds — exactly the pipelining arguments the paper uses
 //! (e.g. Lemma 1).
@@ -16,8 +16,9 @@
 //! * [`Program`] / [`Ctx`] — the engine-agnostic per-node state machine
 //!   interface ([`program`]),
 //! * [`Executor`] — the contract any execution engine must honor
-//!   ([`exec`]); implemented here by the sequential [`Simulator`] and in
-//!   `crates/engine` by the parallel sharded engine,
+//!   ([`exec`]), with the bookkeeping core [`exec::ExecCore`] every
+//!   engine embeds; implemented here by the sequential [`Simulator`]
+//!   and in `crates/engine` by the parallel sharded engine,
 //! * [`Simulator`] — the sequential reference engine: per-run round loop
 //!   and cumulative round accounting across the phases of a composite
 //!   algorithm,

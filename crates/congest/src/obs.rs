@@ -30,11 +30,12 @@
 //!    The per-phase wall breakdown also lands in [`RunReport::wall`]
 //!    when metrics recording is on.
 //!
-//! [`RunReport`] itself lives here (it used to be the engine crate's
-//! `EngineReport`) so the sequential [`Simulator`](crate::Simulator)
-//! can report the same per-round series as the parallel engine — which
-//! is what lets `engine = "both"` scenario sweeps cross-check the
-//! series, not just the totals.
+//! [`RunReport`] is shared by both executors — assembled once, by
+//! [`ExecCore::end_run`](crate::exec::ExecCore::end_run) — so the
+//! sequential [`Simulator`](crate::Simulator) reports the same
+//! per-round series as the parallel engine, which is what lets
+//! `engine = "both"` scenario sweeps cross-check the series, not just
+//! the totals.
 
 use crate::exec::Executor;
 use crate::program::RunStats;

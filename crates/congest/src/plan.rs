@@ -55,7 +55,7 @@ pub fn setup_wall_ns() -> u64 {
 /// Process-wide per-phase wall accumulators (deliver, compute,
 /// barrier), fed by every *timed* run (metrics or tracing enabled) of
 /// every executor — the cross-sub-executor counterpart of
-/// `Engine::wall_total` for breakdown reporting.
+/// `Executor::wall_total` for breakdown reporting.
 static PHASE_WALL_NS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Adds one timed run's `(deliver_ns, compute_ns, barrier_ns)`.

@@ -1,11 +1,11 @@
 //! The sequential reference engine: per-edge FIFO queues with a
 //! bandwidth cap, frontier-scheduled rounds.
 
-use crate::exec::Executor;
+use crate::exec::{ExecCore, Executor};
 use crate::message::Message;
-use crate::obs::{NodeStats, PhaseWall, RoundTrace, RunReport, SharedTraceSink};
+use crate::obs::PhaseWall;
 use crate::plan::TopoCache;
-use crate::program::{Ctx, FrontierStats, Program, RunStats};
+use crate::program::{Ctx, Program, RunStats};
 use crate::slab::{EdgeQueue, Slab};
 use lightgraph::{EdgeId, Graph, NodeId};
 use std::collections::HashMap;
@@ -135,7 +135,7 @@ struct SimScratch {
 ///
 /// Holds per-directed-edge FIFO queues and executes [`Program`]s in
 /// synchronous rounds. Cumulative statistics over all runs are kept in
-/// [`Simulator::total`], so a composite algorithm (an orchestration of
+/// [`Executor::total`], so a composite algorithm (an orchestration of
 /// several program runs with free local computation in between) is
 /// charged the sum of its phases, matching the paper's accounting.
 ///
@@ -152,13 +152,8 @@ struct SimScratch {
 /// every-node-every-round schedule for activation-correct programs.
 pub struct Simulator<'g> {
     graph: &'g Graph,
-    cap: usize,
-    max_rounds: u64,
+    core: ExecCore,
     validate_activation: bool,
-    record_metrics: bool,
-    time_phases: bool,
-    total: RunStats,
-    frontier: FrontierStats,
     /// Topology-derived routing, shared with sub-executors through
     /// `plans`.
     topo: Arc<SimTopo>,
@@ -174,11 +169,6 @@ pub struct Simulator<'g> {
     charged: Vec<bool>,
     inboxes: Vec<Vec<(NodeId, Message)>>,
     scratch: SimScratch,
-    last_report: Option<RunReport>,
-    node_stats: Option<NodeStats>,
-    trace: Option<SharedTraceSink>,
-    wall_total: PhaseWall,
-    setup_total_ns: u64,
 }
 
 impl<'g> std::fmt::Debug for Simulator<'g> {
@@ -186,8 +176,8 @@ impl<'g> std::fmt::Debug for Simulator<'g> {
         f.debug_struct("Simulator")
             .field("n", &self.graph.n())
             .field("m", &self.graph.m())
-            .field("cap", &self.cap)
-            .field("total", &self.total)
+            .field("cap", &self.cap())
+            .field("total", &self.total())
             .finish()
     }
 }
@@ -196,23 +186,18 @@ impl<'g> Simulator<'g> {
     /// Creates a simulator for `graph` with bandwidth cap 1 (the
     /// standard CONGEST bound: one message per edge per round).
     pub fn new(graph: &'g Graph) -> Self {
-        Simulator::with_plans(graph, Arc::new(TopoCache::new()))
+        Simulator::with_plans(graph, Arc::new(TopoCache::new()), ExecCore::default())
     }
 
     /// Shared-cache constructor used by [`Executor::sub`]: a composite
     /// algorithm's sub-executors look their routing tables up in the
     /// root's plan cache instead of rebuilding them per sub-graph.
-    fn with_plans(graph: &'g Graph, plans: Arc<TopoCache<SimTopo>>) -> Self {
+    fn with_plans(graph: &'g Graph, plans: Arc<TopoCache<SimTopo>>, core: ExecCore) -> Self {
         let topo = plans.get_or_build(graph, SimTopo::build);
         Simulator {
             graph,
-            cap: 1,
-            max_rounds: 50_000_000,
+            core,
             validate_activation: false,
-            record_metrics: false,
-            time_phases: false,
-            total: RunStats::default(),
-            frontier: FrontierStats::default(),
             topo,
             plans,
             slab: Slab::new(),
@@ -220,11 +205,6 @@ impl<'g> Simulator<'g> {
             charged: vec![false; 2 * graph.m()],
             inboxes: vec![Vec::new(); graph.n()],
             scratch: SimScratch::default(),
-            last_report: None,
-            node_stats: None,
-            trace: None,
-            wall_total: PhaseWall::default(),
-            setup_total_ns: 0,
         }
     }
 
@@ -232,26 +212,6 @@ impl<'g> Simulator<'g> {
     /// reference can outlive a borrow of the simulator).
     pub fn graph(&self) -> &'g Graph {
         self.graph
-    }
-
-    /// Messages allowed per directed edge per round.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Sets the bandwidth cap (`>= 1`). Useful for "CONGEST with larger
-    /// messages" ablations.
-    ///
-    /// # Panics
-    /// Panics if `cap == 0`.
-    pub fn set_cap(&mut self, cap: usize) {
-        assert!(cap >= 1, "bandwidth cap must be at least 1");
-        self.cap = cap;
-    }
-
-    /// Sets the livelock guard (default 50 million rounds).
-    pub fn set_max_rounds(&mut self, max_rounds: u64) {
-        self.max_rounds = max_rounds;
     }
 
     /// Enables the dense-validation mode (off by default; inherited by
@@ -280,90 +240,6 @@ impl<'g> Simulator<'g> {
         self.validate_activation = validate;
     }
 
-    /// Enables or disables congestion instrumentation (per-round
-    /// message/depth/active histograms, hot edges, per-phase wall
-    /// breakdown), the simulator-side mirror of the parallel engine's
-    /// recording. Off by default; observer-neutral (contract clause 8).
-    pub fn set_record_metrics(&mut self, record: bool) {
-        self.record_metrics = record;
-    }
-
-    /// Enables per-phase wall sampling on its own — the cheap slice of
-    /// metrics recording (a few clock reads per round, no `O(m)`
-    /// scans), enough to populate [`Simulator::wall_total`] and the
-    /// process-wide breakdown accumulators in [`crate::plan`].
-    /// Implied by metrics recording and tracing; observer-neutral
-    /// (contract clause 8).
-    pub fn set_time_phases(&mut self, time: bool) {
-        self.time_phases = time;
-    }
-
-    /// Instrumentation from the most recent run, if
-    /// [`Simulator::set_record_metrics`] was enabled. The deterministic
-    /// fields are bit-identical to the parallel engine's report for the
-    /// same run.
-    pub fn last_report(&self) -> Option<&RunReport> {
-        self.last_report.as_ref()
-    }
-
-    /// Cumulative per-phase wall time over every timed `run` driven
-    /// directly on this simulator (sub-executors accumulate their own).
-    /// Zero unless metrics recording or tracing was enabled.
-    pub fn wall_total(&self) -> PhaseWall {
-        self.wall_total
-    }
-
-    /// Cumulative per-run setup wall (program construction plus
-    /// scratch/arena acquisition, before the first delivery) over every
-    /// run driven directly on this simulator. Always measured — it is
-    /// two clock reads per run — so the setup floor is visible without
-    /// enabling metrics recording.
-    pub fn setup_total_ns(&self) -> u64 {
-        self.setup_total_ns
-    }
-
-    /// Enables or disables per-node accounting (see
-    /// [`Executor::set_record_node_stats`]). Enabling (re)allocates
-    /// zeroed counters.
-    pub fn set_record_node_stats(&mut self, record: bool) {
-        self.node_stats = record.then(|| NodeStats::new(self.graph.n()));
-    }
-
-    /// Attaches (or detaches, with `None`) a profiling trace sink; one
-    /// [`RoundTrace`] record is pushed per executed round. Inherited by
-    /// sub-executors; observer-neutral (contract clause 8).
-    pub fn set_trace(&mut self, sink: Option<SharedTraceSink>) {
-        self.trace = sink;
-    }
-
-    /// Cumulative statistics over every run so far.
-    pub fn total(&self) -> RunStats {
-        self.total
-    }
-
-    /// Cumulative frontier-scheduling statistics over every run so far.
-    pub fn frontier_total(&self) -> FrontierStats {
-        self.frontier
-    }
-
-    /// Resets the cumulative statistics (e.g. between benchmark cases).
-    pub fn reset_total(&mut self) {
-        self.total = RunStats::default();
-        self.frontier = FrontierStats::default();
-    }
-
-    /// Adds externally-accounted rounds to the cumulative counter (used
-    /// by orchestrators that know a phase's cost analytically, e.g. when
-    /// reusing a cached BFS tree would be re-built in a cold start).
-    pub fn charge(&mut self, stats: RunStats) {
-        self.total.absorb(stats);
-    }
-
-    /// Adds a sub-executor's frontier counters to the cumulative total.
-    pub fn charge_frontier(&mut self, frontier: FrontierStats) {
-        self.frontier.absorb(frontier);
-    }
-
     /// Runs one program instance per node until global quiescence.
     ///
     /// `make` is called once per node, in node order, with the node id
@@ -372,7 +248,7 @@ impl<'g> Simulator<'g> {
     /// ergonomic construction of e.g. shared configuration).
     ///
     /// Returns per-node outputs and this run's statistics; the same
-    /// statistics are also accumulated into [`Simulator::total`].
+    /// statistics are also accumulated into [`Executor::total`].
     ///
     /// # Panics
     /// Panics if the run exceeds the `max_rounds` livelock guard.
@@ -381,8 +257,14 @@ impl<'g> Simulator<'g> {
         P: Program,
         F: FnMut(NodeId, &Graph) -> P,
     {
-        let t_setup = Instant::now();
+        // Observability (contract clause 8: the round log is read-only
+        // bookkeeping). The per-node counters move out of the core for
+        // the run so the closures below can borrow them alongside the
+        // graph.
+        let (mut log, mut node_stats) = self.core.begin_run("sim");
         let n = self.graph.n();
+        let cap = self.cap();
+        let max_rounds = self.core.max_rounds();
         let topo = self.topo.clone();
         let mut programs: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
         // queue index = 2 * edge_id + dir, dir 0 = u->v. Queue storage
@@ -413,7 +295,6 @@ impl<'g> Simulator<'g> {
         next_carry.clear();
         active_scratch.clear();
         let mut stats = RunStats::default();
-        let mut frontier = FrontierStats::default();
 
         let queue_index = |edge_of: &Vec<HashMap<NodeId, EdgeId>>, from: NodeId, to: NodeId| {
             let e = *edge_of[from]
@@ -435,28 +316,13 @@ impl<'g> Simulator<'g> {
         let mut charged = std::mem::take(&mut self.charged);
         let mut charged_dirty = false;
 
-        // Observability (contract clause 8: everything below is
-        // read-only bookkeeping). Per-node counters are moved out of
-        // `self` for the duration so the closures below can borrow
-        // them alongside the graph.
-        let record = self.record_metrics;
-        let mut node_stats = self.node_stats.take();
-        let trace_run = self
-            .trace
-            .as_ref()
-            .map(|s| (s.clone(), s.lock().expect("trace sink").begin_run("sim")));
-        let timed = record || trace_run.is_some() || self.time_phases;
+        let record = log.recording();
+        let timed = log.timed();
         if record {
             per_directed.clear();
             per_directed.resize(2 * self.graph.m(), 0);
         }
-        let mut hist_msgs: Vec<u64> = Vec::new();
-        let mut hist_depth: Vec<u64> = Vec::new();
-        let mut hist_active: Vec<u64> = Vec::new();
-        let mut wall = PhaseWall::default();
-        let setup_ns = t_setup.elapsed().as_nanos() as u64;
-        self.setup_total_ns += setup_ns;
-        crate::plan::add_setup_ns(setup_ns);
+        log.setup_done();
 
         // init
         let validate = self.validate_activation;
@@ -489,11 +355,8 @@ impl<'g> Simulator<'g> {
                 break;
             }
             stats.rounds += 1;
-            if stats.rounds > self.max_rounds {
-                panic!(
-                    "CONGEST run exceeded {} rounds — livelocked program?",
-                    self.max_rounds
-                );
+            if stats.rounds > max_rounds {
+                self.core.livelocked();
             }
             // Deliver up to `cap` messages per charged directed edge, in
             // (receiver, directed id) order: per node that is ascending
@@ -514,7 +377,7 @@ impl<'g> Simulator<'g> {
                     delivered.push((target, ()));
                 }
                 let mut popped: u64 = 0;
-                for _ in 0..self.cap {
+                for _ in 0..cap {
                     match slab.pop(&mut heads[qi], qi) {
                         Some((_, entry)) => {
                             if validate && entry.originals.len() > 1 {
@@ -609,44 +472,26 @@ impl<'g> Simulator<'g> {
                 crate::exec::for_each_active(&delivered, &carry, (), |v, ()| run_node(v, true));
             }
             std::mem::swap(&mut carry, &mut next_carry);
-            frontier.invocations += active_count;
-            frontier.peak_active = frontier.peak_active.max(active_count);
             for &(v, ()) in &delivered {
                 inboxes[v].clear();
             }
             let compute_ns = t_compute.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            if timed {
-                wall.deliver_ns += deliver_ns;
-                wall.compute_ns += compute_ns;
-            }
-            if record {
-                hist_msgs.push(round_delivered);
-                // At a round boundary every non-empty queue is in
-                // `charged_list` (the invariant above), so the max over
-                // it is the max over all 2m queues — the engine's
-                // "depth after this round's sends".
-                hist_depth.push(
-                    charged_list
-                        .iter()
-                        .map(|&qi| heads[qi].len() as u64)
-                        .max()
-                        .unwrap_or(0),
-                );
-                hist_active.push(active_count);
-            }
-            if let Some((sink, run_id)) = trace_run.as_ref() {
-                sink.lock().expect("trace sink").push_round(
-                    *run_id,
-                    RoundTrace {
-                        round: stats.rounds,
-                        delivered: round_delivered,
-                        active: active_count,
-                        deliver_ns,
-                        compute_ns,
-                        barrier_ns: 0,
-                    },
-                );
-            }
+            // At a round boundary every non-empty queue is in
+            // `charged_list` (the invariant above), so the max over it
+            // is the max over all 2m queues — the engine's "depth after
+            // this round's sends".
+            let depth = if record {
+                let depths = charged_list.iter().map(|&qi| heads[qi].len() as u64);
+                depths.max().unwrap_or(0)
+            } else {
+                0
+            };
+            let wall = PhaseWall {
+                deliver_ns,
+                compute_ns,
+                barrier_ns: 0,
+            };
+            log.round(round_delivered, active_count, depth, wall);
         }
 
         // Quiescence drained every queue; hand the arena (entry pool,
@@ -666,28 +511,8 @@ impl<'g> Simulator<'g> {
             active_scratch,
             per_directed,
         };
-        frontier.rounds = stats.rounds;
-        self.total.absorb(stats);
-        self.frontier.absorb(frontier);
-        self.node_stats = node_stats;
-        self.wall_total.absorb(wall);
-        if timed {
-            crate::plan::add_phase_wall_ns(wall.deliver_ns, wall.compute_ns, wall.barrier_ns);
-        }
-        if record {
-            self.last_report = Some(RunReport {
-                rounds: stats.rounds,
-                total_messages: stats.messages,
-                messages_delivered: stats.messages_delivered(),
-                messages_combined: stats.messages_combined,
-                messages_per_round: hist_msgs,
-                max_queue_depth_per_round: hist_depth,
-                active_per_round: hist_active,
-                hot_edges: RunReport::rank_hot_edges(&self.scratch.per_directed),
-                threads: 1,
-                wall,
-            });
-        }
+        let per_directed = &self.scratch.per_directed;
+        self.core.end_run(log, node_stats, stats, per_directed, 1);
         (programs.into_iter().map(Program::finish).collect(), stats)
     }
 }
@@ -699,16 +524,9 @@ impl<'g> Executor for Simulator<'g> {
         // Sub-executors share the root's topology-plan cache: spawning
         // a sub on a previously-seen topology reuses its routing tables
         // instead of rebuilding the `O(n + m)` hash maps.
-        let mut sub = Simulator::with_plans(graph, self.plans.clone());
-        sub.cap = self.cap;
-        sub.max_rounds = self.max_rounds;
+        let core = self.core.sub(graph.n());
+        let mut sub = Simulator::with_plans(graph, self.plans.clone(), core);
         sub.validate_activation = self.validate_activation;
-        sub.record_metrics = self.record_metrics;
-        sub.time_phases = self.time_phases;
-        if self.node_stats.is_some() {
-            sub.set_record_node_stats(true);
-        }
-        sub.trace = self.trace.clone();
         sub
     }
 
@@ -716,50 +534,12 @@ impl<'g> Executor for Simulator<'g> {
         self.graph
     }
 
-    fn cap(&self) -> usize {
-        self.cap
+    fn core(&self) -> &ExecCore {
+        &self.core
     }
 
-    fn set_cap(&mut self, cap: usize) {
-        Simulator::set_cap(self, cap)
-    }
-
-    fn set_max_rounds(&mut self, max_rounds: u64) {
-        Simulator::set_max_rounds(self, max_rounds)
-    }
-
-    fn total(&self) -> RunStats {
-        self.total
-    }
-
-    fn frontier_total(&self) -> FrontierStats {
-        self.frontier
-    }
-
-    fn reset_total(&mut self) {
-        Simulator::reset_total(self)
-    }
-
-    fn charge(&mut self, stats: RunStats) {
-        Simulator::charge(self, stats)
-    }
-
-    fn charge_frontier(&mut self, frontier: FrontierStats) {
-        Simulator::charge_frontier(self, frontier)
-    }
-
-    fn set_record_node_stats(&mut self, record: bool) {
-        Simulator::set_record_node_stats(self, record)
-    }
-
-    fn node_stats(&self) -> Option<&NodeStats> {
-        self.node_stats.as_ref()
-    }
-
-    fn charge_node_stats(&mut self, other: &NodeStats) {
-        if let Some(ns) = self.node_stats.as_mut() {
-            ns.absorb(other);
-        }
+    fn core_mut(&mut self) -> &mut ExecCore {
+        &mut self.core
     }
 
     fn run<P, F>(&mut self, make: F) -> (Vec<P::Output>, RunStats)
@@ -1012,23 +792,6 @@ mod tests {
         assert_eq!(plain.frontier_total(), validated.frontier_total());
     }
 
-    #[test]
-    fn sub_executor_inherits_configuration() {
-        let g = Graph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let h = Graph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let mut sim = Simulator::new(&g);
-        sim.set_cap(5);
-        let mut sub = Executor::sub(&sim, &h);
-        assert_eq!(Executor::cap(&sub), 5);
-        let (_, stats) = Executor::run(&mut sub, |_, _| Burst { k: 10, received: 0 });
-        assert_eq!(stats.rounds, 2, "inherited cap 5 halves the rounds");
-        assert_eq!(
-            sim.total(),
-            RunStats::default(),
-            "sub stats are independent"
-        );
-    }
-
     /// Node 0 stages `k` messages sharing one combining key in a single
     /// burst; the declared min-combiner must collapse them to one
     /// queued survivor (contract clause 7).
@@ -1154,6 +917,7 @@ mod tests {
         sim.run(|_, _| KeyDrifter);
     }
 
+    use crate::program::FrontierStats;
     use lightgraph::generators;
     use lightgraph::Graph;
 }

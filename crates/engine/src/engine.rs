@@ -8,19 +8,35 @@
 //! claim shards dynamically per phase via a per-shard epoch CAS — a
 //! work-stealing schedule, so a skewed frontier that lands in one
 //! static shard no longer serializes the round. Workers come from a
-//! persistent [`WorkerPool`] (spawned once, parked between runs, shared
-//! with sub-executors), not from per-run thread spawns.
+//! persistent [`WorkerPool`] (spawned once per engine, parked between
+//! runs, shared with sub-executors), not from per-run thread spawns.
 //!
-//! Every classic round runs two phases separated by barriers:
+//! The engine's configuration and cumulative accounting are the shared
+//! [`ExecCore`], the same type the simulator embeds, and every run books
+//! its rounds in the core's [`RoundLog`]. The run itself is a `RunCtx`
+//! — the run's shard-disjoint state views and cross-worker counters —
+//! whose named steps every worker executes in lockstep:
 //!
-//! * **deliver** — the claimer of shard `s` pops up to `cap` messages
-//!   from every *charged* incoming directed-edge queue of the shard's
-//!   nodes into the shard's inbox arena. A directed edge has exactly
-//!   one receiver, so queue access is disjoint across shards.
-//! * **compute** — the claimer runs `Program::round` for the shard's
-//!   *active* nodes and pushes staged sends onto the outgoing
-//!   directed-edge queues. A directed edge has exactly one sender, so
-//!   access is again disjoint.
+//! * **stage** — one node's sends onto its outgoing directed-edge
+//!   queues, merging per the clause-7 combiner. A directed edge has
+//!   exactly one sender, so staging is disjoint across shards. Init,
+//!   classic rounds and fused blocks all stage through it.
+//! * **deliver** — pops up to `cap` messages from every *charged*
+//!   incoming queue of a shard's nodes into the shard's inbox arena. A
+//!   directed edge has exactly one receiver, so queue access is
+//!   disjoint across shards.
+//! * **compute** — runs `Program::round` for a shard's *active* nodes
+//!   and stages their sends.
+//! * **fused_block** — up to `B` rounds of deliver + compute on one
+//!   shard with no global barrier (see below).
+//! * **decide** — worker 0 alone, between barriers: books the previous
+//!   round or block in the round log and broadcasts the next move — a
+//!   classic round, a fused block, or the end of the run.
+//!
+//! Shard steps run only inside the one claim loop (`claim_each`: every
+//! shard is claimed by exactly one worker per phase), and phases are
+//! separated by the one timed barrier wait (`wait`). A classic round is
+//! deliver, barrier, compute, barrier.
 //!
 //! # Round fusion (contract clause 9)
 //!
@@ -31,16 +47,17 @@
 //! their incident edges are shard-internal, and activity can creep at
 //! most one hop toward the boundary per round. The engine then runs a
 //! **fused block** of `B = min(K, FUSE_BLOCK_MAX)` rounds in which
-//! each shard executes deliver+compute locally, *without any global
-//! barrier*, stopping early when it has no charged edges, no bucket
-//! entries, and no non-quiescent carryover. Per-edge FIFO order is
-//! schedule-independent (unique sender, unique receiver), so the fused
-//! schedule is observably identical to the barriered one; per-round
-//! accounting (`RunStats`, histograms, traces) is kept exact by
-//! per-shard per-round [`FusedRound`] records that worker 0 merges at
-//! the next decision point. With one shard (`threads == 1`) every node
-//! is infinitely far from a boundary, so whole runs execute as fused
-//! blocks — eliding the per-round atomics and decision overhead.
+//! each shard loops over the same deliver and compute steps as a
+//! classic round, draining only its own diagonal bucket, *without any
+//! global barrier*, stopping early when it has no charged edges, no
+//! bucket entries, and no non-quiescent carryover. Per-edge FIFO order
+//! is schedule-independent (unique sender, unique receiver), so the
+//! fused schedule is observably identical to the barriered one;
+//! per-round accounting (`RunStats`, histograms, traces) is kept exact
+//! by per-shard per-round [`FusedRound`] records that worker 0 merges
+//! at the next decision point. With one shard (`threads == 1`) every
+//! node is infinitely far from a boundary, so whole runs execute as
+//! fused blocks — eliding the per-round atomics and decision overhead.
 //!
 //! # Frontier scheduling
 //!
@@ -86,15 +103,14 @@
 use crate::csr::{DirectedId, ShardLocality};
 use crate::plan::{EngineTopo, PlanData};
 use crate::pool::WorkerPool;
-use crate::report::EngineReport;
+use congest::exec::{ExecCore, RoundLog};
+use congest::obs::PhaseWall;
 use congest::plan::TopoCache;
-use congest::obs::{PhaseWall, RoundTrace};
 use congest::slab::{EdgeQueue, Slab};
-use congest::{
-    Ctx, Executor, FrontierStats, Message, NodeStats, Program, RunStats, SharedTraceSink,
-};
+use congest::{Ctx, Executor, Message, Program, RunStats};
 use lightgraph::{Graph, NodeId};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
@@ -329,6 +345,38 @@ struct RunArena {
     in_backlog: Vec<bool>,
 }
 
+impl RunArena {
+    /// Readies the arena for a run over `directed` queues and `nshards`
+    /// shards: resized on a geometry change, claim epochs reset, and —
+    /// when `record`ing — the per-directed delivery counters and the
+    /// backlog flags (which let the per-round depth histogram scan each
+    /// sender's backlog instead of all `2m` queues) fill-reset.
+    fn checkout(&mut self, directed: usize, nshards: usize, record: bool) {
+        if self.heads.len() != directed {
+            self.heads = vec![EdgeQueue::EMPTY; directed];
+            self.charged = vec![false; directed];
+        }
+        if self.nshards != nshards {
+            self.nshards = nshards;
+            self.slabs = (0..nshards * nshards).map(|_| Slab::new()).collect();
+            self.touched = vec![Vec::new(); nshards * nshards];
+            self.states = (0..nshards).map(|_| ShardState::default()).collect();
+            self.claims = (0..nshards).map(|_| AtomicU64::new(0)).collect();
+        } else {
+            for c in &self.claims {
+                c.store(0, Ordering::Relaxed);
+            }
+        }
+        debug_assert!(self.heads.iter().all(EdgeQueue::is_empty));
+        if record {
+            self.per_directed.clear();
+            self.per_directed.resize(directed, 0);
+            self.in_backlog.clear();
+            self.in_backlog.resize(directed, false);
+        }
+    }
+}
+
 /// Exact per-round accounting a shard writes during a fused block;
 /// worker 0 merges these across shards at the next decision point so
 /// histograms/traces match the barriered schedule bit for bit.
@@ -340,10 +388,6 @@ struct FusedRound {
     deliver_ns: u64,
     compute_ns: u64,
 }
-
-/// Per-round record-mode histograms collected by worker 0:
-/// (messages, max queue depth, active nodes).
-type Histograms = (Vec<u64>, Vec<u64>, Vec<u64>);
 
 /// What worker 0 still has to account for at a decision point.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -362,38 +406,17 @@ enum Prev {
 /// shard-local. See the module docs for the phase/claim structure.
 pub struct Engine<'g> {
     graph: &'g Graph,
+    core: ExecCore,
     /// Topology-derived structure (CSR, sender/receiver maps, shard
     /// plans), checked out of the shared session cache — see
     /// [`crate::plan`]. Shared with every sub-executor.
     topo: Arc<EngineTopo>,
     plans: Arc<TopoCache<EngineTopo>>,
-    /// Memo of the last run's shard plan: repeat runs with the same
-    /// `(threads, stress)` skip even the cache lookup.
-    plan: Option<ExecPlan>,
     plan_builds: u64,
-    setup_total_ns: u64,
-    cap: usize,
-    max_rounds: u64,
     threads: usize,
-    record_metrics: bool,
-    time_phases: bool,
-    total: RunStats,
-    frontier: FrontierStats,
-    last_report: Option<EngineReport>,
-    node_stats: Option<NodeStats>,
-    trace: Option<SharedTraceSink>,
-    wall_total: PhaseWall,
     pool: Option<Arc<WorkerPool>>,
     stress_seed: Option<u64>,
     arena: RunArena,
-}
-
-/// The engine's per-run plan memo: the cached [`PlanData`] plus the
-/// configuration pair that keys it.
-struct ExecPlan {
-    threads: usize,
-    stress: Option<u64>,
-    data: Arc<PlanData>,
 }
 
 impl<'g> std::fmt::Debug for Engine<'g> {
@@ -401,9 +424,9 @@ impl<'g> std::fmt::Debug for Engine<'g> {
         f.debug_struct("Engine")
             .field("n", &self.graph.n())
             .field("m", &self.graph.m())
-            .field("cap", &self.cap)
+            .field("cap", &self.cap())
             .field("threads", &self.threads)
-            .field("total", &self.total)
+            .field("total", &self.total())
             .finish()
     }
 }
@@ -424,37 +447,29 @@ impl<'g> Engine<'g> {
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn with_threads(graph: &'g Graph, threads: usize) -> Self {
-        Engine::with_shared_plans(graph, threads, Arc::new(TopoCache::new()))
+        let plans = Arc::new(TopoCache::new());
+        Engine::with_shared_plans(graph, threads, plans, ExecCore::default())
     }
 
-    /// Creates an engine sharing an existing plan cache — the
-    /// sub-executor path: every sub-run of a composite algorithm reuses
-    /// the root engine's topology-derived structure.
+    /// Creates an engine sharing an existing plan cache and starting
+    /// from `core` — the sub-executor path: every sub-run of a
+    /// composite algorithm reuses the root engine's topology-derived
+    /// structure.
     fn with_shared_plans(
         graph: &'g Graph,
         threads: usize,
         plans: Arc<TopoCache<EngineTopo>>,
+        core: ExecCore,
     ) -> Self {
         assert!(threads >= 1, "engine needs at least one worker thread");
         let topo = plans.get_or_build(graph, EngineTopo::build);
         Engine {
             graph,
+            core,
             topo,
             plans,
-            plan: None,
             plan_builds: 0,
-            setup_total_ns: 0,
-            cap: 1,
-            max_rounds: 50_000_000,
             threads,
-            record_metrics: false,
-            time_phases: false,
-            total: RunStats::default(),
-            frontier: FrontierStats::default(),
-            last_report: None,
-            node_stats: None,
-            trace: None,
-            wall_total: PhaseWall::default(),
             pool: None,
             stress_seed: None,
             arena: RunArena::default(),
@@ -466,67 +481,10 @@ impl<'g> Engine<'g> {
         self.threads
     }
 
-    /// Enables or disables congestion instrumentation (per-round
-    /// message histogram, queue depths, hot edges). Off by default:
-    /// recording costs an `O(m)` scan per round.
-    pub fn set_record_metrics(&mut self, record: bool) {
-        self.record_metrics = record;
-    }
-
-    /// Enables or disables per-phase wall sampling on its own — the
-    /// cheap slice of metrics recording (a few clock reads per round,
-    /// no `O(m)` histogram scans), enough to populate
-    /// [`Engine::wall_total`] and the process-wide breakdown
-    /// accumulators in `congest::plan`. Implied by
-    /// [`Engine::set_record_metrics`] and tracing; observer-neutral
-    /// (contract clause 8).
-    pub fn set_time_phases(&mut self, time: bool) {
-        self.time_phases = time;
-    }
-
-    /// Instrumentation from the most recent run, if
-    /// [`Engine::set_record_metrics`] was enabled.
-    pub fn last_report(&self) -> Option<&EngineReport> {
-        self.last_report.as_ref()
-    }
-
-    /// Cumulative per-phase wall time over every timed `run` driven
-    /// directly on this engine (sub-executors accumulate their own).
-    /// Deliver/compute are max-across-workers per phase, barrier is
-    /// total wait across workers; see `congest::obs::PhaseWall`. Zero
-    /// unless metrics recording or tracing was enabled.
-    pub fn wall_total(&self) -> PhaseWall {
-        self.wall_total
-    }
-
-    /// Cumulative wall time this engine spent in per-run setup (plan
-    /// acquisition, arena checkout, program construction) across every
-    /// `run` — the session layer's target. Always measured (two clock
-    /// reads per run); sub-executors accumulate their own.
-    pub fn setup_total_ns(&self) -> u64 {
-        self.setup_total_ns
-    }
-
     /// How many times this engine actually *built* a shard plan rather
     /// than reusing a cached one (diagnostics; see `tests/plan_cache`).
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds
-    }
-
-    /// Enables or disables per-node accounting (see
-    /// [`Executor::set_record_node_stats`]). Enabling (re)allocates
-    /// zeroed counters.
-    pub fn set_record_node_stats(&mut self, record: bool) {
-        self.node_stats = record.then(|| NodeStats::new(self.graph.n()));
-    }
-
-    /// Attaches (or detaches, with `None`) a profiling trace sink; one
-    /// [`RoundTrace`] record is pushed per executed round (by worker 0,
-    /// at the following decision point; fused rounds carry zero
-    /// barrier time — they genuinely have none). Inherited by
-    /// sub-executors; observer-neutral (contract clause 8).
-    pub fn set_trace(&mut self, sink: Option<SharedTraceSink>) {
-        self.trace = sink;
     }
 
     /// Pins the shard-stress seed for this engine (and its
@@ -556,961 +514,743 @@ impl<'g> Engine<'g> {
         P::Output: Send,
         F: FnMut(NodeId, &Graph) -> P,
     {
-        let t_setup = Instant::now();
-        let n = self.graph.n();
+        let (mut log, node_stats) = self.core.begin_run("parallel");
+        let graph = self.graph;
+        let n = graph.n();
         let threads = self.threads.clamp(1, n.max(1));
-        // Ensure the persistent pool before the long immutable borrows
-        // below; sub-executors share it via `Arc` (see `Executor::sub`).
+        // Ensure the persistent pool; sub-executors share it via `Arc`
+        // (see `Executor::sub`).
         if threads > 1 && self.pool.as_ref().map_or(0, |p| p.workers()) < threads - 1 {
             self.pool = Some(Arc::new(WorkerPool::new(threads - 1)));
         }
-        let pool = self.pool.clone();
         let stress = stress_run_seed(self.stress_seed);
-        let graph = self.graph;
         let topo = self.topo.clone();
-        let csr = &topo.csr;
-        let senders = &topo.senders;
-        let receivers = &topo.receivers;
-        let cap = self.cap;
-        let max_rounds = self.max_rounds;
-        let record = self.record_metrics;
-        // Per-node counters move out of `self` for the run so the three
-        // counter vectors can be shared (disjointly) across workers:
-        // `sent`/`invocations` are indexed by owned nodes, `delivered`
-        // by owned receivers — the same sharding as programs/queues.
-        let track_nodes = self.node_stats.is_some();
-        let mut node_stats = self.node_stats.take().unwrap_or_default();
-        let trace_run = self.trace.as_ref().map(|s| {
-            (
-                s.clone(),
-                s.lock().expect("trace sink").begin_run("parallel"),
-            )
-        });
-        let timed = record || trace_run.is_some() || self.time_phases;
-
         // Shard plan (bounds, claim orders, and the shard-locality
         // metadata backing the clause-9 fusion-eligibility metric):
         // acquired from the session cache, built at most once per
-        // `(threads, stress)` pair per topology. The memo in
-        // `self.plan` skips even the cache lock on repeat sub-runs.
-        let plan_hit = self
-            .plan
-            .as_ref()
-            .is_some_and(|p| p.threads == threads && p.stress == stress);
-        if !plan_hit {
-            let (data, built) = topo.plan_for(threads, stress, || {
-                let shards = plan_shards(graph, threads, stress);
-                let orders = claim_orders(shards.len(), threads, stress);
-                let loc = ShardLocality::new(graph, &shards);
-                PlanData {
-                    shards,
-                    orders,
-                    loc,
-                }
-            });
-            self.plan_builds += u64::from(built);
-            self.plan = Some(ExecPlan {
-                threads,
-                stress,
-                data,
-            });
-        }
-        let plan = &self.plan.as_ref().expect("plan just ensured").data;
-        let shards = &plan.shards;
-        let nshards = shards.len();
-        let orders = &plan.orders;
-        let shard_of = &plan.loc.shard_of;
-        let dist = &plan.loc.dist_to_boundary;
+        // `(threads, stress)` pair per topology.
+        let (plan, built) = topo.plan_for(threads, stress, || {
+            let shards = plan_shards(graph, threads, stress);
+            let orders = claim_orders(shards.len(), threads, stress);
+            let loc = ShardLocality::new(graph, &shards);
+            PlanData {
+                shards,
+                orders,
+                loc,
+            }
+        });
+        self.plan_builds += u64::from(built);
 
         // `make` runs on the calling thread, in node order (contract).
         let mut programs: Vec<P> = (0..n).map(|v| make(v, graph)).collect();
         // Queue storage is the persistent arena (see `RunArena`):
         // staging goes through the shared `congest::slab` (contract
         // clause 7), so the merge semantics are the simulator's by
-        // construction. `charged[d]` ⇔ queue `d` is non-empty ⇔ `d`
-        // sits in exactly one receiver-side carryover list or touched
-        // bucket — written by the unique sender shard during
-        // compute/init, cleared by the unique receiver shard during
-        // deliver. `touched[s * nshards + r]` holds the edges freshly
-        // charged by sender shard `s` toward receiver shard `r`.
-        let mut run_arena = std::mem::take(&mut self.arena);
-        if run_arena.heads.len() != csr.directed_len() {
-            run_arena.heads = vec![EdgeQueue::EMPTY; csr.directed_len()];
-            run_arena.charged = vec![false; csr.directed_len()];
-        }
-        if run_arena.nshards != nshards {
-            run_arena.nshards = nshards;
-            run_arena.slabs = (0..nshards * nshards).map(|_| Slab::new()).collect();
-            run_arena.touched = vec![Vec::new(); nshards * nshards];
-            run_arena.states = (0..nshards).map(|_| ShardState::default()).collect();
-            run_arena.claims = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-        } else {
-            for c in &run_arena.claims {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-        debug_assert!(run_arena.heads.iter().all(EdgeQueue::is_empty));
-        // Record-mode only: per-directed delivery counters, plus
-        // membership flags for each sender's backlog list of
-        // possibly-non-empty own out-queues, so the per-round depth
-        // histogram scans the backlog instead of all `2m` queues.
-        // Fill-reset in the persistent arena, not reallocated.
-        if record {
-            run_arena.per_directed.clear();
-            run_arena.per_directed.resize(csr.directed_len(), 0);
-            run_arena.in_backlog.clear();
-            run_arena.in_backlog.resize(csr.directed_len(), false);
-        }
-
+        // construction.
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.checkout(topo.csr.directed_len(), plan.shards.len(), log.recording());
+        let track_nodes = node_stats.is_some();
+        let mut node_stats = node_stats.unwrap_or_default();
         // Everything up to here — plan acquisition, arena checkout,
         // program construction — is the per-run setup the session layer
         // amortizes; the workers below are the run proper.
-        let setup_ns = t_setup.elapsed().as_nanos() as u64;
-        self.setup_total_ns += setup_ns;
-        congest::plan::add_setup_ns(setup_ns);
+        log.setup_done();
 
-        let mut stats = RunStats::default();
-        let run_frontier;
-        let livelocked;
-        let histograms;
-        let delivered_total;
-        let run_wall;
-
-        {
-            let programs_sh = SharedSlice::new(&mut programs);
-            let slabs_sh = SharedSlice::new(&mut run_arena.slabs);
-            let heads_sh = SharedSlice::new(&mut run_arena.heads);
-            let charged_sh = SharedSlice::new(&mut run_arena.charged);
-            let touched_sh = SharedSlice::new(&mut run_arena.touched);
-            let states_sh = SharedSlice::new(&mut run_arena.states);
-            let per_directed_sh = SharedSlice::new(&mut run_arena.per_directed);
-            let in_backlog_sh = SharedSlice::new(&mut run_arena.in_backlog);
-            let ns_sent_sh = SharedSlice::new(&mut node_stats.sent);
-            let ns_delivered_sh = SharedSlice::new(&mut node_stats.delivered);
-            let ns_invocations_sh = SharedSlice::new(&mut node_stats.invocations);
-            // Per-shard claim epochs: a worker owns shard `s` for phase
-            // `p` iff it wins `claims[s]: p-1 → p`. Every worker walks
-            // all shards each phase, so every shard is claimed exactly
-            // once per phase regardless of worker interleaving. The
-            // counters live in the arena (reset above), not per run.
-            let claims: &[AtomicU64] = &run_arena.claims;
-            let pending = AtomicI64::new(0);
-            // Count of non-quiescent programs; replaces the old
-            // every-node `is_quiescent` sweep. Updated incrementally by
-            // each shard from its carryover-list delta after compute.
-            let nonquiescent = AtomicI64::new(0);
-            // Logical sends and clause-7 merges, batched per phase like
-            // `pending`; at quiescence staged = delivered + combined.
-            let staged_cum = AtomicU64::new(0);
-            let combined_cum = AtomicU64::new(0);
-            let delivered_cum = AtomicU64::new(0);
-            let active_cum = AtomicU64::new(0);
-            let round_max_depth = AtomicU64::new(0);
-            // Fusion eligibility: min dist-to-boundary over every node
-            // that can be active next round, fetch_min'd by shards
-            // after their sends, swapped out by worker 0 at decisions.
-            let fuse_dist = AtomicU64::new(u64::MAX);
-            // Rounds actually executed by the longest-running shard of
-            // the current fused block (per-shard activity within a
-            // block is prefix-contiguous, so the max is exact).
-            let block_rounds = AtomicU64::new(0);
-            // Worker 0's broadcast decision: control code in the low
-            // byte, fused block bound in the high bits, plus the round
-            // base; stored before barrier #1, loaded after.
-            let ctrl_word = AtomicU64::new(0);
-            let ctrl_round = AtomicU64::new(0);
-            // Satellite: per-phase wall sampled by *all* workers —
-            // deliver/compute via fetch_max (phase wall = slowest
-            // worker), barrier via fetch_add (total wait). Worker 0
-            // drains them at decisions; attribution at unit boundaries
-            // is approximate (documented in `congest::obs`).
-            let ph_deliver = AtomicU64::new(0);
-            let ph_compute = AtomicU64::new(0);
-            let ph_barrier = AtomicU64::new(0);
-            let abort = AtomicBool::new(false);
-            let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-            let barrier = Barrier::new(threads);
-
-            // One worker body, run by `threads` threads in lockstep;
-            // returns (rounds, frontier, histograms, wall) — meaningful
-            // for worker 0 only (message totals live in the shared
-            // atomics).
-            let worker = |wid: usize| -> (u64, FrontierStats, Option<Histograms>, PhaseWall) {
-                let order = &orders[wid];
-                let mut wall = PhaseWall::default();
-                let mut round: u64 = 0;
-                // Local phase counter, advanced identically by every
-                // worker (broadcast decisions keep them in lockstep):
-                // +1 for init, +2 per classic round, +1 per fused block.
-                let mut phase: u64 = 0;
-                let mut prev = Prev::Init;
-                let mut delivered_seen: u64 = 0;
-                let mut active_seen: u64 = 0;
-                let mut peak_active: u64 = 0;
-                let mut hist_msgs: Vec<u64> = Vec::new();
-                let mut hist_depth: Vec<u64> = Vec::new();
-                let mut hist_active: Vec<u64> = Vec::new();
-
-                let guard = |f: &mut dyn FnMut()| {
-                    if abort.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                        *panic_payload.lock().unwrap() = Some(payload);
-                        abort.store(true, Ordering::SeqCst);
-                    }
-                };
-
-                // Clause-7 staging, shared by init/compute/fused: stage
-                // one of `v`'s sends on its outgoing queue, merging per
-                // the sender's combiner; a merged message was absorbed
-                // into a co-queued one (the queue was non-empty, so the
-                // edge is already charged and backlogged), an appended
-                // one updates the charge/touched bucket (row = sender
-                // shard) and record-mode backlog bookkeeping. Returns
-                // whether the message merged.
-                let stage_one = |p: &P,
-                                 v: NodeId,
-                                 to: NodeId,
-                                 msg: Message,
-                                 row: usize,
-                                 backlog: &mut Vec<DirectedId>| {
-                    let d = csr.out_id(v, to);
-                    let key = p.combine_key(&msg);
-                    let r = shard_of[to] as usize;
-                    let cell = unsafe { slabs_sh.get_mut(row * nshards + r) };
-                    let q = unsafe { heads_sh.get_mut(d) };
-                    let merged = cell.stage(q, d, key, msg, |old, new| {
-                        let m = p.combine(old, &new);
-                        debug_assert_eq!(p.combine_key(&m), key, "combiner changed the key");
-                        *old = m;
-                    });
-                    if merged {
-                        return true;
-                    }
-                    let ch = unsafe { charged_sh.get_mut(d) };
-                    if !*ch {
-                        *ch = true;
-                        unsafe { touched_sh.get_mut(row * nshards + r) }.push(d);
-                    }
-                    if record {
-                        let ib = unsafe { in_backlog_sh.get_mut(d) };
-                        if !*ib {
-                            *ib = true;
-                            backlog.push(d);
-                        }
-                    }
-                    false
-                };
-
-                // Fusion-eligibility contribution of shard `s` after
-                // its sends for a phase: min dist-to-boundary over
-                // everything that can be active next round from this
-                // shard — leftover charged receivers, freshly charged
-                // receivers (bucket row `s`), and the non-quiescent
-                // carryover. Batched locally, one fetch_min per shard.
-                let fuse_scan = |s: usize, carry_edges: &[DirectedId], carry_nodes: &[NodeId]| {
-                    let mut k = u64::MAX;
-                    for &d in carry_edges {
-                        k = k.min(dist[receivers[d]] as u64);
-                    }
-                    for r in 0..nshards {
-                        for &d in unsafe { touched_sh.get_mut(s * nshards + r) }.iter() {
-                            k = k.min(dist[receivers[d]] as u64);
-                        }
-                    }
-                    for &v in carry_nodes {
-                        k = k.min(dist[v] as u64);
-                    }
-                    if k != u64::MAX {
-                        fuse_dist.fetch_min(k, Ordering::SeqCst);
-                    }
-                };
-
-                // One shard's classic deliver: drain the touched-bucket
-                // column, merge with carryover, pop ≤ cap per charged
-                // queue into the shard arena in (receiver, id) order —
-                // the simulator's per-node inbox order.
-                let deliver_shard = |s: usize| {
-                    let st = unsafe { states_sh.get_mut(s) };
-                    let ShardState {
-                        carry_edges,
-                        next_edges,
-                        arena,
-                        inbox_ranges,
-                        ..
-                    } = st;
-                    arena.clear();
-                    inbox_ranges.clear();
-                    let mut fresh = false;
-                    for w in 0..nshards {
-                        let bucket = unsafe { touched_sh.get_mut(w * nshards + s) };
-                        fresh |= !bucket.is_empty();
-                        carry_edges.append(bucket);
-                    }
-                    if fresh {
-                        carry_edges.sort_unstable_by_key(|&d| (receivers[d], d));
-                    }
-                    let mut delta: i64 = 0;
-                    next_edges.clear();
-                    for &d in carry_edges.iter() {
-                        let v = receivers[d];
-                        match inbox_ranges.last_mut() {
-                            Some(&mut (node, _)) if node == v => {}
-                            _ => inbox_ranges.push((v, (arena.len(), arena.len()))),
-                        }
-                        let from = senders[d];
-                        let cell =
-                            unsafe { slabs_sh.get_mut(shard_of[from] as usize * nshards + s) };
-                        let q = unsafe { heads_sh.get_mut(d) };
-                        let mut popped = 0u64;
-                        while popped < cap as u64 {
-                            match cell.pop(q, d) {
-                                Some((_, m)) => {
-                                    arena.push((from, m));
-                                    popped += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                        inbox_ranges.last_mut().expect("pushed above").1 .1 = arena.len();
-                        delta -= popped as i64;
-                        if record && popped > 0 {
-                            *unsafe { per_directed_sh.get_mut(d) } += popped;
-                        }
-                        if track_nodes && popped > 0 {
-                            *unsafe { ns_delivered_sh.get_mut(v) } += popped;
-                        }
-                        if q.is_empty() {
-                            *unsafe { charged_sh.get_mut(d) } = false;
-                        } else {
-                            next_edges.push(d);
-                        }
-                    }
-                    std::mem::swap(carry_edges, next_edges);
-                    pending.fetch_add(delta, Ordering::SeqCst);
-                    delivered_cum.fetch_add((-delta) as u64, Ordering::SeqCst);
-                };
-
-                // One shard's classic compute at logical round `round`:
-                // run the shard's active programs (deliveries ∪
-                // non-quiescent carryover, clause 5 via the shared
-                // merge), push sends, update the carryover in place,
-                // then report fusion eligibility for the next decision.
-                let compute_shard = |s: usize, round: u64| {
-                    let st = unsafe { states_sh.get_mut(s) };
-                    let ShardState {
-                        carry_edges,
-                        carry_nodes,
-                        next_nodes,
-                        arena,
-                        inbox_ranges,
-                        out_backlog,
-                        staged,
-                        ..
-                    } = st;
-                    let mut delta: i64 = 0;
-                    let mut sent: u64 = 0;
-                    let mut combined: u64 = 0;
-                    let mut executed: u64 = 0;
-                    next_nodes.clear();
-                    congest::for_each_active(
-                        inbox_ranges,
-                        carry_nodes,
-                        (0, 0),
-                        |v, (inbox_start, inbox_end)| {
-                            executed += 1;
-                            if track_nodes {
-                                *unsafe { ns_invocations_sh.get_mut(v) } += 1;
-                            }
-                            let p = unsafe { programs_sh.get_mut(v) };
-                            let mut ctx = Ctx::new(v, n, round, graph.neighbors(v), &mut *staged);
-                            p.round(&mut ctx, &arena[inbox_start..inbox_end]);
-                            for (to, msg) in staged.drain(..) {
-                                sent += 1;
-                                if track_nodes {
-                                    *unsafe { ns_sent_sh.get_mut(v) } += 1;
-                                }
-                                if stage_one(p, v, to, msg, s, &mut *out_backlog) {
-                                    combined += 1;
-                                } else {
-                                    delta += 1;
-                                }
-                            }
-                            if !p.is_quiescent() {
-                                next_nodes.push(v);
-                            }
-                        },
-                    );
-                    nonquiescent.fetch_add(
-                        next_nodes.len() as i64 - carry_nodes.len() as i64,
-                        Ordering::SeqCst,
-                    );
-                    std::mem::swap(carry_nodes, next_nodes);
-                    pending.fetch_add(delta, Ordering::SeqCst);
-                    staged_cum.fetch_add(sent, Ordering::SeqCst);
-                    combined_cum.fetch_add(combined, Ordering::SeqCst);
-                    active_cum.fetch_add(executed, Ordering::SeqCst);
-                    if record {
-                        // Depth scan over the sender-side backlog only:
-                        // queues outside it are empty, so the max
-                        // matches a full `2m`-queue sweep at
-                        // frontier-proportional cost.
-                        let mut depth = 0u64;
-                        out_backlog.retain(|&d| {
-                            let len = unsafe { heads_sh.get_mut(d) }.len() as u64;
-                            if len == 0 {
-                                *unsafe { in_backlog_sh.get_mut(d) } = false;
-                                false
-                            } else {
-                                depth = depth.max(len);
-                                true
-                            }
-                        });
-                        round_max_depth.fetch_max(depth, Ordering::SeqCst);
-                    }
-                    fuse_scan(s, carry_edges, carry_nodes);
-                };
-
-                // One shard's fused block: up to `b` barrier-free local
-                // rounds starting after logical round `base`. All
-                // traffic is shard-internal by the clause-9 predicate
-                // (active nodes sit ≥ 1 intra-shard hop from the
-                // boundary for the whole block), so only the diagonal
-                // bucket and the shard's own carry lists are touched.
-                let fuse_shard = |s: usize, base: u64, b: u64, timing: bool| {
-                    let st = unsafe { states_sh.get_mut(s) };
-                    let ShardState {
-                        carry_edges,
-                        next_edges,
-                        carry_nodes,
-                        next_nodes,
-                        arena,
-                        inbox_ranges,
-                        out_backlog,
-                        staged,
-                        fused,
-                    } = st;
-                    fused.clear();
-                    let own = s * nshards + s;
-                    let carry_start = carry_nodes.len() as i64;
-                    let mut b_pending: i64 = 0;
-                    let mut b_sent: u64 = 0;
-                    let mut b_combined: u64 = 0;
-                    let mut b_delivered: u64 = 0;
-                    let mut b_active: u64 = 0;
-                    for j in 1..=b {
-                        if abort.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let bucket_empty = unsafe { touched_sh.get_mut(own) }.is_empty();
-                        if carry_edges.is_empty() && carry_nodes.is_empty() && bucket_empty {
-                            break; // dead: nothing can wake this shard mid-block
-                        }
-                        let mut fr = FusedRound::default();
-                        // -- local deliver (diagonal bucket only: cross
-                        // buckets are provably empty for the block).
-                        let t = timing.then(Instant::now);
-                        arena.clear();
-                        inbox_ranges.clear();
-                        {
-                            let bucket = unsafe { touched_sh.get_mut(own) };
-                            if !bucket.is_empty() {
-                                carry_edges.append(bucket);
-                                carry_edges.sort_unstable_by_key(|&d| (receivers[d], d));
-                            }
-                        }
-                        next_edges.clear();
-                        for &d in carry_edges.iter() {
-                            let v = receivers[d];
-                            match inbox_ranges.last_mut() {
-                                Some(&mut (node, _)) if node == v => {}
-                                _ => inbox_ranges.push((v, (arena.len(), arena.len()))),
-                            }
-                            let from = senders[d];
-                            let cell =
-                                unsafe { slabs_sh.get_mut(shard_of[from] as usize * nshards + s) };
-                            let q = unsafe { heads_sh.get_mut(d) };
-                            let mut popped = 0u64;
-                            while popped < cap as u64 {
-                                match cell.pop(q, d) {
-                                    Some((_, m)) => {
-                                        arena.push((from, m));
-                                        popped += 1;
-                                    }
-                                    None => break,
-                                }
-                            }
-                            inbox_ranges.last_mut().expect("pushed above").1 .1 = arena.len();
-                            fr.delivered += popped;
-                            if record && popped > 0 {
-                                *unsafe { per_directed_sh.get_mut(d) } += popped;
-                            }
-                            if track_nodes && popped > 0 {
-                                *unsafe { ns_delivered_sh.get_mut(v) } += popped;
-                            }
-                            if q.is_empty() {
-                                *unsafe { charged_sh.get_mut(d) } = false;
-                            } else {
-                                next_edges.push(d);
-                            }
-                        }
-                        std::mem::swap(carry_edges, next_edges);
-                        b_pending -= fr.delivered as i64;
-                        b_delivered += fr.delivered;
-                        if let Some(t) = t {
-                            fr.deliver_ns = t.elapsed().as_nanos() as u64;
-                        }
-                        // -- local compute at logical round base + j.
-                        let t = timing.then(Instant::now);
-                        next_nodes.clear();
-                        congest::for_each_active(
-                            inbox_ranges,
-                            carry_nodes,
-                            (0, 0),
-                            |v, (inbox_start, inbox_end)| {
-                                fr.active += 1;
-                                if track_nodes {
-                                    *unsafe { ns_invocations_sh.get_mut(v) } += 1;
-                                }
-                                let p = unsafe { programs_sh.get_mut(v) };
-                                let mut ctx =
-                                    Ctx::new(v, n, base + j, graph.neighbors(v), &mut *staged);
-                                p.round(&mut ctx, &arena[inbox_start..inbox_end]);
-                                for (to, msg) in staged.drain(..) {
-                                    b_sent += 1;
-                                    if track_nodes {
-                                        *unsafe { ns_sent_sh.get_mut(v) } += 1;
-                                    }
-                                    if stage_one(p, v, to, msg, s, &mut *out_backlog) {
-                                        b_combined += 1;
-                                    } else {
-                                        b_pending += 1;
-                                    }
-                                }
-                                if !p.is_quiescent() {
-                                    next_nodes.push(v);
-                                }
-                            },
-                        );
-                        std::mem::swap(carry_nodes, next_nodes);
-                        b_active += fr.active;
-                        if record {
-                            let mut depth = 0u64;
-                            out_backlog.retain(|&d| {
-                                let len = unsafe { heads_sh.get_mut(d) }.len() as u64;
-                                if len == 0 {
-                                    *unsafe { in_backlog_sh.get_mut(d) } = false;
-                                    false
-                                } else {
-                                    depth = depth.max(len);
-                                    true
-                                }
-                            });
-                            fr.depth = depth;
-                        }
-                        if let Some(t) = t {
-                            fr.compute_ns = t.elapsed().as_nanos() as u64;
-                        }
-                        fused.push(fr);
-                    }
-                    // Batched flushes: decisions only read these after
-                    // the block's resync barrier.
-                    pending.fetch_add(b_pending, Ordering::SeqCst);
-                    staged_cum.fetch_add(b_sent, Ordering::SeqCst);
-                    combined_cum.fetch_add(b_combined, Ordering::SeqCst);
-                    delivered_cum.fetch_add(b_delivered, Ordering::SeqCst);
-                    active_cum.fetch_add(b_active, Ordering::SeqCst);
-                    nonquiescent
-                        .fetch_add(carry_nodes.len() as i64 - carry_start, Ordering::SeqCst);
-                    block_rounds.fetch_max(fused.len() as u64, Ordering::SeqCst);
-                    fuse_scan(s, carry_edges, carry_nodes);
-                };
-
-                // ---- init phase (round 0): one send burst per node;
-                // seed the non-quiescent carryover (the only full-shard
-                // `is_quiescent` evaluation of the run).
-                phase += 1;
-                guard(&mut || {
-                    for &s in order {
-                        if claims[s]
-                            .compare_exchange(phase - 1, phase, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        let st = unsafe { states_sh.get_mut(s) };
-                        let ShardState {
-                            carry_edges,
-                            carry_nodes,
-                            out_backlog,
-                            staged,
-                            ..
-                        } = st;
-                        let (lo, hi) = shards[s];
-                        let mut delta: i64 = 0;
-                        let mut sent: u64 = 0;
-                        let mut combined: u64 = 0;
-                        for v in lo..hi {
-                            let p = unsafe { programs_sh.get_mut(v) };
-                            let mut ctx = Ctx::new(v, n, 0, graph.neighbors(v), &mut *staged);
-                            p.init(&mut ctx);
-                            for (to, msg) in staged.drain(..) {
-                                sent += 1;
-                                if track_nodes {
-                                    *unsafe { ns_sent_sh.get_mut(v) } += 1;
-                                }
-                                if stage_one(p, v, to, msg, s, &mut *out_backlog) {
-                                    combined += 1;
-                                } else {
-                                    delta += 1;
-                                }
-                            }
-                            if !p.is_quiescent() {
-                                carry_nodes.push(v);
-                            }
-                        }
-                        pending.fetch_add(delta, Ordering::SeqCst);
-                        staged_cum.fetch_add(sent, Ordering::SeqCst);
-                        combined_cum.fetch_add(combined, Ordering::SeqCst);
-                        nonquiescent.fetch_add(carry_nodes.len() as i64, Ordering::SeqCst);
-                        fuse_scan(s, carry_edges, carry_nodes);
-                    }
-                });
-                let t_barrier = timed.then(Instant::now);
-                barrier.wait(); // init burst + carryover seeds visible
-                if let Some(t) = t_barrier {
-                    ph_barrier.fetch_add(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                }
-
-                loop {
-                    // ---- decide: worker 0 alone accounts the previous
-                    // unit (every counter settled before the last
-                    // barrier), then broadcasts the next move.
-                    if wid == 0 {
-                        match prev {
-                            Prev::Init => {}
-                            Prev::Classic => {
-                                round += 1;
-                                let cum = delivered_cum.load(Ordering::SeqCst);
-                                let this_round = cum - delivered_seen;
-                                delivered_seen = cum;
-                                let acum = active_cum.load(Ordering::SeqCst);
-                                let round_active = acum - active_seen;
-                                active_seen = acum;
-                                peak_active = peak_active.max(round_active);
-                                let dns = ph_deliver.swap(0, Ordering::SeqCst);
-                                let cns = ph_compute.swap(0, Ordering::SeqCst);
-                                let bns = ph_barrier.swap(0, Ordering::SeqCst);
-                                if record {
-                                    hist_msgs.push(this_round);
-                                    hist_depth.push(round_max_depth.swap(0, Ordering::SeqCst));
-                                    hist_active.push(round_active);
-                                }
-                                if let Some((sink, run_id)) = trace_run.as_ref() {
-                                    sink.lock().expect("trace sink").push_round(
-                                        *run_id,
-                                        RoundTrace {
-                                            round,
-                                            delivered: this_round,
-                                            active: round_active,
-                                            deliver_ns: dns,
-                                            compute_ns: cns,
-                                            barrier_ns: bns,
-                                        },
-                                    );
-                                }
-                                wall.deliver_ns += dns;
-                                wall.compute_ns += cns;
-                                wall.barrier_ns += bns;
-                            }
-                            Prev::Fused => {
-                                // Merge the block's per-shard per-round
-                                // records into exact global rounds;
-                                // fused rounds have no barriers, so the
-                                // block's (single resync) barrier wait
-                                // is attributed to its first round.
-                                let l = block_rounds.swap(0, Ordering::SeqCst) as usize;
-                                let bar = ph_barrier.swap(0, Ordering::SeqCst);
-                                let _ = ph_deliver.swap(0, Ordering::SeqCst);
-                                let _ = ph_compute.swap(0, Ordering::SeqCst);
-                                for j in 0..l {
-                                    let mut delivered_j = 0u64;
-                                    let mut active_j = 0u64;
-                                    let mut depth_j = 0u64;
-                                    let mut dns = 0u64;
-                                    let mut cns = 0u64;
-                                    for s in 0..nshards {
-                                        if let Some(fr) =
-                                            unsafe { states_sh.get_mut(s) }.fused.get(j)
-                                        {
-                                            delivered_j += fr.delivered;
-                                            active_j += fr.active;
-                                            depth_j = depth_j.max(fr.depth);
-                                            dns += fr.deliver_ns;
-                                            cns += fr.compute_ns;
-                                        }
-                                    }
-                                    round += 1;
-                                    peak_active = peak_active.max(active_j);
-                                    let bns = if j == 0 { bar } else { 0 };
-                                    if record {
-                                        hist_msgs.push(delivered_j);
-                                        hist_depth.push(depth_j);
-                                        hist_active.push(active_j);
-                                    }
-                                    if let Some((sink, run_id)) = trace_run.as_ref() {
-                                        sink.lock().expect("trace sink").push_round(
-                                            *run_id,
-                                            RoundTrace {
-                                                round,
-                                                delivered: delivered_j,
-                                                active: active_j,
-                                                deliver_ns: dns,
-                                                compute_ns: cns,
-                                                barrier_ns: bns,
-                                            },
-                                        );
-                                    }
-                                    wall.deliver_ns += dns;
-                                    wall.compute_ns += cns;
-                                    wall.barrier_ns += bns;
-                                }
-                                delivered_seen = delivered_cum.load(Ordering::SeqCst);
-                                active_seen = active_cum.load(Ordering::SeqCst);
-                            }
-                        }
-                        // Only worker 0 ever touches `fuse_dist` here,
-                        // so the swap-reset cannot race worker loads.
-                        let k = fuse_dist.swap(u64::MAX, Ordering::SeqCst);
-                        let (code, b) = if abort.load(Ordering::SeqCst) {
-                            (CTRL_ABORTED, 0)
-                        } else if pending.load(Ordering::SeqCst) == 0
-                            && nonquiescent.load(Ordering::SeqCst) == 0
-                        {
-                            (CTRL_QUIESCENT, 0)
-                        } else if round + 1 > max_rounds {
-                            (CTRL_LIVELOCKED, 0)
-                        } else if k >= 1 && k != u64::MAX {
-                            (CTRL_FUSED, k.min(FUSE_BLOCK_MAX).min(max_rounds - round))
-                        } else {
-                            (CTRL_CLASSIC, 0)
-                        };
-                        ctrl_round.store(round, Ordering::SeqCst);
-                        ctrl_word.store(code | (b << 8), Ordering::SeqCst);
-                    }
-                    let t_barrier = timed.then(Instant::now);
-                    barrier.wait(); // #1: decision epoch closed
-                    if let Some(t) = t_barrier {
-                        ph_barrier.fetch_add(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                    }
-                    let word = ctrl_word.load(Ordering::SeqCst);
-                    let code = word & 0xff;
-                    let b = word >> 8;
-                    let base = ctrl_round.load(Ordering::SeqCst);
-
-                    match code {
-                        CTRL_CLASSIC => {
-                            // ---- deliver phase.
-                            phase += 1;
-                            let t = timed.then(Instant::now);
-                            guard(&mut || {
-                                for &s in order {
-                                    if claims[s]
-                                        .compare_exchange(
-                                            phase - 1,
-                                            phase,
-                                            Ordering::SeqCst,
-                                            Ordering::SeqCst,
-                                        )
-                                        .is_ok()
-                                    {
-                                        deliver_shard(s);
-                                    }
-                                }
-                            });
-                            if let Some(t) = t {
-                                ph_deliver
-                                    .fetch_max(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            }
-                            let t_barrier = timed.then(Instant::now);
-                            barrier.wait(); // #2: all inboxes assembled
-                            if let Some(t) = t_barrier {
-                                ph_barrier
-                                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            }
-                            // ---- compute phase.
-                            phase += 1;
-                            let t = timed.then(Instant::now);
-                            guard(&mut || {
-                                for &s in order {
-                                    if claims[s]
-                                        .compare_exchange(
-                                            phase - 1,
-                                            phase,
-                                            Ordering::SeqCst,
-                                            Ordering::SeqCst,
-                                        )
-                                        .is_ok()
-                                    {
-                                        compute_shard(s, base + 1);
-                                    }
-                                }
-                            });
-                            if let Some(t) = t {
-                                ph_compute
-                                    .fetch_max(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            }
-                            let t_barrier = timed.then(Instant::now);
-                            barrier.wait(); // #3: all sends queued
-                            if let Some(t) = t_barrier {
-                                ph_barrier
-                                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            }
-                            prev = Prev::Classic;
-                        }
-                        CTRL_FUSED => {
-                            // ---- fused block: one claim phase, up to
-                            // `b` barrier-free rounds per shard.
-                            phase += 1;
-                            guard(&mut || {
-                                for &s in order {
-                                    if claims[s]
-                                        .compare_exchange(
-                                            phase - 1,
-                                            phase,
-                                            Ordering::SeqCst,
-                                            Ordering::SeqCst,
-                                        )
-                                        .is_ok()
-                                    {
-                                        fuse_shard(s, base, b, timed);
-                                    }
-                                }
-                            });
-                            let t_barrier = timed.then(Instant::now);
-                            barrier.wait(); // resync: block results visible
-                            if let Some(t) = t_barrier {
-                                ph_barrier
-                                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            }
-                            prev = Prev::Fused;
-                        }
-                        _ => {
-                            // Terminal (quiescent / livelocked /
-                            // aborted): worker 0 already accounted the
-                            // final unit above.
-                            let frontier = FrontierStats {
-                                invocations: active_seen,
-                                peak_active,
-                                rounds: round,
-                            };
-                            return (
-                                round,
-                                frontier,
-                                (wid == 0 && record).then_some((
-                                    hist_msgs,
-                                    hist_depth,
-                                    hist_active,
-                                )),
-                                wall,
-                            );
-                        }
-                    }
-                }
+        let (stats, livelocked) = {
+            let ctx = RunCtx {
+                graph,
+                topo: &topo,
+                plan: &plan,
+                nshards: plan.shards.len(),
+                cap: self.cap() as u64,
+                max_rounds: self.core.max_rounds(),
+                record: log.recording(),
+                timed: log.timed(),
+                track_nodes,
+                programs: SharedSlice::new(&mut programs),
+                slabs: SharedSlice::new(&mut arena.slabs),
+                heads: SharedSlice::new(&mut arena.heads),
+                charged: SharedSlice::new(&mut arena.charged),
+                touched: SharedSlice::new(&mut arena.touched),
+                states: SharedSlice::new(&mut arena.states),
+                per_directed: SharedSlice::new(&mut arena.per_directed),
+                in_backlog: SharedSlice::new(&mut arena.in_backlog),
+                ns_sent: SharedSlice::new(&mut node_stats.sent),
+                ns_delivered: SharedSlice::new(&mut node_stats.delivered),
+                ns_invocations: SharedSlice::new(&mut node_stats.invocations),
+                claims: &arena.claims,
+                c: Counters {
+                    fuse_dist: AtomicU64::new(u64::MAX),
+                    ..Counters::default()
+                },
+                barrier: Barrier::new(threads),
             };
-
-            let (rounds, frontier, hists, wall) = if threads > 1 {
-                let pool_ref = pool.as_ref().expect("pool ensured for threads > 1");
-                pool_ref.scope(
-                    threads,
-                    &|wid| {
-                        let _ = worker(wid);
-                    },
-                    || worker(0),
-                )
-            } else {
-                worker(0)
-            };
-
-            if let Some(payload) = panic_payload.lock().unwrap().take() {
+            match self.pool.as_deref() {
+                Some(pool) if threads > 1 => {
+                    pool.scope(threads, &|wid| ctx.worker(wid, None), || {
+                        ctx.worker(0, Some(&mut log))
+                    })
+                }
+                _ => ctx.worker(0, Some(&mut log)),
+            }
+            if let Some(payload) = ctx.c.panic_payload.lock().expect("panic slot").take() {
                 resume_unwind(payload);
             }
-            stats.rounds = rounds;
-            stats.messages = staged_cum.load(Ordering::SeqCst);
-            stats.messages_combined = combined_cum.load(Ordering::SeqCst);
-            delivered_total = delivered_cum.load(Ordering::SeqCst);
-            run_frontier = frontier;
-            livelocked = rounds >= max_rounds
-                && (pending.load(Ordering::SeqCst) != 0
-                    || nonquiescent.load(Ordering::SeqCst) != 0);
-            histograms = hists;
-            run_wall = wall;
-        }
-        if track_nodes {
-            self.node_stats = Some(node_stats);
-        }
-        self.wall_total.absorb(run_wall);
-        if timed {
-            congest::plan::add_phase_wall_ns(
-                run_wall.deliver_ns,
-                run_wall.compute_ns,
-                run_wall.barrier_ns,
-            );
-        }
-
+            let stats = RunStats {
+                rounds: log.rounds(),
+                messages: ctx.c.sent.load(Ordering::SeqCst),
+                messages_combined: ctx.c.combined.load(Ordering::SeqCst),
+            };
+            let code = ctx.c.ctrl_word.load(Ordering::SeqCst) & 0xff;
+            (stats, code == CTRL_LIVELOCKED)
+        };
         if livelocked {
-            panic!("CONGEST run exceeded {max_rounds} rounds — livelocked program?");
+            self.core.livelocked();
         }
         // Quiescence drained every queue (pending == 0); keep the arena
         // for the next run. Aborted/livelocked runs unwind above and
         // drop it instead — their queues may be non-empty.
-        self.arena = run_arena;
-        debug_assert_eq!(
-            delivered_total,
-            stats.messages_delivered(),
-            "staged = delivered + combined at quiescence"
-        );
-
-        if record {
-            let (messages_per_round, max_queue_depth_per_round, active_per_round) =
-                histograms.unwrap_or_default();
-            self.last_report = Some(EngineReport {
-                rounds: stats.rounds,
-                total_messages: stats.messages,
-                messages_delivered: delivered_total,
-                messages_combined: stats.messages_combined,
-                messages_per_round,
-                max_queue_depth_per_round,
-                active_per_round,
-                hot_edges: EngineReport::rank_hot_edges(&self.arena.per_directed),
-                threads,
-                wall: run_wall,
-            });
-        }
-
-        self.total.absorb(stats);
-        self.frontier.absorb(run_frontier);
+        self.arena = arena;
+        let node_stats = track_nodes.then_some(node_stats);
+        let per_directed = &self.arena.per_directed;
+        self.core
+            .end_run(log, node_stats, stats, per_directed, threads);
         (programs.into_iter().map(Program::finish).collect(), stats)
     }
 }
+
+/// Staging counters a shard batches over one claimed step (a whole
+/// fused block included) and publishes once.
+#[derive(Default)]
+struct Tally {
+    /// Net change in queued messages: appended sends minus deliveries.
+    pending: i64,
+    sent: u64,
+    combined: u64,
+}
+
+/// A run's cross-worker counters and control words. Shards batch their
+/// updates per claimed step; worker 0 reads them only after a barrier,
+/// in `decide`.
+#[derive(Default)]
+struct Counters {
+    /// Queued, undelivered messages; with `nonquiescent`, decides
+    /// quiescence.
+    pending: AtomicI64,
+    /// Non-quiescent programs, maintained from each shard's
+    /// carryover-list delta (replaces an every-node `is_quiescent`
+    /// sweep).
+    nonquiescent: AtomicI64,
+    /// Logical sends and clause-7 merges; at quiescence staged =
+    /// delivered + combined.
+    sent: AtomicU64,
+    combined: AtomicU64,
+    /// The current classic round's deliveries, invocations and (record
+    /// mode) largest queue after its sends.
+    round_delivered: AtomicU64,
+    round_active: AtomicU64,
+    round_depth: AtomicU64,
+    /// Fusion eligibility: min dist-to-boundary over every node that
+    /// can be active next round, `fetch_min`'d by shards after their
+    /// sends and reset to `u64::MAX` (none) by `decide`.
+    fuse_dist: AtomicU64,
+    /// Rounds executed by the longest-running shard of the current
+    /// fused block (per-shard activity within a block is
+    /// prefix-contiguous, so the max is exact).
+    block_rounds: AtomicU64,
+    /// Worker 0's broadcast decision: control code in the low byte,
+    /// fused block bound in the high bits, plus the round base; stored
+    /// before barrier #1, loaded after.
+    ctrl_word: AtomicU64,
+    ctrl_round: AtomicU64,
+    /// Per-phase wall sampled by *all* workers — deliver/compute via
+    /// `fetch_max` (phase wall = slowest worker), barrier via
+    /// `fetch_add` (total wait). Worker 0 drains them at decisions;
+    /// attribution at unit boundaries is approximate (documented in
+    /// `congest::obs`).
+    ph_deliver: AtomicU64,
+    ph_compute: AtomicU64,
+    ph_barrier: AtomicU64,
+    abort: AtomicBool,
+    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+/// One run's execution context, shared by reference across the pool:
+/// the run's configuration, shard-disjoint views of its state, the
+/// cross-worker counters, and the named steps every worker executes in
+/// lockstep (see the module docs).
+///
+/// Every `unsafe` access below relies on the [`SharedSlice`] claim
+/// discipline: a step touches shard `s`'s state only after its worker
+/// won `s` for the current phase in `claim_each`, and every queue,
+/// bucket, slab cell and node counter the step indexes is owned by `s`
+/// in that phase.
+struct RunCtx<'a, P> {
+    graph: &'a Graph,
+    topo: &'a EngineTopo,
+    plan: &'a PlanData,
+    nshards: usize,
+    cap: u64,
+    max_rounds: u64,
+    record: bool,
+    timed: bool,
+    track_nodes: bool,
+    programs: SharedSlice<'a, P>,
+    /// Slab cells, `(sender shard) * nshards + (receiver shard)`.
+    slabs: SharedSlice<'a, Slab<Message>>,
+    heads: SharedSlice<'a, EdgeQueue>,
+    /// `charged[d]` ⇔ queue `d` is non-empty ⇔ `d` sits in exactly one
+    /// receiver-side carryover list or touched bucket — set by the
+    /// unique sender shard while staging, cleared by the unique
+    /// receiver shard while delivering.
+    charged: SharedSlice<'a, bool>,
+    /// `touched[s * nshards + r]`: the edges freshly charged by sender
+    /// shard `s` toward receiver shard `r`.
+    touched: SharedSlice<'a, Vec<DirectedId>>,
+    states: SharedSlice<'a, ShardState>,
+    per_directed: SharedSlice<'a, u64>,
+    in_backlog: SharedSlice<'a, bool>,
+    /// Per-node counters (empty unless `track_nodes`): `sent` and
+    /// `invocations` indexed by owned nodes, `delivered` by owned
+    /// receivers — the same sharding as programs and queues.
+    ns_sent: SharedSlice<'a, u64>,
+    ns_delivered: SharedSlice<'a, u64>,
+    ns_invocations: SharedSlice<'a, u64>,
+    /// Per-shard claim epochs: a worker owns shard `s` for phase `p`
+    /// iff it wins `claims[s]: p-1 → p`.
+    claims: &'a [AtomicU64],
+    c: Counters,
+    barrier: Barrier,
+}
+
+impl<P: Program> RunCtx<'_, P> {
+    /// One worker's body, run by every worker in lockstep (broadcast
+    /// decisions keep them there); worker 0 also holds the round log
+    /// and decides.
+    fn worker(&self, wid: usize, mut log: Option<&mut RoundLog>) {
+        let order = &self.plan.orders[wid];
+        // Local phase counter, advanced identically by every worker:
+        // +1 for init, +2 per classic round, +1 per fused block.
+        let mut phase = 0;
+        let mut prev = Prev::Init;
+        self.claim_each(order, &mut phase, None, |s| self.init_shard(s));
+        self.wait(); // init burst + carryover seeds visible
+        loop {
+            if let Some(log) = log.as_deref_mut() {
+                self.decide(prev, log);
+            }
+            self.wait(); // #1: decision epoch closed
+            let word = self.c.ctrl_word.load(Ordering::SeqCst);
+            let base = self.c.ctrl_round.load(Ordering::SeqCst);
+            prev = match word & 0xff {
+                CTRL_CLASSIC => {
+                    let sample = Some(&self.c.ph_deliver);
+                    self.claim_each(order, &mut phase, sample, |s| self.classic_deliver(s));
+                    self.wait(); // #2: all inboxes assembled
+                    let sample = Some(&self.c.ph_compute);
+                    self.claim_each(order, &mut phase, sample, |s| {
+                        self.classic_compute(s, base + 1)
+                    });
+                    self.wait(); // #3: all sends queued
+                    Prev::Classic
+                }
+                CTRL_FUSED => {
+                    self.claim_each(order, &mut phase, None, |s| {
+                        self.fused_block(s, base, word >> 8)
+                    });
+                    self.wait(); // resync: block results visible
+                    Prev::Fused
+                }
+                // Terminal (quiescent / livelocked / aborted): worker 0
+                // already booked the final unit.
+                _ => return,
+            };
+        }
+    }
+
+    /// The claim loop: advances this worker's `phase` and runs `f` on
+    /// every shard it wins (`claims[s]: phase-1 → phase`). Every worker
+    /// walks all shards each phase, so every shard is claimed exactly
+    /// once per phase regardless of interleaving. A panic in `f` is
+    /// stashed for the caller and aborts the run; `sample`, when timed,
+    /// receives this worker's wall for the loop (max across workers).
+    fn claim_each(
+        &self,
+        order: &[usize],
+        phase: &mut u64,
+        sample: Option<&AtomicU64>,
+        mut f: impl FnMut(usize),
+    ) {
+        *phase += 1;
+        let p = *phase;
+        let timer = sample
+            .filter(|_| self.timed)
+            .map(|acc| (acc, Instant::now()));
+        if !self.c.abort.load(Ordering::SeqCst) {
+            let claimed = catch_unwind(AssertUnwindSafe(|| {
+                for &s in order {
+                    let claim = &self.claims[s];
+                    if claim
+                        .compare_exchange(p - 1, p, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                    {
+                        f(s);
+                    }
+                }
+            }));
+            if let Err(payload) = claimed {
+                *self.c.panic_payload.lock().expect("panic slot") = Some(payload);
+                self.c.abort.store(true, Ordering::SeqCst);
+            }
+        }
+        if let Some((acc, t)) = timer {
+            acc.fetch_max(t.elapsed().as_nanos() as u64, Ordering::SeqCst);
+        }
+    }
+
+    /// The timed barrier wait: every worker adds its wait to the
+    /// barrier wall (total across workers).
+    fn wait(&self) {
+        let t = self.timed.then(Instant::now);
+        self.barrier.wait();
+        if let Some(t) = t {
+            let ns = t.elapsed().as_nanos() as u64;
+            self.c.ph_barrier.fetch_add(ns, Ordering::SeqCst);
+        }
+    }
+
+    /// Worker 0 alone, between barriers: books the previous unit in the
+    /// round log — every counter settled before the last barrier — and
+    /// broadcasts the next move.
+    fn decide(&self, prev: Prev, log: &mut RoundLog) {
+        let c = &self.c;
+        match prev {
+            Prev::Init => {}
+            Prev::Classic => {
+                let wall = PhaseWall {
+                    deliver_ns: c.ph_deliver.swap(0, Ordering::SeqCst),
+                    compute_ns: c.ph_compute.swap(0, Ordering::SeqCst),
+                    barrier_ns: c.ph_barrier.swap(0, Ordering::SeqCst),
+                };
+                log.round(
+                    c.round_delivered.swap(0, Ordering::SeqCst),
+                    c.round_active.swap(0, Ordering::SeqCst),
+                    c.round_depth.swap(0, Ordering::SeqCst),
+                    wall,
+                );
+            }
+            Prev::Fused => {
+                // Merge the block's per-shard records into exact global
+                // rounds (local round `j` of every shard is global round
+                // `base + j`). Fused rounds have no barriers, so the
+                // block's single resync wait goes to its first round.
+                let mut barrier_ns = c.ph_barrier.swap(0, Ordering::SeqCst);
+                for j in 0..c.block_rounds.swap(0, Ordering::SeqCst) as usize {
+                    let mut r = FusedRound::default();
+                    for s in 0..self.nshards {
+                        // SAFETY: decide phase — worker 0 alone, every
+                        // other worker parked at barrier #1, so no shard
+                        // is claimed and no fused record is written.
+                        if let Some(fr) = unsafe { self.states.get_mut(s) }.fused.get(j) {
+                            r.delivered += fr.delivered;
+                            r.active += fr.active;
+                            r.depth = r.depth.max(fr.depth);
+                            r.deliver_ns += fr.deliver_ns;
+                            r.compute_ns += fr.compute_ns;
+                        }
+                    }
+                    let wall = PhaseWall {
+                        deliver_ns: r.deliver_ns,
+                        compute_ns: r.compute_ns,
+                        barrier_ns: std::mem::take(&mut barrier_ns),
+                    };
+                    log.round(r.delivered, r.active, r.depth, wall);
+                }
+            }
+        }
+        let round = log.rounds();
+        // Only worker 0 ever touches `fuse_dist` here, so the swap-reset
+        // cannot race worker loads.
+        let k = c.fuse_dist.swap(u64::MAX, Ordering::SeqCst);
+        let (code, b) = if c.abort.load(Ordering::SeqCst) {
+            (CTRL_ABORTED, 0)
+        } else if c.pending.load(Ordering::SeqCst) == 0
+            && c.nonquiescent.load(Ordering::SeqCst) == 0
+        {
+            (CTRL_QUIESCENT, 0)
+        } else if round + 1 > self.max_rounds {
+            (CTRL_LIVELOCKED, 0)
+        } else if k >= 1 && k != u64::MAX {
+            let b = k.min(FUSE_BLOCK_MAX).min(self.max_rounds - round);
+            (CTRL_FUSED, b)
+        } else {
+            (CTRL_CLASSIC, 0)
+        };
+        c.ctrl_round.store(round, Ordering::SeqCst);
+        c.ctrl_word.store(code | (b << 8), Ordering::SeqCst);
+    }
+
+    /// Publishes a shard's batched staging counters and its change in
+    /// non-quiescent programs.
+    fn publish(&self, t: &Tally, nonquiescent: i64) {
+        self.c.pending.fetch_add(t.pending, Ordering::SeqCst);
+        self.c.sent.fetch_add(t.sent, Ordering::SeqCst);
+        self.c.combined.fetch_add(t.combined, Ordering::SeqCst);
+        self.c
+            .nonquiescent
+            .fetch_add(nonquiescent, Ordering::SeqCst);
+    }
+
+    /// Init (round 0) of claimed shard `s`: one send burst per node and
+    /// the run's only full-shard `is_quiescent` sweep, which seeds the
+    /// non-quiescent carryover.
+    fn init_shard(&self, s: usize) {
+        // SAFETY: init phase; this worker claimed shard `s`, which owns
+        // its state.
+        let st = unsafe { self.states.get_mut(s) };
+        let (lo, hi) = self.plan.shards[s];
+        let mut t = Tally::default();
+        for v in lo..hi {
+            // SAFETY: init phase; node `v` belongs to the claimed shard.
+            let p = unsafe { self.programs.get_mut(v) };
+            let mut ctx = Ctx::new(
+                v,
+                self.graph.n(),
+                0,
+                self.graph.neighbors(v),
+                &mut st.staged,
+            );
+            p.init(&mut ctx);
+            self.stage(s, v, p, &mut st.staged, &mut st.out_backlog, &mut t);
+            if !p.is_quiescent() {
+                st.carry_nodes.push(v);
+            }
+        }
+        self.publish(&t, st.carry_nodes.len() as i64);
+        self.fuse_scan(s, st);
+    }
+
+    /// A classic round's deliver for claimed shard `s`, from every
+    /// sender shard's bucket.
+    fn classic_deliver(&self, s: usize) {
+        // SAFETY: deliver phase; this worker claimed shard `s`.
+        let st = unsafe { self.states.get_mut(s) };
+        let delivered = self.deliver(s, 0..self.nshards, st);
+        self.c.pending.fetch_sub(delivered as i64, Ordering::SeqCst);
+        self.c
+            .round_delivered
+            .fetch_add(delivered, Ordering::SeqCst);
+    }
+
+    /// A classic round's compute for claimed shard `s` at logical round
+    /// `round`, then its fusion-eligibility report for the next
+    /// decision.
+    fn classic_compute(&self, s: usize, round: u64) {
+        // SAFETY: compute phase; this worker claimed shard `s`.
+        let st = unsafe { self.states.get_mut(s) };
+        let carried = st.carry_nodes.len() as i64;
+        let mut t = Tally::default();
+        let (active, depth) = self.compute(s, round, st, &mut t);
+        self.publish(&t, st.carry_nodes.len() as i64 - carried);
+        self.c.round_active.fetch_add(active, Ordering::SeqCst);
+        if self.record {
+            self.c.round_depth.fetch_max(depth, Ordering::SeqCst);
+        }
+        self.fuse_scan(s, st);
+    }
+
+    /// Claimed shard `s`'s fused block: up to `b` barrier-free rounds
+    /// after logical round `base`, each the same deliver and compute as
+    /// a classic round. All traffic is shard-internal by the clause-9
+    /// predicate (active nodes sit ≥ 1 intra-shard hop from the
+    /// boundary for the whole block), so deliver drains only the
+    /// diagonal bucket. Stops early once the shard is dead — nothing can
+    /// wake it mid-block — and records one [`FusedRound`] per round.
+    fn fused_block(&self, s: usize, base: u64, b: u64) {
+        // SAFETY: fused phase; this worker claimed shard `s`.
+        let st = unsafe { self.states.get_mut(s) };
+        st.fused.clear();
+        let carried = st.carry_nodes.len() as i64;
+        let mut t = Tally::default();
+        for j in 1..=b {
+            if self.c.abort.load(Ordering::SeqCst) {
+                break;
+            }
+            // SAFETY: fused phase; the diagonal bucket `(s, s)` is
+            // written and drained only by the claimed shard `s`.
+            let bucket = unsafe { self.touched.get_mut(s * self.nshards + s) };
+            if st.carry_edges.is_empty() && st.carry_nodes.is_empty() && bucket.is_empty() {
+                break;
+            }
+            let clock = self.timed.then(Instant::now);
+            let delivered = self.deliver(s, s..s + 1, st);
+            t.pending -= delivered as i64;
+            let deliver_ns = clock.map_or(0, |c| c.elapsed().as_nanos() as u64);
+            let clock = self.timed.then(Instant::now);
+            let (active, depth) = self.compute(s, base + j, st, &mut t);
+            st.fused.push(FusedRound {
+                delivered,
+                active,
+                depth,
+                deliver_ns,
+                compute_ns: clock.map_or(0, |c| c.elapsed().as_nanos() as u64),
+            });
+        }
+        // Batched flushes: decisions only read these after the block's
+        // resync barrier.
+        self.publish(&t, st.carry_nodes.len() as i64 - carried);
+        self.c
+            .block_rounds
+            .fetch_max(st.fused.len() as u64, Ordering::SeqCst);
+        self.fuse_scan(s, st);
+    }
+
+    /// Stages node `v`'s sends — drained from its `Ctx` buffer — on its
+    /// outgoing queues: the one staging path of init, classic rounds and
+    /// fused blocks. A message either merges into a co-queued one per
+    /// the sender's combiner (clause 7, through the shared slab; that
+    /// queue was non-empty, so it is already charged and backlogged) or
+    /// is appended, charging an idle queue into bucket
+    /// `(s, receiver shard)` and, in record mode, `s`'s backlog list.
+    fn stage(
+        &self,
+        s: usize,
+        v: NodeId,
+        p: &P,
+        staged: &mut Vec<(NodeId, Message)>,
+        backlog: &mut Vec<DirectedId>,
+        t: &mut Tally,
+    ) {
+        for (to, msg) in staged.drain(..) {
+            t.sent += 1;
+            let d = self.topo.csr.out_id(v, to);
+            let key = p.combine_key(&msg);
+            let ci = s * self.nshards + self.shard_of(to);
+            // SAFETY: init, compute or fused phase of the claimed shard
+            // `s`. Node `v` belongs to `s` and is the unique sender on
+            // `d`, so `v`'s counter, queue `d` with its flags, and the
+            // row-`s` cell and bucket are this shard's alone: receivers
+            // drain column `s` only in deliver phases, and inside a
+            // fused block `s` stages only on its own diagonal.
+            unsafe {
+                if self.track_nodes {
+                    *self.ns_sent.get_mut(v) += 1;
+                }
+                let q = self.heads.get_mut(d);
+                let merged = self.slabs.get_mut(ci).stage(q, d, key, msg, |old, new| {
+                    let m = p.combine(old, &new);
+                    debug_assert_eq!(p.combine_key(&m), key, "combiner changed the key");
+                    *old = m;
+                });
+                if merged {
+                    t.combined += 1;
+                    continue;
+                }
+                t.pending += 1;
+                let ch = self.charged.get_mut(d);
+                if !*ch {
+                    *ch = true;
+                    self.touched.get_mut(ci).push(d);
+                }
+                if self.record {
+                    let ib = self.in_backlog.get_mut(d);
+                    if !*ib {
+                        *ib = true;
+                        backlog.push(d);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Shard `s`'s deliver: appends the touched buckets of the sender
+    /// shards `senders` in column `s` to the still-charged carryover —
+    /// every sender shard for a classic round; `s` alone inside a fused
+    /// block, whose traffic is shard-internal and where the other
+    /// shards' fusion scans read their own bucket rows — then pops up
+    /// to `cap` messages per charged queue into the shard's inbox arena
+    /// in `(receiver, directed id)` order, the simulator's per-node
+    /// inbox order. Returns the messages delivered.
+    fn deliver(&self, s: usize, senders: Range<usize>, st: &mut ShardState) -> u64 {
+        let ShardState {
+            carry_edges,
+            next_edges,
+            arena,
+            inbox_ranges,
+            ..
+        } = st;
+        let receivers = &self.topo.receivers;
+        arena.clear();
+        inbox_ranges.clear();
+        let mut fresh = false;
+        for w in senders {
+            // SAFETY: deliver phase or fused block of the claimed shard
+            // `s`: only the receiver shard drains column `s`, and no
+            // sender stages into it concurrently (senders stage in
+            // compute phases; inside a block only `s` stages on its
+            // diagonal, which this same loop drains).
+            let bucket = unsafe { self.touched.get_mut(w * self.nshards + s) };
+            fresh |= !bucket.is_empty();
+            carry_edges.append(bucket);
+        }
+        if fresh {
+            carry_edges.sort_unstable_by_key(|&d| (receivers[d], d));
+        }
+        let mut delivered = 0u64;
+        next_edges.clear();
+        for &d in carry_edges.iter() {
+            let v = receivers[d];
+            match inbox_ranges.last_mut() {
+                Some(&mut (node, _)) if node == v => {}
+                _ => inbox_ranges.push((v, (arena.len(), arena.len()))),
+            }
+            let from = self.topo.senders[d];
+            let ci = self.shard_of(from) * self.nshards + s;
+            // SAFETY: deliver phase or fused block of the claimed shard
+            // `s`: `d` is charged toward receiver `v` of `s`, its unique
+            // receiver shard, so queue `d` with its flag and counter,
+            // `v`'s counter and the column-`s` cell are this shard's
+            // alone.
+            unsafe {
+                let (cell, q) = (self.slabs.get_mut(ci), self.heads.get_mut(d));
+                let mut popped = 0u64;
+                while popped < self.cap {
+                    match cell.pop(q, d) {
+                        Some((_, m)) => {
+                            arena.push((from, m));
+                            popped += 1;
+                        }
+                        None => break,
+                    }
+                }
+                delivered += popped;
+                if self.record && popped > 0 {
+                    *self.per_directed.get_mut(d) += popped;
+                }
+                if self.track_nodes && popped > 0 {
+                    *self.ns_delivered.get_mut(v) += popped;
+                }
+                if q.is_empty() {
+                    *self.charged.get_mut(d) = false;
+                } else {
+                    next_edges.push(d);
+                }
+            }
+            inbox_ranges.last_mut().expect("pushed above").1 .1 = arena.len();
+        }
+        std::mem::swap(carry_edges, next_edges);
+        delivered
+    }
+
+    /// Shard `s`'s compute at logical round `round`: runs its active
+    /// programs (deliveries ∪ non-quiescent carryover — clause 5 via
+    /// the shared merge), stages their sends, and rotates the
+    /// carryover. Returns the programs invoked and, in record mode, the
+    /// largest queue among the shard's backlogged out-queues — queues
+    /// outside the backlog are empty, so this matches a full `2m`-queue
+    /// sweep at frontier-proportional cost.
+    fn compute(&self, s: usize, round: u64, st: &mut ShardState, t: &mut Tally) -> (u64, u64) {
+        let ShardState {
+            carry_nodes,
+            next_nodes,
+            arena,
+            inbox_ranges,
+            out_backlog,
+            staged,
+            ..
+        } = st;
+        let mut active = 0u64;
+        next_nodes.clear();
+        congest::for_each_active(inbox_ranges, carry_nodes, (0, 0), |v, (lo, hi)| {
+            active += 1;
+            // SAFETY: compute phase or fused block of the claimed shard
+            // `s`, which owns node `v`.
+            let p = unsafe {
+                if self.track_nodes {
+                    *self.ns_invocations.get_mut(v) += 1;
+                }
+                self.programs.get_mut(v)
+            };
+            let mut ctx = Ctx::new(
+                v,
+                self.graph.n(),
+                round,
+                self.graph.neighbors(v),
+                &mut *staged,
+            );
+            p.round(&mut ctx, &arena[lo..hi]);
+            self.stage(s, v, p, &mut *staged, &mut *out_backlog, t);
+            if !p.is_quiescent() {
+                next_nodes.push(v);
+            }
+        });
+        std::mem::swap(carry_nodes, next_nodes);
+        let mut depth = 0;
+        if self.record {
+            out_backlog.retain(|&d| {
+                // SAFETY: compute phase or fused block of the claimed
+                // shard `s`, the unique sender on its backlogged queue
+                // `d`; `d`'s receiver pops it only in a later deliver
+                // phase, or is `s` itself inside a block.
+                let len = unsafe { self.heads.get_mut(d) }.len() as u64;
+                if len == 0 {
+                    // SAFETY: as above; only the sender shard keeps
+                    // `d`'s backlog flag.
+                    *unsafe { self.in_backlog.get_mut(d) } = false;
+                    false
+                } else {
+                    depth = depth.max(len);
+                    true
+                }
+            });
+        }
+        (active, depth)
+    }
+
+    /// Shard `s`'s fusion-eligibility report after its sends: the min
+    /// dist-to-boundary over everything that can be active next round
+    /// from this shard — leftover charged receivers, freshly charged
+    /// receivers (bucket row `s`), and the non-quiescent carryover —
+    /// batched into one `fetch_min`.
+    fn fuse_scan(&self, s: usize, st: &ShardState) {
+        let dist = &self.plan.loc.dist_to_boundary;
+        let receivers = &self.topo.receivers;
+        let mut k = u64::MAX;
+        for &d in &st.carry_edges {
+            k = k.min(dist[receivers[d]] as u64);
+        }
+        for r in 0..self.nshards {
+            // SAFETY: init, compute or fused phase of the claimed shard
+            // `s`: bucket row `s` is written only by `s`, and receivers
+            // drain it only in a later deliver phase (inside a block,
+            // every shard drains only its own diagonal).
+            for &d in unsafe { self.touched.get_mut(s * self.nshards + r) }.iter() {
+                k = k.min(dist[receivers[d]] as u64);
+            }
+        }
+        for &v in &st.carry_nodes {
+            k = k.min(dist[v] as u64);
+        }
+        if k != u64::MAX {
+            self.c.fuse_dist.fetch_min(k, Ordering::SeqCst);
+        }
+    }
+
+    fn shard_of(&self, v: NodeId) -> usize {
+        self.plan.loc.shard_of[v] as usize
+    }
+}
+
 impl<'g> Executor for Engine<'g> {
     type Sub<'h> = Engine<'h>;
 
     fn sub<'h>(&self, graph: &'h Graph) -> Engine<'h> {
-        // Sub-executors share the session plan cache: a derived graph
-        // seen before (same topology) skips CSR/shard-plan rebuilds.
-        let mut sub = Engine::with_shared_plans(graph, self.threads, self.plans.clone());
-        sub.cap = self.cap;
-        sub.max_rounds = self.max_rounds;
-        sub.record_metrics = self.record_metrics;
-        sub.time_phases = self.time_phases;
-        if self.node_stats.is_some() {
-            sub.set_record_node_stats(true);
-        }
-        sub.trace = self.trace.clone();
-        // Sub-executors reuse the parent's parked workers and stress
-        // plan — a composite algorithm spawns threads exactly once.
+        // Sub-executors share the session plan cache (a derived graph
+        // seen before skips CSR/shard-plan rebuilds), the parent's
+        // parked workers and its stress plan — a composite algorithm
+        // spawns threads exactly once.
+        let core = self.core.sub(graph.n());
+        let mut sub = Engine::with_shared_plans(graph, self.threads, self.plans.clone(), core);
         sub.pool = self.pool.clone();
         sub.stress_seed = self.stress_seed;
         sub
@@ -1520,52 +1260,12 @@ impl<'g> Executor for Engine<'g> {
         self.graph
     }
 
-    fn cap(&self) -> usize {
-        self.cap
+    fn core(&self) -> &ExecCore {
+        &self.core
     }
 
-    fn set_cap(&mut self, cap: usize) {
-        assert!(cap >= 1, "bandwidth cap must be at least 1");
-        self.cap = cap;
-    }
-
-    fn set_max_rounds(&mut self, max_rounds: u64) {
-        self.max_rounds = max_rounds;
-    }
-
-    fn total(&self) -> RunStats {
-        self.total
-    }
-
-    fn frontier_total(&self) -> FrontierStats {
-        self.frontier
-    }
-
-    fn reset_total(&mut self) {
-        self.total = RunStats::default();
-        self.frontier = FrontierStats::default();
-    }
-
-    fn charge(&mut self, stats: RunStats) {
-        self.total.absorb(stats);
-    }
-
-    fn charge_frontier(&mut self, frontier: FrontierStats) {
-        self.frontier.absorb(frontier);
-    }
-
-    fn set_record_node_stats(&mut self, record: bool) {
-        Engine::set_record_node_stats(self, record)
-    }
-
-    fn node_stats(&self) -> Option<&NodeStats> {
-        self.node_stats.as_ref()
-    }
-
-    fn charge_node_stats(&mut self, other: &NodeStats) {
-        if let Some(ns) = self.node_stats.as_mut() {
-            ns.absorb(other);
-        }
+    fn core_mut(&mut self) -> &mut ExecCore {
+        &mut self.core
     }
 
     fn run<P, F>(&mut self, make: F) -> (Vec<P::Output>, RunStats)
@@ -1644,6 +1344,24 @@ mod tests {
         }
     }
 
+    /// Every node answers each message it receives, forever: a
+    /// livelock.
+    struct Chatter;
+
+    impl Program for Chatter {
+        type Output = ();
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send_all(Message::words(&[0]));
+        }
+        fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
+            let senders: Vec<NodeId> = inbox.iter().map(|&(from, _)| from).collect();
+            for from in senders {
+                ctx.send(from, Message::words(&[0]));
+            }
+        }
+        fn finish(self) {}
+    }
+
     #[test]
     fn bandwidth_cap_pipelines_like_simulator() {
         let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
@@ -1695,20 +1413,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "livelocked")]
     fn livelock_guard_fires() {
-        struct Chatter;
-        impl Program for Chatter {
-            type Output = ();
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.send_all(Message::words(&[0]));
-            }
-            fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-                let senders: Vec<NodeId> = inbox.iter().map(|&(from, _)| from).collect();
-                for from in senders {
-                    ctx.send(from, Message::words(&[0]));
-                }
-            }
-            fn finish(self) {}
-        }
         let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
         let mut eng = Engine::with_threads(&g, 2);
         Executor::set_max_rounds(&mut eng, 100);
@@ -1720,20 +1424,6 @@ mod tests {
     fn livelock_guard_fires_inside_fused_blocks() {
         // Single-threaded (one boundless shard): the whole run executes
         // as fused blocks, and the guard must still stop at max_rounds.
-        struct Chatter;
-        impl Program for Chatter {
-            type Output = ();
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.send_all(Message::words(&[0]));
-            }
-            fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-                let senders: Vec<NodeId> = inbox.iter().map(|&(from, _)| from).collect();
-                for from in senders {
-                    ctx.send(from, Message::words(&[0]));
-                }
-            }
-            fn finish(self) {}
-        }
         let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
         let mut eng = Engine::with_threads(&g, 1);
         Executor::set_max_rounds(&mut eng, 1000);
@@ -1915,7 +1605,7 @@ mod tests {
         let g = generators::path(24, 1);
         let mut sim = Simulator::new(&g);
         let (os, ss) = sim.run(|_, _| Flood { have: false });
-        let mut reference: Option<EngineReport> = None;
+        let mut reference: Option<congest::RunReport> = None;
         for threads in [1, 2, 4] {
             let mut eng = Engine::with_threads(&g, threads);
             eng.set_record_metrics(true);
@@ -2054,17 +1744,70 @@ mod tests {
         assert_eq!(stats.rounds, 0);
     }
 
-    #[test]
-    fn totals_accumulate_and_sub_inherits() {
-        let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let mut eng = Engine::with_threads(&g, 1);
-        eng.run(|_, _| Burst { k: 3, received: 0 });
-        eng.run(|_, _| Burst { k: 4, received: 0 });
-        assert_eq!(Executor::total(&eng).rounds, 7);
-        Executor::set_cap(&mut eng, 3);
+    /// A trace writer the test reads back.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Configures `root`, runs it twice, and checks that its totals
+    /// accumulate and that a sub-executor inherits every setting — the
+    /// cap, the round guard, metrics recording, node stats and the
+    /// trace sink — while its own totals start at zero.
+    fn check_sub_inherits<E: Executor>(mut root: E, name: &str) {
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let sink = congest::TraceSink::shared(Box::new(SharedBuf(written.clone())));
+        root.set_cap(5);
+        root.set_max_rounds(100);
+        root.set_record_metrics(true);
+        root.set_record_node_stats(true);
+        root.set_trace(Some(sink.clone()));
+        root.run(|_, _| Burst { k: 3, received: 0 });
+        root.run(|_, _| Burst { k: 10, received: 0 });
+        assert_eq!(root.total().rounds, 1 + 2, "{name}: totals accumulate");
+
         let h = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let sub = Executor::sub(&eng, &h);
-        assert_eq!(Executor::cap(&sub), 3);
-        assert_eq!(Executor::total(&sub), RunStats::default());
+        let mut sub = root.sub(&h);
+        assert_eq!(sub.cap(), 5, "{name}: cap");
+        assert_eq!(sub.total(), RunStats::default(), "{name}: zero totals");
+        assert_eq!(
+            sub.frontier_total(),
+            congest::FrontierStats::default(),
+            "{name}: zero frontier totals"
+        );
+        assert!(sub.node_stats().is_some(), "{name}: node stats");
+        let (_, stats) = sub.run(|_, _| Burst { k: 10, received: 0 });
+        assert_eq!(
+            stats.rounds, 2,
+            "{name}: the inherited cap halves the rounds"
+        );
+        assert!(sub.last_report().is_some(), "{name}: metrics recording");
+        sink.lock().unwrap().flush().unwrap();
+        let trace = String::from_utf8(written.lock().unwrap().clone()).unwrap();
+        let rounds = trace.matches("\"type\":\"round\"").count();
+        assert_eq!(rounds, 3 + 2, "{name}: the sub's rounds reach the sink");
+
+        let mut chatty = root.sub(&h);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| chatty.run(|_, _| Chatter)))
+            .expect_err("the inherited round guard fires");
+        let text = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(text.contains("exceeded 100 rounds"), "{name}: {text:?}");
+    }
+
+    #[test]
+    fn sub_executors_inherit_configuration() {
+        let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
+        check_sub_inherits(Simulator::new(&g), "sim");
+        for threads in [1, 2] {
+            let name = format!("engine({threads})");
+            check_sub_inherits(Engine::with_threads(&g, threads), &name);
+        }
     }
 }

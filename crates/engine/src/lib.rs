@@ -34,11 +34,9 @@
 pub mod config;
 pub mod csr;
 pub mod pool;
-pub mod report;
 pub mod scenario;
 
 mod engine;
 mod plan;
 
 pub use engine::Engine;
-pub use report::EngineReport;

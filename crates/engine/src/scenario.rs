@@ -420,6 +420,7 @@ fn drive_cell<E: Executor>(
     }
 }
 
+/// Runs one cell on the engine named `which` (`"sim"` or `"parallel"`).
 fn run_cell(
     globals: &Globals,
     g: &Graph,
@@ -427,65 +428,51 @@ fn run_cell(
     cell: &Cell<'_>,
 ) -> Result<(Row, Option<RunReport>), String> {
     let start = Instant::now();
+    match which {
+        "sim" => measure_cell(Simulator::new(g), 1, start, globals, which, cell),
+        "parallel" => {
+            let eng = Engine::with_threads(g, globals.threads);
+            measure_cell(eng, globals.threads, start, globals, which, cell)
+        }
+        other => Err(format!("unknown engine `{other}`")),
+    }
+}
+
+/// Configures `exec` (running `threads` workers) from the sweep's
+/// globals, drives the cell on it and builds the row; `start` is when
+/// the cell began, executor construction included.
+fn measure_cell<E: Executor>(
+    mut exec: E,
+    threads: usize,
+    start: Instant,
+    globals: &Globals,
+    which: &str,
+    cell: &Cell<'_>,
+) -> Result<(Row, Option<RunReport>), String> {
+    let (n, m) = (exec.graph().n(), exec.graph().m());
     let scope = format!(
         "{}/n{}/{}/{}/s{}",
-        cell.family,
-        g.n(),
-        cell.algorithm,
-        which,
-        cell.seed
+        cell.family, n, cell.algorithm, which, cell.seed
     );
-    let (stats, frontier, metric_name, metric, report, summary, wall) = match which {
-        "sim" => {
-            let mut sim = Simulator::new(g);
-            Executor::set_cap(&mut sim, globals.cap);
-            sim.set_record_metrics(globals.record);
-            sim.set_record_node_stats(globals.record);
-            sim.set_trace(globals.trace.clone());
-            let (stats, name, metric) = drive_cell(&mut sim, globals, cell, &scope)?;
-            let report = sim.last_report().cloned();
-            let summary = Executor::node_stats(&sim).map(|ns| ns.summary());
-            let wall = globals.record.then(|| sim.wall_total());
-            (
-                stats,
-                sim.frontier_total(),
-                name,
-                metric,
-                report,
-                summary,
-                wall,
-            )
-        }
-        "parallel" => {
-            let mut eng = Engine::with_threads(g, globals.threads);
-            Executor::set_cap(&mut eng, globals.cap);
-            eng.set_record_metrics(globals.record);
-            eng.set_record_node_stats(globals.record);
-            eng.set_trace(globals.trace.clone());
-            let (stats, name, metric) = drive_cell(&mut eng, globals, cell, &scope)?;
-            let report = eng.last_report().cloned();
-            let summary = Executor::node_stats(&eng).map(|ns| ns.summary());
-            let wall = globals.record.then(|| eng.wall_total());
-            (
-                stats,
-                Executor::frontier_total(&eng),
-                name,
-                metric,
-                report,
-                summary,
-                wall,
-            )
-        }
-        other => return Err(format!("unknown engine `{other}`")),
-    };
+    exec.set_cap(globals.cap);
+    exec.set_record_metrics(globals.record);
+    exec.set_record_node_stats(globals.record);
+    exec.set_trace(globals.trace.clone());
+    let (stats, metric_name, metric) = drive_cell(&mut exec, globals, cell, &scope)?;
+    let frontier = exec.frontier_total();
+    let report = exec.last_report().cloned();
+    let summary = exec.node_stats().map(|ns| ns.summary());
+    let wall = globals.record.then(|| exec.wall_total());
+    // The row's wall covers the executor's teardown too.
+    drop(exec);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let row = Row {
         family: cell.family.to_owned(),
-        n: g.n(),
-        m: g.m(),
+        n,
+        m,
         algorithm: cell.algorithm.to_owned(),
         engine: which.to_owned(),
-        threads: if which == "sim" { 1 } else { globals.threads },
+        threads,
         seed: cell.seed,
         stats,
         active_peak: frontier.peak_active,

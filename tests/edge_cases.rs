@@ -3,7 +3,7 @@
 //! ablation, and cross-run reproducibility.
 
 use light_networks::congest::tree::build_bfs_tree;
-use light_networks::congest::Simulator;
+use light_networks::congest::{Executor, Simulator};
 use light_networks::dist_mst::boruvka::distributed_mst;
 use light_networks::lightgraph::{generators, metrics, mst, Graph};
 use light_networks::lightnet::{light_spanner, net, shallow_light_tree};

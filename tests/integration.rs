@@ -3,7 +3,7 @@
 //! nets, validated against the sequential oracles.
 
 use light_networks::congest::tree::build_bfs_tree;
-use light_networks::congest::Simulator;
+use light_networks::congest::{Executor, Simulator};
 use light_networks::dist_mst::{boruvka::distributed_mst, euler::distributed_euler_tour};
 use light_networks::lightgraph::{dijkstra, generators, metrics, mst, tree::RootedTree};
 use light_networks::lightnet::{
