@@ -175,11 +175,10 @@ impl<'a> Ctx<'a> {
         self.staged.push((to, msg));
     }
 
-    /// Sends a copy of `msg` to every neighbor.
+    /// Sends a copy of `msg` to every neighbor, in adjacency order.
     pub fn send_all(&mut self, msg: Message) {
-        let targets: Vec<NodeId> = self.neighbors.iter().map(|&(v, _, _)| v).collect();
-        for v in targets {
-            self.send(v, msg.clone());
+        for &(v, _, _) in self.neighbors {
+            self.staged.push((v, msg.clone()));
         }
     }
 }

@@ -24,7 +24,7 @@
 //!   (so communication intervals have bounded hop length); each EN17b
 //!   iteration runs token sweeps *inside the intervals* — left-to-right
 //!   to distribute the cluster state, right-to-left to accumulate the
-//!   neighborhood maximum — plus one neighbor exchange. `O(interval)`
+//!   neighborhood maximum — plus one exchange along `E_i`. `O(interval)`
 //!   rounds per iteration, independent of the global cluster count.
 //!
 //! One deviation from the letter of the paper, recorded in DESIGN.md:
@@ -35,6 +35,7 @@
 
 use crate::tour_sweep::{tour_sweep, Direction, TourRouting};
 use congest::collective;
+use congest::obs;
 use congest::tree::BfsTree;
 use congest::{pack2, Ctx, Executor, Message, Program, RunStats, Word};
 use dist_mst::boruvka::distributed_mst;
@@ -108,17 +109,23 @@ fn cluster_radii(clusters: &[u64], k: usize, seed: u64) -> HashMap<u64, f64> {
     }
 }
 
-/// One-round exchange of `(cluster, m, s)` with all neighbors.
-struct StateExchange {
+/// One-round exchange of `(cluster, m, s)` along the bucket's edges
+/// `E_i`: one message to each distinct `E_i` neighbor. `G_i`'s edges
+/// are `E_i`, so those are the only neighbors whose state the bucket
+/// reads.
+struct StateExchange<'a> {
     payload: [Word; 3],
+    targets: &'a [NodeId],
     heard: HashMap<NodeId, [Word; 3]>,
 }
 
-impl Program for StateExchange {
+impl Program for StateExchange<'_> {
     type Output = HashMap<NodeId, [Word; 3]>;
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         let [a, b, c] = self.payload;
-        ctx.send_all(Message::words(&[TAG_STATE, a, b, c]));
+        for &u in self.targets {
+            ctx.send(u, Message::words(&[TAG_STATE, a, b, c]));
+        }
     }
     fn round(&mut self, _ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         for (from, msg) in inbox {
@@ -132,12 +139,28 @@ impl Program for StateExchange {
     }
 }
 
+/// Each vertex's distinct `E_i` neighbors, ascending: the targets of
+/// every [`StateExchange`] of the bucket.
+fn bucket_neighbors(bucket_edges: &[Vec<(NodeId, Weight, EdgeId)>]) -> Vec<Vec<NodeId>> {
+    bucket_edges
+        .iter()
+        .map(|edges| {
+            let mut nbrs: Vec<NodeId> = edges.iter().map(|&(u, _, _)| u).collect();
+            nbrs.sort_unstable();
+            nbrs.dedup();
+            nbrs
+        })
+        .collect()
+}
+
 fn exchange_states(
     sim: &mut impl Executor,
+    nbrs: &[Vec<NodeId>],
     payload: impl Fn(NodeId) -> [Word; 3],
 ) -> Vec<HashMap<NodeId, [Word; 3]>> {
     let (out, _) = sim.run(|v, _| StateExchange {
         payload: payload(v),
+        targets: &nbrs[v],
         heard: HashMap::new(),
     });
     out
@@ -312,6 +335,7 @@ fn simulate_case2(
         return;
     }
     let radii = cluster_radii(&active, ctx.k, seed);
+    let nbrs = bucket_neighbors(&ctx.bucket_edges);
     let mut state: HashMap<u64, ClusterState> = active
         .iter()
         .map(|&c| (c, ClusterState { m: radii[&c], s: c }))
@@ -360,11 +384,11 @@ fn simulate_case2(
         if round == ctx.k {
             break; // final dissemination only
         }
-        // (b) neighbor exchange of (cluster, m, s); a large uniform
+        // (b) E_i-neighbor exchange of (cluster, m, s); a large uniform
         // shift keeps the encoded m positive even for absent states
         let cluster_of = &ctx.cluster_of;
         let known_ref = &known;
-        let heard = exchange_states(sim, |v| {
+        let heard = exchange_states(sim, &nbrs, |v| {
             let st = known_ref[v].unwrap_or(ClusterState {
                 m: -1.0e9,
                 s: u64::MAX,
@@ -470,7 +494,7 @@ fn simulate_case2(
     // the bottleneck — is charged explicitly below.
     let cluster_of = &ctx.cluster_of;
     let known_ref = &known;
-    let heard = exchange_states(sim, |v| {
+    let heard = exchange_states(sim, &nbrs, |v| {
         let st = known_ref[v].unwrap_or(ClusterState {
             m: -1.0e9,
             s: u64::MAX,
@@ -557,16 +581,18 @@ pub fn light_spanner(
     // E′: Baswana–Sen on the light edges.
     let light_cut = l_total / (n as u64).max(1);
     let light_ids: Vec<EdgeId> = (0..g.m()).filter(|&e| g.edge(e).w <= light_cut).collect();
-    if !light_ids.is_empty() {
-        let (sub, map) = g.edge_subgraph_with_map(light_ids.iter().copied());
-        let mut sub_sim = sim.sub(&sub);
-        let bs = baswana_sen(&mut sub_sim, k, seed ^ 0xb5);
-        let sub_total = sub_sim.total();
-        let sub_frontier = sub_sim.frontier_total();
-        sim.charge(sub_total);
-        sim.charge_frontier(sub_frontier);
-        chosen.extend(bs.edges.iter().map(|&e| map[e]));
-    }
+    obs::span(sim, "light", |sim| {
+        if !light_ids.is_empty() {
+            let (sub, map) = g.edge_subgraph_with_map(light_ids.iter().copied());
+            let mut sub_sim = sim.sub(&sub);
+            let bs = baswana_sen(&mut sub_sim, k, seed ^ 0xb5);
+            let sub_total = sub_sim.total();
+            let sub_frontier = sub_sim.frontier_total();
+            sim.charge(sub_total);
+            sim.charge_frontier(sub_frontier);
+            chosen.extend(bs.edges.iter().map(|&e| map[e]));
+        }
+    });
 
     // bucket the remaining edges
     let imax = ((n as f64).ln() / (1.0 + epsilon).ln()).ceil() as usize;
@@ -584,73 +610,75 @@ pub fn light_spanner(
     let mut case1_buckets = 0;
     let mut case2_buckets = 0;
 
-    for (i, bucket) in buckets.iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        let wi = (l_total as f64) / (1.0 + epsilon).powi(i as i32);
-        let cluster_width = (epsilon * wi).max(1.0);
-        // per-vertex bucket adjacency
-        let mut bucket_edges: Vec<Vec<(NodeId, Weight, EdgeId)>> = vec![Vec::new(); n];
-        for &e in bucket {
-            let edge = g.edge(e);
-            bucket_edges[edge.u].push((edge.v, edge.w, e));
-            bucket_edges[edge.v].push((edge.u, edge.w, e));
-        }
-        let shift = (k + 2) as f64;
-        let few_clusters = (1.0 + epsilon).powi(i as i32) / epsilon <= case_threshold;
-        if few_clusters {
-            case1_buckets += 1;
-            // cluster id = ⌈R_x / (ε w_i)⌉ for the first appearance
-            let cluster_of: Vec<u64> = (0..n)
-                .map(|v| (times[first_app[v]] as f64 / cluster_width).ceil() as u64)
-                .collect();
-            let bctx = BucketContext {
-                bucket_edges,
-                cluster_of,
-                k,
-                shift,
-                tau,
-            };
-            simulate_case1(sim, &bctx, seed ^ (i as u64) << 32, &mut chosen);
-        } else {
-            case2_buckets += 1;
-            // centers: tour-length cuts and index cuts
-            let q = ((epsilon * n as f64) / (1.0 + epsilon).powi(i as i32))
-                .ceil()
-                .max(1.0) as usize;
-            let len = routing.len();
-            let mut center_of = vec![0usize; len];
-            let mut last_center = 0usize;
-            for p in 0..len {
-                let is_center = p == 0
-                    || p % q == 0
-                    || (times[p - 1] as f64 / cluster_width).floor()
-                        < (times[p] as f64 / cluster_width).floor();
-                if is_center {
-                    last_center = p;
-                }
-                center_of[p] = last_center;
+    obs::span(sim, "buckets", |sim| {
+        for (i, bucket) in buckets.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
             }
-            let cluster_of: Vec<u64> = (0..n).map(|v| center_of[first_app[v]] as u64).collect();
-            let bctx = BucketContext {
-                bucket_edges,
-                cluster_of,
-                k,
-                shift,
-                tau,
-            };
-            simulate_case2(
-                sim,
-                &bctx,
-                &routing,
-                &center_of,
-                &first_app,
-                seed ^ (i as u64) << 32,
-                &mut chosen,
-            );
+            let wi = (l_total as f64) / (1.0 + epsilon).powi(i as i32);
+            let cluster_width = (epsilon * wi).max(1.0);
+            // per-vertex bucket adjacency
+            let mut bucket_edges: Vec<Vec<(NodeId, Weight, EdgeId)>> = vec![Vec::new(); n];
+            for &e in bucket {
+                let edge = g.edge(e);
+                bucket_edges[edge.u].push((edge.v, edge.w, e));
+                bucket_edges[edge.v].push((edge.u, edge.w, e));
+            }
+            let shift = (k + 2) as f64;
+            let few_clusters = (1.0 + epsilon).powi(i as i32) / epsilon <= case_threshold;
+            if few_clusters {
+                case1_buckets += 1;
+                // cluster id = ⌈R_x / (ε w_i)⌉ for the first appearance
+                let cluster_of: Vec<u64> = (0..n)
+                    .map(|v| (times[first_app[v]] as f64 / cluster_width).ceil() as u64)
+                    .collect();
+                let bctx = BucketContext {
+                    bucket_edges,
+                    cluster_of,
+                    k,
+                    shift,
+                    tau,
+                };
+                simulate_case1(sim, &bctx, seed ^ (i as u64) << 32, &mut chosen);
+            } else {
+                case2_buckets += 1;
+                // centers: tour-length cuts and index cuts
+                let q = ((epsilon * n as f64) / (1.0 + epsilon).powi(i as i32))
+                    .ceil()
+                    .max(1.0) as usize;
+                let len = routing.len();
+                let mut center_of = vec![0usize; len];
+                let mut last_center = 0usize;
+                for p in 0..len {
+                    let is_center = p == 0
+                        || p % q == 0
+                        || (times[p - 1] as f64 / cluster_width).floor()
+                            < (times[p] as f64 / cluster_width).floor();
+                    if is_center {
+                        last_center = p;
+                    }
+                    center_of[p] = last_center;
+                }
+                let cluster_of: Vec<u64> = (0..n).map(|v| center_of[first_app[v]] as u64).collect();
+                let bctx = BucketContext {
+                    bucket_edges,
+                    cluster_of,
+                    k,
+                    shift,
+                    tau,
+                };
+                simulate_case2(
+                    sim,
+                    &bctx,
+                    &routing,
+                    &center_of,
+                    &first_app,
+                    seed ^ (i as u64) << 32,
+                    &mut chosen,
+                );
+            }
         }
-    }
+    });
 
     let mut edges: Vec<EdgeId> = chosen.into_iter().collect();
     edges.sort_unstable();
@@ -695,6 +723,36 @@ mod tests {
             q.lightness
         );
         (q, r)
+    }
+
+    #[test]
+    fn state_exchange_sends_once_per_directed_bucket_neighbor() {
+        // Path 0-1-2-3-4 plus an edge parallel to (1, 2) and a chord
+        // (4, 0) inserted with reversed endpoints. The bucket holds both
+        // 1-2 edges and the chord: two neighbor pairs, four directed.
+        let mut g = generators::path(5, 1);
+        let parallel = g.add_edge(1, 2, 3).unwrap();
+        let chord = g.add_edge(4, 0, 2).unwrap();
+        let mut bucket_edges = vec![Vec::new(); g.n()];
+        for e in [1, parallel, chord] {
+            let edge = g.edge(e);
+            bucket_edges[edge.u].push((edge.v, edge.w, e));
+            bucket_edges[edge.v].push((edge.u, edge.w, e));
+        }
+        let mut sim = Simulator::new(&g);
+        let nbrs = bucket_neighbors(&bucket_edges);
+        let heard = exchange_states(&mut sim, &nbrs, |v| [v as u64, 10 + v as u64, 7]);
+        assert_eq!(sim.total().messages, 4, "one message per directed E_i pair");
+        assert_eq!(sim.total().rounds, 1);
+        let expect: [&[NodeId]; 5] = [&[4], &[2], &[1], &[], &[0]];
+        for (v, want) in expect.iter().enumerate() {
+            let mut from: Vec<NodeId> = heard[v].keys().copied().collect();
+            from.sort_unstable();
+            assert_eq!(&from, want, "senders heard at {v}");
+            for &u in *want {
+                assert_eq!(heard[v][&u], [u as u64, 10 + u as u64, 7]);
+            }
+        }
     }
 
     #[test]

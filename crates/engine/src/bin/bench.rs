@@ -36,11 +36,15 @@
 //! an *intentional* change, regenerate the baseline by running `bench`
 //! without flags.
 //!
-//! Under `--quick`, each row additionally prints a one-line
-//! setup/deliver/compute/barrier wall breakdown (phase-wall sampling
-//! only — a few clock reads per round, observer-neutral by contract
-//! clause 8), so a regression in the session layer is attributable
-//! without a `--profile` trace.
+//! Under `--quick`, each row additionally prints a one-line breakdown:
+//! the pre-round pipeline (graph generation and the engine's topology
+//! build, which `wall_ms` excludes), then setup/deliver/compute/barrier
+//! wall (phase-wall sampling only — a few clock reads per round,
+//! observer-neutral by contract clause 8), and how many of the executed
+//! rounds ran as fused blocks (`Engine::fused_rounds`). A regression in
+//! generation, topology build or the session layer, or fusion going
+//! inert, is attributable without a `--profile` trace. The line goes to
+//! stderr only; the JSON schema and `--check` are unaffected.
 //!
 //! **Scaling section.** Every run additionally sweeps one pinned
 //! workload (SLT@64k, or SLT@8k under `--quick`) over
@@ -332,8 +336,14 @@ fn main() {
 
     let run_one = |family: &'static str, algorithm: &'static str, n: usize, nthreads: usize| {
         eprintln!("bench: {family} {algorithm} n={n} threads={nthreads} ...");
+        // Generation and the engine's topology build precede the timed
+        // drive; `--quick` prints them on the breakdown line.
+        let gen_start = Instant::now();
         let g = build_graph(family, n, 100, SEED).expect("pinned family");
+        let gen = gen_start.elapsed().as_secs_f64();
+        let topo_start = Instant::now();
         let mut eng = Engine::with_threads(&g, nthreads);
+        let topo = topo_start.elapsed().as_secs_f64();
         eng.set_record_node_stats(true);
         eng.set_trace(trace.clone());
         // `--quick` is the diagnosable gate: phase-wall sampling (the
@@ -360,20 +370,25 @@ fn main() {
         .expect("pinned algorithm");
         let wall = start.elapsed().as_secs_f64();
         let setup = (congest::plan::setup_wall_ns() - setup0) as f64 / 1e9;
+        let frontier = Executor::frontier_total(&eng);
         if quick {
             let (d1, c1, b1) = congest::plan::phase_wall_ns();
             let (d0, c0, b0) = phase0;
             eprintln!(
-                "bench: {family} {algorithm} n={n} breakdown: setup {:.1}ms, \
-                 deliver {:.1}ms, compute {:.1}ms, barrier {:.1}ms (wall {:.1}ms)",
+                "bench: {family} {algorithm} n={n} breakdown: gen {:.1}ms, topo {:.1}ms, \
+                 setup {:.1}ms, deliver {:.1}ms, compute {:.1}ms, barrier {:.1}ms \
+                 (wall {:.1}ms), fused {} of {} rounds",
+                gen * 1e3,
+                topo * 1e3,
                 setup * 1e3,
                 (d1 - d0) as f64 / 1e6,
                 (c1 - c0) as f64 / 1e6,
                 (b1 - b0) as f64 / 1e6,
                 wall * 1e3,
+                eng.fused_rounds(),
+                frontier.rounds,
             );
         }
-        let frontier = Executor::frontier_total(&eng);
         let summary = Executor::node_stats(&eng)
             .expect("node stats recorded")
             .summary();

@@ -95,64 +95,52 @@ pub struct Csr {
     /// Flattened per-node `(neighbor, directed out id)` pairs, sorted by
     /// neighbor id within each node.
     out_pairs: Vec<(NodeId, DirectedId)>,
-    /// Node offsets into `out_pairs` (`n + 1` entries).
-    out_offsets: Vec<usize>,
     /// Flattened per-node incoming directed ids, ascending within each
     /// node.
     in_ids: Vec<DirectedId>,
-    /// Node offsets into `in_ids` (`n + 1` entries).
-    in_offsets: Vec<usize>,
+    /// Node offsets into both `out_pairs` and `in_ids` (`n + 1`
+    /// entries): a node has one out and one in directed edge per
+    /// incident edge, so both views share the degree prefix sums.
+    offsets: Vec<usize>,
 }
 
 impl Csr {
-    /// Builds the indexing in `O(n + m log(max degree))`.
+    /// Builds the indexing in one pass over the adjacency lists, `O(n +
+    /// m)` plus a sort of every list not already ordered by neighbor.
+    ///
+    /// A node's adjacency list holds its incident edges in ascending
+    /// edge id, so walking it yields its directed ids in ascending
+    /// order — the incoming view as is, and the outgoing view up to the
+    /// per-node sort by neighbor. Direction comes from the endpoints:
+    /// `2 * id` leaves `e.u`, `2 * id + 1` leaves `e.v`.
     pub fn new(graph: &Graph) -> Self {
         let n = graph.n();
-        let mut out_pairs: Vec<Vec<(NodeId, DirectedId)>> = vec![Vec::new(); n];
-        let mut in_counts = vec![0usize; n];
-        for (id, e) in graph.edges().iter().enumerate() {
-            out_pairs[e.u].push((e.v, 2 * id));
-            out_pairs[e.v].push((e.u, 2 * id + 1));
-            in_counts[e.v] += 1;
-            in_counts[e.u] += 1;
-        }
-        let mut flat_out = Vec::with_capacity(2 * graph.m());
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        out_offsets.push(0);
-        for pairs in &mut out_pairs {
+        let edges = graph.edges();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut out_pairs = Vec::with_capacity(2 * graph.m());
+        let mut in_ids = Vec::with_capacity(2 * graph.m());
+        for v in 0..n {
+            let start = out_pairs.len();
+            for &(nbr, _, id) in graph.neighbors(v) {
+                let from_u = usize::from(edges[id].u == v);
+                out_pairs.push((nbr, 2 * id + 1 - from_u));
+                in_ids.push(2 * id + from_u);
+            }
             // Sort by (neighbor, directed id): with parallel edges the
             // smallest edge id per neighbor comes first, which is the
             // one binary search will find and use — matching the
             // simulator's first-edge routing.
-            pairs.sort_unstable();
-            flat_out.extend_from_slice(pairs);
-            out_offsets.push(flat_out.len());
+            let pairs = &mut out_pairs[start..];
+            if !pairs.is_sorted() {
+                pairs.sort_unstable();
+            }
+            offsets.push(out_pairs.len());
         }
-
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        in_offsets.push(0);
-        let mut acc = 0;
-        for v in 0..n {
-            acc += in_counts[v];
-            in_offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = in_offsets[..n].to_vec();
-        let mut in_ids = vec![0; 2 * graph.m()];
-        // Edge-id ascending iteration fills each node's incoming list in
-        // ascending directed id order (2*id targets e.v before 2*id+1
-        // targets e.u, and ids grow monotonically).
-        for (id, e) in graph.edges().iter().enumerate() {
-            in_ids[cursor[e.v]] = 2 * id;
-            cursor[e.v] += 1;
-            in_ids[cursor[e.u]] = 2 * id + 1;
-            cursor[e.u] += 1;
-        }
-
         Csr {
-            out_pairs: flat_out,
-            out_offsets,
+            out_pairs,
             in_ids,
-            in_offsets,
+            offsets,
         }
     }
 
@@ -164,7 +152,7 @@ impl Csr {
     /// `(neighbor, directed id)` pairs for sends from `v`, sorted by
     /// neighbor.
     pub fn out(&self, v: NodeId) -> &[(NodeId, DirectedId)] {
-        &self.out_pairs[self.out_offsets[v]..self.out_offsets[v + 1]]
+        &self.out_pairs[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The directed id used for sends `from → to` (the smallest-id edge
@@ -183,7 +171,7 @@ impl Csr {
 
     /// Incoming directed ids of `v`, in delivery order.
     pub fn incoming(&self, v: NodeId) -> &[DirectedId] {
-        &self.in_ids[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &self.in_ids[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The sender of a directed edge, given the graph.
@@ -215,23 +203,42 @@ mod tests {
 
     #[test]
     fn out_and_in_views_agree_with_the_graph() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 1)]).unwrap();
+        // Edge 4 is inserted with its endpoints reversed (`u > v`): the
+        // build must read each edge's direction off its endpoints, not
+        // off the neighbor order.
+        let g =
+            Graph::from_edges(4, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 1), (3, 1, 2)]).unwrap();
         let csr = Csr::new(&g);
-        assert_eq!(csr.directed_len(), 8);
+        assert_eq!(csr.directed_len(), 10);
         // node 2's incoming: edge1 dir0 (1->2) = 2, edge2 dir0 (0->2) = 4,
         // edge3 dir1 (3->2) = 7
         assert_eq!(csr.incoming(2), &[2, 4, 7]);
+        // node 1's incoming: edge0 dir0 (0->1) = 0, edge1 dir1 (2->1) = 3,
+        // edge4 dir0 (3->1) = 8
+        assert_eq!(csr.incoming(1), &[0, 3, 8]);
         // node 0 sends to 1 via directed 0 (edge0 u-side), to 2 via 4
         assert_eq!(csr.out_id(0, 1), 0);
         assert_eq!(csr.out_id(0, 2), 4);
         // node 2 sends to 0 via directed 5 (edge2 v-side)
         assert_eq!(csr.out_id(2, 0), 5);
-        for d in 0..8 {
+        // the reversed edge: 3 is its u-side, 1 its v-side
+        assert_eq!(csr.out(1), &[(0, 1), (2, 2), (3, 9)]);
+        assert_eq!(csr.out_id(3, 1), 8);
+        for d in 0..10 {
             let s = Csr::sender(&g, d);
             let r = Csr::receiver(&g, d);
             let e = g.edge(d / 2);
             assert_eq!(s, if d % 2 == 0 { e.u } else { e.v });
             assert_eq!(r, if d % 2 == 0 { e.v } else { e.u });
+        }
+        // Every view is consistent with the sender/receiver maps.
+        for v in 0..g.n() {
+            assert_eq!(csr.out(v).len(), g.degree(v));
+            for &(to, d) in csr.out(v) {
+                assert_eq!((Csr::sender(&g, d), Csr::receiver(&g, d)), (v, to));
+            }
+            assert!(csr.incoming(v).is_sorted());
+            assert!(csr.incoming(v).iter().all(|&d| Csr::receiver(&g, d) == v));
         }
     }
 

@@ -413,6 +413,9 @@ pub struct Engine<'g> {
     topo: Arc<EngineTopo>,
     plans: Arc<TopoCache<EngineTopo>>,
     plan_builds: u64,
+    /// Rounds executed inside fused blocks, shared with every
+    /// sub-executor (see [`Engine::fused_rounds`]).
+    fused_rounds: Arc<AtomicU64>,
     threads: usize,
     pool: Option<Arc<WorkerPool>>,
     stress_seed: Option<u64>,
@@ -469,6 +472,7 @@ impl<'g> Engine<'g> {
             topo,
             plans,
             plan_builds: 0,
+            fused_rounds: Arc::new(AtomicU64::new(0)),
             threads,
             pool: None,
             stress_seed: None,
@@ -485,6 +489,14 @@ impl<'g> Engine<'g> {
     /// than reusing a cached one (diagnostics; see `tests/plan_cache`).
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds
+    }
+
+    /// How many rounds ran inside barrier-free fused blocks (contract
+    /// clause 9) rather than as classic barriered rounds, summed over
+    /// this engine's runs and those of every sub-executor spawned from
+    /// it (diagnostics: whether fusion engaged on a workload).
+    pub fn fused_rounds(&self) -> u64 {
+        self.fused_rounds.load(Ordering::Relaxed)
     }
 
     /// Pins the shard-stress seed for this engine (and its
@@ -601,6 +613,8 @@ impl<'g> Engine<'g> {
                 messages: ctx.c.sent.load(Ordering::SeqCst),
                 messages_combined: ctx.c.combined.load(Ordering::SeqCst),
             };
+            self.fused_rounds
+                .fetch_add(ctx.c.fused_rounds.load(Ordering::SeqCst), Ordering::Relaxed);
             let code = ctx.c.ctrl_word.load(Ordering::SeqCst) & 0xff;
             (stats, code == CTRL_LIVELOCKED)
         };
@@ -658,6 +672,8 @@ struct Counters {
     /// fused block (per-shard activity within a block is
     /// prefix-contiguous, so the max is exact).
     block_rounds: AtomicU64,
+    /// The run's fused rounds so far, summed by `decide`.
+    fused_rounds: AtomicU64,
     /// Worker 0's broadcast decision: control code in the low byte,
     /// fused block bound in the high bits, plus the round base; stored
     /// before barrier #1, loaded after.
@@ -845,7 +861,9 @@ impl<P: Program> RunCtx<'_, P> {
                 // `base + j`). Fused rounds have no barriers, so the
                 // block's single resync wait goes to its first round.
                 let mut barrier_ns = c.ph_barrier.swap(0, Ordering::SeqCst);
-                for j in 0..c.block_rounds.swap(0, Ordering::SeqCst) as usize {
+                let rounds = c.block_rounds.swap(0, Ordering::SeqCst);
+                c.fused_rounds.fetch_add(rounds, Ordering::SeqCst);
+                for j in 0..rounds as usize {
                     let mut r = FusedRound::default();
                     for s in 0..self.nshards {
                         // SAFETY: decide phase — worker 0 alone, every
@@ -1247,10 +1265,11 @@ impl<'g> Executor for Engine<'g> {
     fn sub<'h>(&self, graph: &'h Graph) -> Engine<'h> {
         // Sub-executors share the session plan cache (a derived graph
         // seen before skips CSR/shard-plan rebuilds), the parent's
-        // parked workers and its stress plan — a composite algorithm
-        // spawns threads exactly once.
+        // parked workers, its stress plan and its fused-round count — a
+        // composite algorithm spawns threads exactly once.
         let core = self.core.sub(graph.n());
         let mut sub = Engine::with_shared_plans(graph, self.threads, self.plans.clone(), core);
+        sub.fused_rounds = self.fused_rounds.clone();
         sub.pool = self.pool.clone();
         sub.stress_seed = self.stress_seed;
         sub
@@ -1639,6 +1658,44 @@ mod tests {
                 reference = Some(report.clone());
             }
         }
+    }
+
+    #[test]
+    fn a_single_shard_run_fuses_every_round() {
+        // Env stress re-cuts even a one-worker run into several shards.
+        if stress_env_base().is_some() {
+            return;
+        }
+        // One worker owns one boundless shard: the whole run is fused
+        // blocks, and sub-executors add to the same count.
+        let g = generators::path(24, 1);
+        let mut eng = Engine::with_threads(&g, 1);
+        let (_, stats) = eng.run(|_, _| Flood { have: false });
+        assert!(stats.rounds > 0);
+        assert_eq!(eng.fused_rounds(), stats.rounds);
+        let mut sub = eng.sub(&g);
+        sub.run(|_, _| Flood { have: false });
+        assert_eq!(sub.fused_rounds(), 2 * stats.rounds);
+        assert_eq!(
+            eng.fused_rounds(),
+            2 * stats.rounds,
+            "sub-runs count toward the root"
+        );
+    }
+
+    #[test]
+    fn a_run_with_every_node_on_a_shard_boundary_never_fuses() {
+        // Env stress replaces the one-node shards below with random cuts.
+        if stress_env_base().is_some() {
+            return;
+        }
+        // Four workers overshard the 8-cycle into eight one-node
+        // shards, so every node is a boundary node (distance 0).
+        let g = generators::cycle(8, 1);
+        let mut eng = Engine::with_threads(&g, 4);
+        let (_, stats) = eng.run(|_, _| Flood { have: false });
+        assert!(stats.rounds > 0);
+        assert_eq!(eng.fused_rounds(), 0);
     }
 
     #[test]

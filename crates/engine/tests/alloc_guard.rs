@@ -135,6 +135,46 @@ impl Program for Trickle {
     }
 }
 
+/// Broadcast churn: node 0 stays non-quiescent for `k` rounds and
+/// calls `Ctx::send_all` once per round, so every round runs the
+/// broadcast staging path (one message per neighbor, no per-call
+/// buffer).
+struct Beacon {
+    left: u64,
+    received: u64,
+}
+
+impl Program for Beacon {
+    type Output = u64;
+
+    fn init(&mut self, _ctx: &mut Ctx<'_>) {}
+
+    fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
+        self.received += inbox.len() as u64;
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.send_all(Message::words(&[self.left, 3]));
+        }
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.left == 0
+    }
+
+    fn finish(self) -> u64 {
+        self.received
+    }
+}
+
+fn run_beacon<E: Executor>(exec: &mut E, k: usize) {
+    let (out, stats) = exec.run(|v, _| Beacon {
+        left: if v == 0 { k as u64 } else { 0 },
+        received: 0,
+    });
+    assert_eq!(out[1], k as u64, "beacon lost messages");
+    assert_eq!(stats.messages, k as u64);
+}
+
 fn run_burst<E: Executor>(exec: &mut E, k: usize) {
     let (out, stats) = exec.run(|v, _| Burst {
         k: if v == 0 { k } else { 0 },
@@ -168,6 +208,7 @@ fn guard<E: Executor>(exec: &mut E, engine_name: &str) {
     for (workload, run) in [
         ("burst", run_burst as fn(&mut E, usize)),
         ("trickle", run_trickle as fn(&mut E, usize)),
+        ("send_all", run_beacon as fn(&mut E, usize)),
     ] {
         run(exec, SMALL);
         run(exec, LARGE);

@@ -1,4 +1,5 @@
-//! Large-n scaling smoke: 100k-node geometric BFS through the
+//! Large-n scaling smoke: the benchmark's million-node geometric
+//! instance pinned edge for edge, 100k-node geometric BFS through the
 //! grid-bucketed generator and the parallel engine, the 8k-node
 //! geometric SLT that the keyed-relaxation subsystem and the adaptive
 //! landmark cutoff made feasible, and the 64k-node SLT that the
@@ -11,12 +12,31 @@
 //! message volume fails fast instead of silently pushing sweeps from
 //! seconds back to hours.
 
+use congest::plan::topo_key;
 use congest::tree::build_bfs_tree;
 use congest::Executor;
 use engine::Engine;
 use lightgraph::generators;
 use lightnet::shallow_light_tree;
 use std::time::Instant;
+
+#[test]
+#[ignore = "large-n smoke (1M geometric instance); nightly CI runs it with --include-ignored"]
+fn geometric_1m_instance_is_pinned() {
+    // The `bfs-geo-1m` benchmark input (`scenarios/geometric_1m.toml`,
+    // the bench BFS@1M rows). The flat pre-round pipeline — grid-sorted
+    // generator, exact-capacity graph build, counting-sort CSR — must
+    // reproduce it byte for byte: edge count, total weight and both
+    // topology fingerprints (the ordered endpoint list).
+    let n = 1_000_000;
+    let radius = (8.0 / (std::f64::consts::PI * n as f64)).sqrt();
+    let g = generators::random_geometric(n, radius, 1);
+    assert_eq!(
+        topo_key(&g),
+        (n, 3_997_093, 0xaa0a_a4ea_b6cb_47ea, 0xa01b_4e3a_2052_13b5)
+    );
+    assert_eq!(g.total_weight(), 4_251_268_111);
+}
 
 #[test]
 #[ignore = "large-n smoke (100k geometric BFS); nightly CI runs it with --include-ignored"]
@@ -109,7 +129,7 @@ fn geometric_64k_slt_end_to_end() {
     // This size exists because the batched-contraction Euler tour and
     // the pipelined Borůvka merge broke the MST/tour message wall:
     // the old broadcast-everything tour alone would have delivered
-    // >10⁹ messages here. The run lands at ~18.4M delivered (pinned
+    // >10⁹ messages here. The run lands at 15,353,706 delivered (pinned
     // exactly in BENCH_engine.json); a generous ceiling still catches
     // a regression back toward per-fragment broadcasts.
     let delivered = Executor::total(&eng).messages_delivered();

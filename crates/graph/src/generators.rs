@@ -10,6 +10,8 @@ use crate::{Graph, NodeId, Weight};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::ops::Range;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -184,21 +186,82 @@ fn stitch_cmp(a: &(f64, NodeId, NodeId), b: &(f64, NodeId, NodeId)) -> std::cmp:
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
 }
 
-/// Buckets points into a square grid of `cell`-sized cells.
-fn bucket_points(
-    pts: &[(f64, f64)],
+/// A point set sorted into a square grid of `cell`-sized cells: one
+/// flat array of point ids ordered by `(cell key, id)`, so every
+/// occupied cell is a contiguous, ascending range of it.
+struct Grid {
     cell: f64,
-) -> std::collections::HashMap<(i64, i64), Vec<NodeId>> {
-    let mut cells: std::collections::HashMap<(i64, i64), Vec<NodeId>> =
-        std::collections::HashMap::new();
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        // `as i64` saturates on overflow/NaN, which preserves adjacency:
-        // two points within `cell` of each other always land in the same
-        // or neighboring (possibly both-saturated) cells.
-        let key = ((x / cell).floor() as i64, (y / cell).floor() as i64);
-        cells.entry(key).or_default().push(i);
+    /// Point ids sorted by `(cell key, id)`.
+    ids: Vec<NodeId>,
+    /// Occupied cells in key order, each with its `ids` range.
+    occupied: Vec<((i64, i64), Range<usize>)>,
+    /// The same ranges by cell key: one entry per occupied cell.
+    ranges: HashMap<(i64, i64), Range<usize>>,
+}
+
+impl Grid {
+    fn new(pts: &[(f64, f64)], cell: f64) -> Grid {
+        let mut keyed: Vec<((i64, i64), NodeId)> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (cell_key(p, cell), i))
+            .collect();
+        keyed.sort_unstable();
+        let mut occupied = Vec::new();
+        let mut start = 0;
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            occupied.push((run[0].0, start..start + run.len()));
+            start += run.len();
+        }
+        Grid {
+            cell,
+            ids: keyed.into_iter().map(|(_, i)| i).collect(),
+            ranges: occupied.iter().cloned().collect(),
+            occupied,
+        }
     }
-    cells
+
+    /// The `ids` positions of cell `key` (empty for an unoccupied cell).
+    fn range(&self, key: (i64, i64)) -> Range<usize> {
+        self.ranges.get(&key).cloned().unwrap_or(0..0)
+    }
+
+    /// The ids in cell `key`, ascending.
+    fn members(&self, key: (i64, i64)) -> &[NodeId] {
+        &self.ids[self.range(key)]
+    }
+}
+
+/// The grid cell of point `p`. `as i64` saturates on overflow/NaN,
+/// which preserves adjacency: two points within `cell` of each other
+/// always land in the same or neighboring (possibly both-saturated)
+/// cells.
+fn cell_key(p: (f64, f64), cell: f64) -> (i64, i64) {
+    ((p.0 / cell).floor() as i64, (p.1 / cell).floor() as i64)
+}
+
+/// The cells of the 3×3 neighborhood of `key` that sort after it.
+/// Saturated keys can alias several offsets to one cell (or to `key`
+/// itself), so the set is deduplicated: every unordered pair of
+/// neighboring cells is then visited exactly once, from its smaller
+/// key.
+fn later_neighbors(key: (i64, i64)) -> impl Iterator<Item = (i64, i64)> {
+    let mut keys = [key; 9];
+    for (i, k) in (0i64..).zip(keys.iter_mut()) {
+        *k = (
+            key.0.saturating_add(i / 3 - 1),
+            key.1.saturating_add(i % 3 - 1),
+        );
+    }
+    keys.sort_unstable();
+    let mut last = key;
+    keys.into_iter().filter(move |&k| {
+        let later = k > last;
+        if later {
+            last = k;
+        }
+        later
+    })
 }
 
 /// A positive, finite grid cell size for the radius pass. Degenerate
@@ -232,12 +295,14 @@ fn point_span(pts: &[(f64, f64)]) -> f64 {
 }
 
 /// Builds the geometric graph for an explicit point set in
-/// `O(n log n + m)` expected time via grid bucketing: points are hashed
-/// into `radius`-sized cells and only the 3×3 cell neighborhood of each
-/// point is scanned, so the all-pairs loop of
-/// [`graph_from_points_reference`] is never materialized. Disconnected
-/// radius graphs are stitched by a cell-aware Borůvka nearest-neighbor
-/// pass instead of the reference's `O(n²)` Kruskal.
+/// `O(n log n + m)` expected time via grid bucketing: the point ids are
+/// sorted once into `radius`-sized cells (`Grid`) and each occupied
+/// cell is scanned against its 3×3 neighborhood, so the all-pairs loop
+/// of [`graph_from_points_reference`] is never materialized. The radius
+/// edges come out cell by cell and are counting-sorted by their lower
+/// endpoint. Disconnected radius graphs are stitched by a cell-aware
+/// Borůvka nearest-neighbor pass instead of the reference's `O(n²)`
+/// Kruskal.
 ///
 /// The output is *identical* to [`graph_from_points_reference`] —
 /// same edge list, same insertion order, same weights — which the
@@ -252,53 +317,68 @@ fn point_span(pts: &[(f64, f64)]) -> f64 {
 ///    always connected and still metric.
 pub fn graph_from_points(pts: &[(f64, f64)], radius: f64) -> Graph {
     let n = pts.len();
-    let mut g = Graph::new(n);
     if n == 0 {
-        return g;
+        return Graph::new(0);
     }
-    let cell = radius_cell(pts, radius);
-    let cells = bucket_points(pts, cell);
+    let grid = Grid::new(pts, radius_cell(pts, radius));
+    // The scan walks grid positions (indices into `grid.ids`), where
+    // neighboring cells lie close together: the points are copied into
+    // that order, and the union–find runs over positions too.
+    let xy: Vec<(f64, f64)> = grid.ids.iter().map(|&i| pts[i]).collect();
     let mut uf = UnionFind::new(n);
-    let mut nbrs: Vec<(NodeId, Weight)> = Vec::new();
-    for u in 0..n {
-        let (x, y) = pts[u];
-        let (cx, cy) = ((x / cell).floor() as i64, (y / cell).floor() as i64);
-        nbrs.clear();
-        // Saturated keys (subnormal `cell` sizes overflow the i64 cast)
-        // can alias several of the 9 neighbor offsets to one cell; dedup
-        // so aliased cells are scanned once, never inserting duplicate
-        // parallel edges.
-        let mut keys: Vec<(i64, i64)> = Vec::with_capacity(9);
-        for dx in -1..=1i64 {
-            for dy in -1..=1i64 {
-                keys.push((cx.saturating_add(dx), cy.saturating_add(dy)));
+    let mut pairs: Vec<(NodeId, NodeId, Weight)> = Vec::new();
+    let mut test = |a: usize, b: usize| {
+        let (u, v) = (grid.ids[a], grid.ids[b]);
+        let (u, v, pu, pv) = if u < v {
+            (u, v, xy[a], xy[b])
+        } else {
+            (v, u, xy[b], xy[a])
+        };
+        let d = geo_dist(pu, pv);
+        if d <= radius {
+            pairs.push((u, v, geo_weight(d)));
+            uf.union(a, b);
+        }
+    };
+    for (key, here) in &grid.occupied {
+        for a in here.clone() {
+            for b in a + 1..here.end {
+                test(a, b);
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
-        for key in keys {
-            let Some(members) = cells.get(&key) else {
-                continue;
-            };
-            for &v in members {
-                if v > u {
-                    let d = geo_dist(pts[u], pts[v]);
-                    if d <= radius {
-                        nbrs.push((v, geo_weight(d)));
-                    }
+        for later in later_neighbors(*key) {
+            for b in grid.range(later) {
+                for a in here.clone() {
+                    test(a, b);
                 }
             }
         }
-        nbrs.sort_unstable();
-        for &(v, w) in &nbrs {
-            g.add_edge(u, v, w).expect("valid edge");
-            uf.union(u, v);
-        }
     }
-    for (u, v, d) in grid_stitch(pts, radius, &mut uf) {
-        g.add_edge(u, v, geo_weight(d)).expect("valid edge");
+
+    // Counting sort by the lower endpoint, then each endpoint's short
+    // run by the upper one: `(u, v)` lexicographic order.
+    let mut start = vec![0usize; n + 1];
+    for &(u, _, _) in &pairs {
+        start[u + 1] += 1;
     }
-    g
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    let mut next = start.clone();
+    let mut edges = vec![(0, 0, 0); pairs.len()];
+    for (u, v, w) in pairs {
+        edges[next[u]] = (u, v, w);
+        next[u] += 1;
+    }
+    for u in 0..n {
+        edges[start[u]..start[u + 1]].sort_unstable_by_key(|&(_, v, _)| v);
+    }
+    edges.extend(
+        grid_stitch(pts, radius, &grid, &mut uf)
+            .into_iter()
+            .map(|(u, v, d)| (u, v, geo_weight(d))),
+    );
+    Graph::from_edges(n, edges).expect("valid edges")
 }
 
 /// The retained `O(n²)` all-pairs reference for [`graph_from_points`]:
@@ -344,21 +424,20 @@ pub fn graph_from_points_reference(pts: &[(f64, f64)], radius: f64) -> Graph {
     g
 }
 
-/// Cells of the Chebyshev ring at distance `k` around `(cx, cy)`.
-fn ring_cells(cx: i64, cy: i64, k: i64) -> Vec<(i64, i64)> {
+/// Calls `f` on each cell of the Chebyshev ring at distance `k` around
+/// `(cx, cy)`.
+fn for_each_ring_cell(cx: i64, cy: i64, k: i64, mut f: impl FnMut((i64, i64))) {
     if k == 0 {
-        return vec![(cx, cy)];
+        return f((cx, cy));
     }
-    let mut out = Vec::with_capacity(8 * k as usize);
     for x in (cx - k)..=(cx + k) {
-        out.push((x, cy - k));
-        out.push((x, cy + k));
+        f((x, cy - k));
+        f((x, cy + k));
     }
     for y in (cy - k + 1)..=(cy + k - 1) {
-        out.push((cx - k, y));
-        out.push((cx + k, y));
+        f((cx - k, y));
+        f((cx + k, y));
     }
-    out
 }
 
 /// Cell-aware Borůvka stitching: computes the unique MST of the
@@ -366,15 +445,27 @@ fn ring_cells(cx: i64, cy: i64, k: i64) -> Vec<(i64, i64)> {
 /// [`graph_from_points`]) without touching all `O(n²)` pairs. Each
 /// round, every component except the largest finds its minimum outgoing
 /// edge by expanding-ring nearest-foreign-neighbor searches over a
-/// density-adapted grid; by the cut property under a strict total order
-/// every selected edge belongs to the unique contraction MST, and the
-/// component count at least halves per round. Returns the stitch edges
-/// as `(u, v, d)` with `u < v`, sorted by `(u, v)` — the canonical
-/// insertion order.
-fn grid_stitch(pts: &[(f64, f64)], radius: f64, uf: &mut UnionFind) -> Vec<(NodeId, NodeId, f64)> {
+/// density-adapted grid — the radius pass's `grid` whenever the cell
+/// sizes agree; by the cut property under a strict total order every
+/// selected edge belongs to the unique contraction MST, and the
+/// component count at least halves per round. `uf` holds the radius
+/// graph's components over `grid` positions; each round flattens it
+/// into per-vertex `root` and per-root `size` arrays. Returns the
+/// stitch edges as `(u, v, d)` with `u < v`, sorted by `(u, v)` — the
+/// canonical insertion order.
+fn grid_stitch(
+    pts: &[(f64, f64)],
+    radius: f64,
+    grid: &Grid,
+    uf: &mut UnionFind,
+) -> Vec<(NodeId, NodeId, f64)> {
     let n = pts.len();
     if uf.components() <= 1 {
         return Vec::new();
+    }
+    let mut pos = vec![0; n];
+    for (p, &id) in grid.ids.iter().enumerate() {
+        pos[id] = p;
     }
     // Foreign neighbors are always farther than `radius` apart (closer
     // pairs share a component), so the stitch grid can be coarser than
@@ -386,81 +477,79 @@ fn grid_stitch(pts: &[(f64, f64)], radius: f64, uf: &mut UnionFind) -> Vec<(Node
     if s.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !s.is_finite() {
         s = 1.0;
     }
-    let cells = bucket_points(pts, s);
-    let key_of = |p: (f64, f64)| ((p.0 / s).floor() as i64, (p.1 / s).floor() as i64);
+    let coarse;
+    let grid = if s == grid.cell {
+        grid
+    } else {
+        coarse = Grid::new(pts, s);
+        &coarse
+    };
     // Ring searches never need to leave the occupied bounding box.
     let max_ring = {
-        let xs: Vec<i64> = cells.keys().map(|&(x, _)| x).collect();
-        let ys: Vec<i64> = cells.keys().map(|&(_, y)| y).collect();
-        let span_x = xs.iter().max().unwrap() - xs.iter().min().unwrap();
-        let span_y = ys.iter().max().unwrap() - ys.iter().min().unwrap();
-        span_x.max(span_y) + 1
+        // `occupied` is in key order, so its ends bound x.
+        let (first, last) = (grid.occupied[0].0, grid.occupied[grid.occupied.len() - 1].0);
+        let (y_min, y_max) = grid
+            .occupied
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), (key, _)| {
+                (lo.min(key.1), hi.max(key.1))
+            });
+        (last.0 - first.0).max(y_max - y_min) + 1
     };
 
+    let mut root = vec![0; n];
+    let mut size = vec![0usize; n];
+    let mut best: Vec<Option<(f64, NodeId, NodeId)>> = vec![None; n];
     let mut bridges: Vec<(NodeId, NodeId, f64)> = Vec::new();
     while uf.components() > 1 {
-        // Group vertices by component; the largest component stays
-        // passive (its edge will be chosen by a neighbor), which keeps
-        // giant-component interior points from running expensive
-        // searches.
-        let mut groups: std::collections::HashMap<usize, Vec<NodeId>> =
-            std::collections::HashMap::new();
+        size.fill(0);
         for v in 0..n {
-            let r = uf.find(v);
-            groups.entry(r).or_default().push(v);
+            root[v] = uf.find(pos[v]);
+            size[root[v]] += 1;
         }
-        let giant = *groups
-            .iter()
-            .map(|(r, members)| (members.len(), std::cmp::Reverse(members[0]), r))
-            .max()
-            .expect("at least two components")
-            .2;
-        let mut roots: Vec<usize> = groups.keys().copied().filter(|&r| r != giant).collect();
-        roots.sort_unstable();
+        // The largest component (ties: the one holding the smallest
+        // vertex) stays passive — its edge will be chosen by a
+        // neighbor — which keeps giant-component interior points from
+        // running expensive searches.
+        let giant = (0..n)
+            .max_by_key(|&v| (size[root[v]], std::cmp::Reverse(v)))
+            .map(|v| root[v])
+            .expect("at least two components");
 
         // Minimum outgoing edge per active component under (d, u, v).
-        let mut best: std::collections::HashMap<usize, (f64, NodeId, NodeId)> =
-            std::collections::HashMap::new();
-        for &root in &roots {
-            for &u in &groups[&root] {
-                let (cx, cy) = key_of(pts[u]);
-                let mut k = 0i64;
-                loop {
-                    let bound = best.get(&root).map(|b| b.0).unwrap_or(f64::INFINITY);
-                    // Any point in a ring-k cell is at Euclidean
-                    // distance >= (k-1)*s from u.
-                    if k > max_ring || (k - 1) as f64 * s > bound {
-                        break;
-                    }
-                    for (x, y) in ring_cells(cx, cy, k) {
-                        let Some(members) = cells.get(&(x, y)) else {
+        for u in (0..n).filter(|&u| root[u] != giant) {
+            let r = root[u];
+            let (cx, cy) = cell_key(pts[u], s);
+            let mut k = 0i64;
+            loop {
+                let bound = best[r].map_or(f64::INFINITY, |b| b.0);
+                // Any point in a ring-k cell is at Euclidean
+                // distance >= (k-1)*s from u.
+                if k > max_ring || (k - 1) as f64 * s > bound {
+                    break;
+                }
+                for_each_ring_cell(cx, cy, k, |cell| {
+                    for &p in grid.members(cell) {
+                        if root[p] == r {
                             continue;
-                        };
-                        for &p in members {
-                            if uf.find(p) == root {
-                                continue;
-                            }
-                            let cand = (geo_dist(pts[u], pts[p]), u.min(p), u.max(p));
-                            let better = best
-                                .get(&root)
-                                .map(|b| stitch_cmp(&cand, b) == std::cmp::Ordering::Less)
-                                .unwrap_or(true);
-                            if better {
-                                best.insert(root, cand);
-                            }
+                        }
+                        let cand = (geo_dist(pts[u], pts[p]), u.min(p), u.max(p));
+                        if best[r].is_none_or(|b| stitch_cmp(&cand, &b).is_lt()) {
+                            best[r] = Some(cand);
                         }
                     }
-                    k += 1;
-                }
+                });
+                k += 1;
             }
         }
-        let mut chosen: Vec<(f64, NodeId, NodeId)> = best.into_values().collect();
+        let mut chosen: Vec<(f64, NodeId, NodeId)> =
+            best.iter_mut().filter_map(Option::take).collect();
         chosen.sort_by(stitch_cmp);
         for (d, u, v) in chosen {
             // Two components can only pick the same edge (their shared
             // cut minimum); a failed union is that duplicate, not a
             // conflict.
-            if uf.union(u, v) {
+            if uf.union(pos[u], pos[v]) {
                 bridges.push((u, v, d));
             }
         }

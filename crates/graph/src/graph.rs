@@ -93,7 +93,9 @@ impl Graph {
         }
     }
 
-    /// Builds a graph from an edge list.
+    /// Builds a graph from an edge list: the same graph as
+    /// [`Graph::add_edge`] in list order, but each adjacency list is
+    /// allocated once at its exact degree instead of grown edge by edge.
     ///
     /// # Errors
     /// Returns an error if any edge is a self loop, references a vertex
@@ -102,29 +104,31 @@ impl Graph {
         n: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>,
     ) -> Result<Self, GraphError> {
-        let mut g = Graph::new(n);
-        for (u, v, w) in edges {
-            g.add_edge(u, v, w)?;
+        let edges: Vec<Edge> = edges
+            .into_iter()
+            .map(|(u, v, w)| Graph::check_edge(n, u, v, w).map(|()| Edge { u, v, w }))
+            .collect::<Result<_, _>>()?;
+        let mut degree = vec![0usize; n];
+        for e in &edges {
+            degree[e.u] += 1;
+            degree[e.v] += 1;
         }
-        Ok(g)
+        let mut adj: Vec<Vec<(NodeId, Weight, EdgeId)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (id, e) in edges.iter().enumerate() {
+            adj[e.u].push((e.v, e.w, id));
+            adj[e.v].push((e.u, e.w, id));
+        }
+        Ok(Graph { n, edges, adj })
     }
 
-    /// Adds an undirected edge and returns its [`EdgeId`].
-    ///
-    /// # Errors
-    /// See [`Graph::from_edges`].
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: Weight) -> Result<EdgeId, GraphError> {
-        if u >= self.n {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: u,
-                n: self.n,
-            });
+    /// The validity rules every edge of a graph on `n` vertices obeys.
+    fn check_edge(n: usize, u: NodeId, v: NodeId, w: Weight) -> Result<(), GraphError> {
+        if u >= n {
+            return Err(GraphError::VertexOutOfRange { vertex: u, n });
         }
-        if v >= self.n {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                n: self.n,
-            });
+        if v >= n {
+            return Err(GraphError::VertexOutOfRange { vertex: v, n });
         }
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });
@@ -132,6 +136,15 @@ impl Graph {
         if w == 0 {
             return Err(GraphError::ZeroWeight { u, v });
         }
+        Ok(())
+    }
+
+    /// Adds an undirected edge and returns its [`EdgeId`].
+    ///
+    /// # Errors
+    /// See [`Graph::from_edges`].
+    pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: Weight) -> Result<EdgeId, GraphError> {
+        Graph::check_edge(self.n, u, v, w)?;
         let id = self.edges.len();
         self.edges.push(Edge { u, v, w });
         self.adj[u].push((v, w, id));
@@ -311,6 +324,27 @@ mod tests {
         assert_eq!(g.total_weight(), 13);
         assert_eq!(g.max_weight(), 10);
         assert_eq!(g.min_weight(), 1);
+    }
+
+    #[test]
+    fn from_edges_matches_add_edge_with_exact_capacity() {
+        // Parallel and reversed-endpoint edges included.
+        let list = [(0, 1, 4), (2, 1, 1), (0, 1, 7), (3, 0, 2), (1, 3, 5)];
+        let g = Graph::from_edges(4, list).unwrap();
+        let mut h = Graph::new(4);
+        for (u, v, w) in list {
+            h.add_edge(u, v, w).unwrap();
+        }
+        assert_eq!(g.edges(), h.edges());
+        for v in 0..4 {
+            assert_eq!(g.neighbors(v), h.neighbors(v), "adjacency of {v}");
+            assert_eq!(g.adj[v].capacity(), g.degree(v), "exact capacity at {v}");
+        }
+        assert_eq!(
+            Graph::from_edges(3, [(0, 1, 1), (2, 2, 1), (0, 7, 1)]).unwrap_err(),
+            GraphError::SelfLoop { vertex: 2 },
+            "the first invalid edge is reported"
+        );
     }
 
     #[test]
