@@ -46,7 +46,8 @@
 //!    activation-correct (see [`Program`]) for skipping to be
 //!    unobservable. Both engines schedule through the shared
 //!    [`for_each_active`] merge. *Conformance:*
-//!    `prop_reactivation_identical` and
+//!    `prop_reactivation_identical`, `prop_chain_relays_identical`
+//!    (thin frontiers crawling across shard cuts) and
 //!    `prop_mst_frontier_totals_identical`; the activation validator
 //!    itself is pinned by
 //!    `validator_catches_programs_that_rely_on_dense_ticks`
@@ -96,43 +97,21 @@
 //!    message, and never change the active set. Observers are
 //!    configuration, so [`Executor::sub`] executors inherit them.
 //!    *Conformance:* `prop_node_histograms_sum_and_observers_are_neutral`;
+//!    per-round series and span trees across thread counts by
+//!    `report_series_identical_across_threads`
+//!    (`crates/engine/src/engine.rs`) and
+//!    `chain_slt_span_tree_identical_across_threads`;
 //!    inheritance is pinned on both engines by
 //!    `sub_executors_inherit_configuration`
 //!    (`crates/engine/src/engine.rs`).
-//! 9. **Round fusion.** An engine may execute several *consecutive*
-//!    rounds of a node region without globally synchronizing between
-//!    them, provided the fused window is closed: every node that can
-//!    become active during the window, and every directed edge that
-//!    can carry or receive traffic during it, lies strictly inside one
-//!    region. The eligibility predicate the parallel engine uses is
-//!    distance-based: if every potentially-active node (charged-edge
-//!    receivers plus the non-quiescent carryover) sits at intra-region
-//!    BFS distance `>= K` from the nearest node with an edge leaving
-//!    the region, then activity cannot reach a region boundary for `K`
-//!    rounds — senders stay non-boundary, so no cross-region message
-//!    is ever staged, and each region's `K` rounds are an independent
-//!    function of its own state. Fusion is schedule-invisible because
-//!    clauses 3–5 are schedule-independent: per-edge FIFO order equals
-//!    the unique sender's staged order, inbox order is the ascending
-//!    directed-id walk, and the active set is a function of deliveries
-//!    and quiescence reports — none of which observe *when* another
-//!    region's round ran. Per-round accounting (clauses 6–8, including
-//!    per-round histogram/trace series) must still be reported as if
-//!    the global barriers had happened; only barrier wall-time may
-//!    legitimately drop to zero for fused rounds. The predicate is
-//!    documented in `crates/engine/src/csr.rs` (`ShardLocality`).
-//!    *Conformance:* `prop_fusion_heavy_chains_identical`
-//!    (fusion-heavy chain workloads) and
-//!    `fused_blocks_keep_report_series_exact`
-//!    (`crates/engine/src/engine.rs`).
 //!
-//! **Plan reuse note.** Clauses 1–9 make every observable quantity a
+//! **Plan reuse note.** Clauses 1–8 make every observable quantity a
 //! pure function of `(graph, programs, cap)` — plus, for a stressed
 //! engine, the stress seed that picked the shard plan. Nothing
 //! observable depends on *when or how often* an engine derived its
 //! internal structure from those inputs. Engines may therefore cache
 //! and share anything computed from the input topology alone — CSR
-//! indices, routing maps, shard bounds and locality distances, pooled
+//! indices, routing maps, shard bounds and node owners, pooled
 //! queue arenas and dense-table storage — across runs, sub-runs, and
 //! sub-executors, with no invalidation protocol beyond keying by the
 //! inputs themselves (topology fingerprint; `(threads, stress seed)`
@@ -146,11 +125,17 @@
 //! `crates/engine/tests/alloc_guard.rs` (zero per-sub-run setup
 //! allocations once warmed).
 //!
-//! Any engine honoring 1–9 produces bit-identical per-node outputs and
+//! Any engine honoring 1–8 produces bit-identical per-node outputs and
 //! `RunStats` for deterministic programs, which is what lets the
 //! parallel engine stand in for the simulator in experiments that
-//! report the paper's round counts. Because the active set of clause 5
-//! is itself determined by delivered edges and quiescence reports, the
+//! report the paper's round counts. Clauses 3–5 are
+//! schedule-independent: per-edge FIFO order is the unique sender's
+//! staged order, inbox order is the ascending directed-id walk, and the
+//! active set is a function of deliveries and quiescence reports. None
+//! of them observes which worker ran a shard, or in what order the
+//! shards of a phase ran, so shard cuts, steal order and thread count
+//! are invisible. Because the active set of clause 5 is itself
+//! determined by delivered edges and quiescence reports, the
 //! [`FrontierStats`] bookkeeping (invocation counts, peak active set)
 //! is engine-identical too. The Simulator in this crate is the
 //! semantics oracle for frontier scheduling: its per-round active set
@@ -332,10 +317,8 @@ pub trait Executor {
     }
 
     /// Attaches (or detaches, with `None`) a profiling trace sink; one
-    /// [`RoundTrace`] record is pushed per executed round (rounds of a
-    /// fused block carry zero barrier time — they genuinely have none).
-    /// Inherited by sub-executors; observer-neutral (contract
-    /// clause 8).
+    /// [`RoundTrace`] record is pushed per executed round. Inherited by
+    /// sub-executors; observer-neutral (contract clause 8).
     fn set_trace(&mut self, sink: Option<SharedTraceSink>) {
         self.core_mut().trace = sink;
     }

@@ -408,13 +408,10 @@ pub const HOT_EDGE_TOP_K: usize = 16;
 /// `deliver_ns`/`compute_ns` aggregate the **max across workers** per
 /// phase (the phase's wall time is its slowest worker), while
 /// `barrier_ns` aggregates the **total wait across workers** (the
-/// imbalance the pool paid). Rounds executed inside a fused block
-/// (determinism-contract clause 9) report their genuine per-shard work
-/// time and zero barrier time — they have no barriers. Attribution of
-/// barrier waits at round boundaries is approximate: a worker may
-/// publish its wait a moment after worker 0 closes the round's books,
-/// shifting nanoseconds into the next round. These are diagnostics,
-/// never determinism-bearing.
+/// imbalance the pool paid). Attribution of barrier waits at round
+/// boundaries is approximate: a worker may publish its wait a moment
+/// after worker 0 closes the round's books, shifting nanoseconds into
+/// the next round. These are diagnostics, never determinism-bearing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseWall {
     /// Time spent delivering queued messages into inboxes.

@@ -4,7 +4,7 @@
 //! sub-executors on derived graphs and issue hundreds of sub-runs; PR 9
 //! made the *message* path allocation-free, which left per-run and
 //! per-sub-executor **setup** — routing tables, receiver maps, shard
-//! locality — as the dominant cost of the small rows. This module holds
+//! plans — as the dominant cost of the small rows. This module holds
 //! the shared piece of the run-session layer: a cache of structures
 //! derivable from the input **topology alone** (node count plus the
 //! ordered edge-endpoint list — explicitly *not* weights, which none of

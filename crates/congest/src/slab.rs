@@ -27,9 +27,8 @@
 //! writes only rows of the cell matrix (every staged edge has its
 //! sender in the claiming shard) and the deliver phase drains only
 //! columns, with a barrier in between, so cell access is disjoint
-//! across workers without locks — and fused blocks touch only diagonal
-//! cells. The sequential simulator is the one-shard special case: a
-//! single slab for all edges.
+//! across workers without locks. The sequential simulator is the
+//! one-shard special case: a single slab for all edges.
 //!
 //! # Combining (clause 7)
 //!

@@ -7,8 +7,9 @@
 //! ```text
 //! bench                          # run the pinned set, write BENCH_engine.json
 //! bench --out path.json         # alternate output path
-//! bench --threads 4             # worker threads (default 1: the
-//!                               #   trajectory tracks one-core numbers)
+//! bench --threads 4             # worker threads, 1..=512 (default 1:
+//!                               #   the trajectory tracks one-core
+//!                               #   numbers); a bad value exits 2
 //! bench --quick                 # the CI-gate subset (100k BFS + 1k/2k/8k SLT)
 //! bench --check BASELINE.json   # re-run and diff the deterministic
 //!                               #   columns against a committed baseline;
@@ -40,11 +41,10 @@
 //! the pre-round pipeline (graph generation and the engine's topology
 //! build, which `wall_ms` excludes), then setup/deliver/compute/barrier
 //! wall (phase-wall sampling only — a few clock reads per round,
-//! observer-neutral by contract clause 8), and how many of the executed
-//! rounds ran as fused blocks (`Engine::fused_rounds`). A regression in
-//! generation, topology build or the session layer, or fusion going
-//! inert, is attributable without a `--profile` trace. The line goes to
-//! stderr only; the JSON schema and `--check` are unaffected.
+//! observer-neutral by contract clause 8), and the executed-round count.
+//! A regression in generation, topology build or the session layer is
+//! attributable without a `--profile` trace. The line goes to stderr
+//! only; the JSON schema and `--check` are unaffected.
 //!
 //! **Scaling section.** Every run additionally sweeps one pinned
 //! workload (SLT@64k, or SLT@8k under `--quick`) over
@@ -80,7 +80,7 @@
 
 use congest::obs;
 use congest::{Executor, TraceSink};
-use engine::scenario::{build_graph, drive, AlgoParams};
+use engine::scenario::{build_graph, drive, AlgoParams, MAX_THREADS};
 use engine::Engine;
 use std::io::Write;
 use std::time::Instant;
@@ -115,6 +115,9 @@ const QUICK: [(&str, &str, usize); 4] = [
 ];
 
 const SEED: u64 = 1;
+
+const USAGE: &str =
+    "usage: bench [--out PATH] [--threads N] [--quick] [--check BASELINE] [--profile TRACE.jsonl]";
 
 /// Thread counts the scaling sweep pins (the workload is SLT@64k, or
 /// SLT@8k under `--quick`). The `threads = 1` row doubles as the
@@ -303,10 +306,7 @@ fn drift_table(drifts: &[Drift]) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: bench [--out PATH] [--threads N] [--quick] [--check BASELINE] \
-             [--profile TRACE.jsonl]"
-        );
+        eprintln!("{USAGE}");
         return;
     }
     let flag_value = |name: &str| -> Option<String> {
@@ -315,9 +315,24 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_engine.json".to_owned());
-    let threads: usize = flag_value("--threads")
-        .map(|t| t.parse().expect("--threads takes a number"))
-        .unwrap_or(1);
+    // Validated like the scenario runner's `threads` key, before any
+    // graph is built.
+    let threads = match args.iter().position(|a| a == "--threads") {
+        None => 1,
+        Some(i) => {
+            let value = args.get(i + 1).map_or("", String::as_str);
+            match value.parse::<usize>() {
+                Ok(t) if (1..=MAX_THREADS).contains(&t) => t,
+                _ => {
+                    eprintln!(
+                        "bench: --threads takes an integer in 1..={MAX_THREADS}, got {value:?}"
+                    );
+                    eprintln!("{USAGE}");
+                    std::process::exit(2);
+                }
+            }
+        }
+    };
     let quick = args.iter().any(|a| a == "--quick");
     let check_path = flag_value("--check");
     let trace = flag_value("--profile").map(|p| {
@@ -377,7 +392,7 @@ fn main() {
             eprintln!(
                 "bench: {family} {algorithm} n={n} breakdown: gen {:.1}ms, topo {:.1}ms, \
                  setup {:.1}ms, deliver {:.1}ms, compute {:.1}ms, barrier {:.1}ms \
-                 (wall {:.1}ms), fused {} of {} rounds",
+                 (wall {:.1}ms), {} rounds",
                 gen * 1e3,
                 topo * 1e3,
                 setup * 1e3,
@@ -385,7 +400,6 @@ fn main() {
                 (c1 - c0) as f64 / 1e6,
                 (b1 - b0) as f64 / 1e6,
                 wall * 1e3,
-                eng.fused_rounds(),
                 frontier.rounds,
             );
         }

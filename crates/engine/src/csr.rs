@@ -17,77 +17,9 @@
 //!   the simulator's.
 
 use lightgraph::{Graph, NodeId};
-use std::collections::VecDeque;
 
 /// Dense id of a directed edge: `2 * edge_id + dir`.
 pub type DirectedId = usize;
-
-/// Shard-locality metadata for one `(graph, shard cuts)` pair: which
-/// shard owns each node, and how far (in hops, along intra-shard paths)
-/// each node sits from the nearest *boundary* node of its shard.
-///
-/// A **boundary** node is one with at least one incident edge whose
-/// other endpoint lives in a different shard; its distance is 0. The
-/// distance is the fusion-eligibility metric of the engine's
-/// barrier-eliding round fusion (determinism-contract clause 9 in
-/// `congest::exec`): activation spreads at most one hop per round, so
-/// if every node that can become active next round has distance `≥ K`,
-/// the next `K` rounds touch only shard-local directed edges and every
-/// shard may execute them without a global barrier.
-///
-/// Nodes with no intra-shard path to any boundary node (in particular
-/// every node when there is a single shard) get [`ShardLocality::FAR`]
-/// — they can never reach a cross-shard edge, so fusion is unbounded.
-#[derive(Debug, Clone)]
-pub struct ShardLocality {
-    /// Shard owning each node (`bounds` index).
-    pub shard_of: Vec<u32>,
-    /// Intra-shard hop distance to the nearest boundary node;
-    /// [`ShardLocality::FAR`] when unreachable.
-    pub dist_to_boundary: Vec<u32>,
-}
-
-impl ShardLocality {
-    /// Distance of a node that can never reach a cross-shard edge.
-    pub const FAR: u32 = u32::MAX;
-
-    /// Builds the metadata by a multi-source BFS from all boundary
-    /// nodes, restricted to intra-shard edges. `O(n + m)`.
-    ///
-    /// `bounds` are contiguous `[lo, hi)` node ranges covering `0..n`
-    /// (the engine's shard cuts).
-    pub fn new(graph: &Graph, bounds: &[(usize, usize)]) -> Self {
-        let n = graph.n();
-        let mut shard_of = vec![0u32; n];
-        for (s, &(lo, hi)) in bounds.iter().enumerate() {
-            shard_of[lo..hi].iter_mut().for_each(|x| *x = s as u32);
-        }
-        let mut dist = vec![Self::FAR; n];
-        let mut queue = VecDeque::new();
-        for v in 0..n {
-            let cross = graph
-                .neighbors(v)
-                .iter()
-                .any(|&(u, _, _)| shard_of[u] != shard_of[v]);
-            if cross {
-                dist[v] = 0;
-                queue.push_back(v);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            for &(u, _, _) in graph.neighbors(v) {
-                if shard_of[u] == shard_of[v] && dist[u] == Self::FAR {
-                    dist[u] = dist[v] + 1;
-                    queue.push_back(u);
-                }
-            }
-        }
-        ShardLocality {
-            shard_of,
-            dist_to_boundary: dist,
-        }
-    }
-}
 
 /// Precomputed directed-edge indexing for one graph.
 #[derive(Debug, Clone)]
@@ -259,63 +191,5 @@ mod tests {
     fn missing_edge_panics() {
         let g = Graph::from_edges(3, [(0, 1, 1)]).unwrap();
         Csr::new(&g).out_id(0, 2);
-    }
-
-    #[test]
-    fn shard_locality_on_a_split_path() {
-        // Path 0-1-2-3-4-5 cut into [0,3) and [3,6): nodes 2 and 3 are
-        // boundary, distances grow walking away from the cut.
-        let g = lightgraph::generators::path(6, 1);
-        let loc = ShardLocality::new(&g, &[(0, 3), (3, 6)]);
-        assert_eq!(loc.shard_of, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(loc.dist_to_boundary, vec![2, 1, 0, 0, 1, 2]);
-    }
-
-    #[test]
-    fn single_shard_has_no_boundary() {
-        let g = lightgraph::generators::cycle(9, 1);
-        let loc = ShardLocality::new(&g, &[(0, 9)]);
-        assert!(loc
-            .dist_to_boundary
-            .iter()
-            .all(|&d| d == ShardLocality::FAR));
-    }
-
-    /// Fusion-eligibility predicate properties (contract clause 9 in
-    /// `congest::exec`): distance 0 iff boundary, both endpoints of a
-    /// cross-shard edge are boundary, and the distance is 1-Lipschitz
-    /// along intra-shard edges — so an active set at distance `≥ K`
-    /// stays strictly interior for `K` rounds of one-hop spreading.
-    #[test]
-    fn dist_to_boundary_is_zero_iff_boundary_and_lipschitz() {
-        for seed in 0..8u64 {
-            let g = lightgraph::generators::erdos_renyi(40, 0.12, 9, seed);
-            let n = g.n();
-            // Random-ish contiguous cuts derived from the seed.
-            let c1 = 1 + (seed as usize * 7) % (n - 2);
-            let c2 = c1 + 1 + (seed as usize * 11) % (n - c1 - 1);
-            let bounds = [(0, c1), (c1, c2), (c2, n)];
-            let loc = ShardLocality::new(&g, &bounds);
-            for v in 0..n {
-                let boundary = g
-                    .neighbors(v)
-                    .iter()
-                    .any(|&(u, _, _)| loc.shard_of[u] != loc.shard_of[v]);
-                assert_eq!(loc.dist_to_boundary[v] == 0, boundary, "node {v}");
-                for &(u, _, _) in g.neighbors(v) {
-                    if loc.shard_of[u] == loc.shard_of[v] {
-                        let (a, b) = (loc.dist_to_boundary[v], loc.dist_to_boundary[u]);
-                        if a != ShardLocality::FAR || b != ShardLocality::FAR {
-                            assert!(
-                                a != ShardLocality::FAR
-                                    && b != ShardLocality::FAR
-                                    && a.abs_diff(b) <= 1,
-                                "distance not 1-Lipschitz on edge {v}-{u}: {a} vs {b}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -19,45 +19,24 @@
 //!
 //! * **stage** — one node's sends onto its outgoing directed-edge
 //!   queues, merging per the clause-7 combiner. A directed edge has
-//!   exactly one sender, so staging is disjoint across shards. Init,
-//!   classic rounds and fused blocks all stage through it.
+//!   exactly one sender, so staging is disjoint across shards. Init and
+//!   compute both stage through it.
 //! * **deliver** — pops up to `cap` messages from every *charged*
 //!   incoming queue of a shard's nodes into the shard's inbox arena. A
 //!   directed edge has exactly one receiver, so queue access is
 //!   disjoint across shards.
 //! * **compute** — runs `Program::round` for a shard's *active* nodes
 //!   and stages their sends.
-//! * **fused_block** — up to `B` rounds of deliver + compute on one
-//!   shard with no global barrier (see below).
 //! * **decide** — worker 0 alone, between barriers: books the previous
-//!   round or block in the round log and broadcasts the next move — a
-//!   classic round, a fused block, or the end of the run.
+//!   round in the round log and broadcasts the next move — another
+//!   round, or the end of the run.
 //!
 //! Shard steps run only inside the one claim loop (`claim_each`: every
 //! shard is claimed by exactly one worker per phase), and phases are
-//! separated by the one timed barrier wait (`wait`). A classic round is
-//! deliver, barrier, compute, barrier.
-//!
-//! # Round fusion (contract clause 9)
-//!
-//! When every node that can become active in the next round lies at
-//! intra-shard BFS distance `K >= 1` from its shard boundary (see
-//! [`ShardLocality`]), the next `K` rounds cannot move any message
-//! across a shard boundary: active nodes are non-boundary, so all
-//! their incident edges are shard-internal, and activity can creep at
-//! most one hop toward the boundary per round. The engine then runs a
-//! **fused block** of `B = min(K, FUSE_BLOCK_MAX)` rounds in which
-//! each shard loops over the same deliver and compute steps as a
-//! classic round, draining only its own diagonal bucket, *without any
-//! global barrier*, stopping early when it has no charged edges, no
-//! bucket entries, and no non-quiescent carryover. Per-edge FIFO order
-//! is schedule-independent (unique sender, unique receiver), so the
-//! fused schedule is observably identical to the barriered one;
-//! per-round accounting (`RunStats`, histograms, traces) is kept exact
-//! by per-shard per-round [`FusedRound`] records that worker 0 merges
-//! at the next decision point. With one shard (`threads == 1`) every
-//! node is infinitely far from a boundary, so whole runs execute as
-//! fused blocks — eliding the per-round atomics and decision overhead.
+//! separated by the one timed barrier wait (`wait`). Every round is
+//! deliver, barrier, compute, barrier; the owner of every index a step
+//! touches depends only on the phase and the shard plan, which debug
+//! builds assert at each step.
 //!
 //! # Frontier scheduling
 //!
@@ -100,7 +79,7 @@
 //! and [`RunStats`] versus [`congest::Simulator`] across any thread
 //! count, verified by property tests.
 
-use crate::csr::{DirectedId, ShardLocality};
+use crate::csr::DirectedId;
 use crate::plan::{EngineTopo, PlanData};
 use crate::pool::WorkerPool;
 use congest::exec::{ExecCore, RoundLog};
@@ -110,7 +89,6 @@ use congest::slab::{EdgeQueue, Slab};
 use congest::{Ctx, Executor, Message, Program, RunStats};
 use lightgraph::{Graph, NodeId};
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
@@ -120,19 +98,12 @@ use std::time::Instant;
 /// frontier can be stolen, few enough that bucket rows stay cheap.
 const OVERSHARD: usize = 4;
 
-/// Upper bound on rounds per fused block, so accounting buffers and
-/// the livelock guard stay responsive even when shards are boundless
-/// (`threads == 1` has no boundaries at all).
-const FUSE_BLOCK_MAX: u64 = 512;
-
-/// Control codes broadcast by worker 0 (low byte of `ctrl_word`; the
-/// fused block bound rides in the high bits). Zero is deliberately not
-/// a valid code.
-const CTRL_CLASSIC: u64 = 1;
-const CTRL_FUSED: u64 = 2;
-const CTRL_QUIESCENT: u64 = 3;
-const CTRL_LIVELOCKED: u64 = 4;
-const CTRL_ABORTED: u64 = 5;
+/// Control codes broadcast by worker 0 in `ctrl_code`. Zero is
+/// deliberately not a valid code.
+const CTRL_ROUND: u64 = 1;
+const CTRL_QUIESCENT: u64 = 2;
+const CTRL_LIVELOCKED: u64 = 3;
+const CTRL_ABORTED: u64 = 4;
 
 /// A slice shared across workers with externally-guaranteed disjoint
 /// index access.
@@ -311,8 +282,6 @@ struct ShardState {
     out_backlog: Vec<DirectedId>,
     /// Scratch for `Ctx` staging.
     staged: Vec<(NodeId, Message)>,
-    /// Per-round accounting from the shard's last fused block.
-    fused: Vec<FusedRound>,
 }
 
 /// The run-to-run queue arena ([`congest::slab`]): slab cells keyed by
@@ -322,8 +291,7 @@ struct ShardState {
 /// its high-water capacity — the later phases of a composite algorithm
 /// (SLT = tree + spanner + contractions on one engine) stage and
 /// deliver without allocating. Cell access mirrors the `touched`
-/// buckets: compute writes row `s`, deliver drains column `s`, fused
-/// blocks stay within column `s` (stagings are diagonal by clause 9) —
+/// buckets: compute writes row `s`, deliver drains column `s` —
 /// disjoint across shards in every phase. Rebuilt when the shard plan
 /// changes size (stress mode); dropped, not reused, after an aborted
 /// or livelocked run, whose queues may be non-empty.
@@ -377,33 +345,12 @@ impl RunArena {
     }
 }
 
-/// Exact per-round accounting a shard writes during a fused block;
-/// worker 0 merges these across shards at the next decision point so
-/// histograms/traces match the barriered schedule bit for bit.
-#[derive(Clone, Copy, Default)]
-struct FusedRound {
-    delivered: u64,
-    active: u64,
-    depth: u64,
-    deliver_ns: u64,
-    compute_ns: u64,
-}
-
-/// What worker 0 still has to account for at a decision point.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Prev {
-    Init,
-    Classic,
-    Fused,
-}
-
 /// The parallel deterministic CONGEST engine.
 ///
 /// Drop-in [`Executor`] replacement for [`congest::Simulator`]: same
 /// [`Program`] interface, bit-identical outputs and [`RunStats`], but
 /// rounds execute over work-stolen node shards on a persistent worker
-/// pool, with barrier-free fused blocks where the frontier is provably
-/// shard-local. See the module docs for the phase/claim structure.
+/// pool. See the module docs for the phase/claim structure.
 pub struct Engine<'g> {
     graph: &'g Graph,
     core: ExecCore,
@@ -413,9 +360,6 @@ pub struct Engine<'g> {
     topo: Arc<EngineTopo>,
     plans: Arc<TopoCache<EngineTopo>>,
     plan_builds: u64,
-    /// Rounds executed inside fused blocks, shared with every
-    /// sub-executor (see [`Engine::fused_rounds`]).
-    fused_rounds: Arc<AtomicU64>,
     threads: usize,
     pool: Option<Arc<WorkerPool>>,
     stress_seed: Option<u64>,
@@ -472,7 +416,6 @@ impl<'g> Engine<'g> {
             topo,
             plans,
             plan_builds: 0,
-            fused_rounds: Arc::new(AtomicU64::new(0)),
             threads,
             pool: None,
             stress_seed: None,
@@ -489,14 +432,6 @@ impl<'g> Engine<'g> {
     /// than reusing a cached one (diagnostics; see `tests/plan_cache`).
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds
-    }
-
-    /// How many rounds ran inside barrier-free fused blocks (contract
-    /// clause 9) rather than as classic barriered rounds, summed over
-    /// this engine's runs and those of every sub-executor spawned from
-    /// it (diagnostics: whether fusion engaged on a workload).
-    pub fn fused_rounds(&self) -> u64 {
-        self.fused_rounds.load(Ordering::Relaxed)
     }
 
     /// Pins the shard-stress seed for this engine (and its
@@ -537,19 +472,13 @@ impl<'g> Engine<'g> {
         }
         let stress = stress_run_seed(self.stress_seed);
         let topo = self.topo.clone();
-        // Shard plan (bounds, claim orders, and the shard-locality
-        // metadata backing the clause-9 fusion-eligibility metric):
-        // acquired from the session cache, built at most once per
-        // `(threads, stress)` pair per topology.
+        // Shard plan (bounds, claim orders, node owners): acquired from
+        // the session cache, built at most once per `(threads, stress)`
+        // pair per topology.
         let (plan, built) = topo.plan_for(threads, stress, || {
             let shards = plan_shards(graph, threads, stress);
             let orders = claim_orders(shards.len(), threads, stress);
-            let loc = ShardLocality::new(graph, &shards);
-            PlanData {
-                shards,
-                orders,
-                loc,
-            }
+            PlanData::new(n, shards, orders)
         });
         self.plan_builds += u64::from(built);
 
@@ -591,10 +520,7 @@ impl<'g> Engine<'g> {
                 ns_delivered: SharedSlice::new(&mut node_stats.delivered),
                 ns_invocations: SharedSlice::new(&mut node_stats.invocations),
                 claims: &arena.claims,
-                c: Counters {
-                    fuse_dist: AtomicU64::new(u64::MAX),
-                    ..Counters::default()
-                },
+                c: Counters::default(),
                 barrier: Barrier::new(threads),
             };
             match self.pool.as_deref() {
@@ -613,9 +539,7 @@ impl<'g> Engine<'g> {
                 messages: ctx.c.sent.load(Ordering::SeqCst),
                 messages_combined: ctx.c.combined.load(Ordering::SeqCst),
             };
-            self.fused_rounds
-                .fetch_add(ctx.c.fused_rounds.load(Ordering::SeqCst), Ordering::Relaxed);
-            let code = ctx.c.ctrl_word.load(Ordering::SeqCst) & 0xff;
+            let code = ctx.c.ctrl_code.load(Ordering::SeqCst);
             (stats, code == CTRL_LIVELOCKED)
         };
         if livelocked {
@@ -633,8 +557,8 @@ impl<'g> Engine<'g> {
     }
 }
 
-/// Staging counters a shard batches over one claimed step (a whole
-/// fused block included) and publishes once.
+/// Staging counters a shard batches over one claimed step and publishes
+/// once.
 #[derive(Default)]
 struct Tally {
     /// Net change in queued messages: appended sends minus deliveries.
@@ -659,30 +583,18 @@ struct Counters {
     /// delivered + combined.
     sent: AtomicU64,
     combined: AtomicU64,
-    /// The current classic round's deliveries, invocations and (record
-    /// mode) largest queue after its sends.
+    /// The current round's deliveries, invocations and (record mode)
+    /// largest queue after its sends.
     round_delivered: AtomicU64,
     round_active: AtomicU64,
     round_depth: AtomicU64,
-    /// Fusion eligibility: min dist-to-boundary over every node that
-    /// can be active next round, `fetch_min`'d by shards after their
-    /// sends and reset to `u64::MAX` (none) by `decide`.
-    fuse_dist: AtomicU64,
-    /// Rounds executed by the longest-running shard of the current
-    /// fused block (per-shard activity within a block is
-    /// prefix-contiguous, so the max is exact).
-    block_rounds: AtomicU64,
-    /// The run's fused rounds so far, summed by `decide`.
-    fused_rounds: AtomicU64,
-    /// Worker 0's broadcast decision: control code in the low byte,
-    /// fused block bound in the high bits, plus the round base; stored
+    /// Worker 0's broadcast decision, one of the `CTRL_*` codes; stored
     /// before barrier #1, loaded after.
-    ctrl_word: AtomicU64,
-    ctrl_round: AtomicU64,
+    ctrl_code: AtomicU64,
     /// Per-phase wall sampled by *all* workers — deliver/compute via
     /// `fetch_max` (phase wall = slowest worker), barrier via
     /// `fetch_add` (total wait). Worker 0 drains them at decisions;
-    /// attribution at unit boundaries is approximate (documented in
+    /// attribution at round boundaries is approximate (documented in
     /// `congest::obs`).
     ph_deliver: AtomicU64,
     ph_compute: AtomicU64,
@@ -700,7 +612,8 @@ struct Counters {
 /// discipline: a step touches shard `s`'s state only after its worker
 /// won `s` for the current phase in `claim_each`, and every queue,
 /// bucket, slab cell and node counter the step indexes is owned by `s`
-/// in that phase.
+/// in that phase. Ownership depends only on the phase and the shard
+/// plan; each step `debug_assert`s it for the node it indexes by.
 struct RunCtx<'a, P> {
     graph: &'a Graph,
     topo: &'a EngineTopo,
@@ -742,45 +655,32 @@ struct RunCtx<'a, P> {
 impl<P: Program> RunCtx<'_, P> {
     /// One worker's body, run by every worker in lockstep (broadcast
     /// decisions keep them there); worker 0 also holds the round log
-    /// and decides.
+    /// and decides. Every worker counts the rounds itself.
     fn worker(&self, wid: usize, mut log: Option<&mut RoundLog>) {
         let order = &self.plan.orders[wid];
         // Local phase counter, advanced identically by every worker:
-        // +1 for init, +2 per classic round, +1 per fused block.
+        // +1 for init, +2 per round.
         let mut phase = 0;
-        let mut prev = Prev::Init;
+        let mut round = 0;
         self.claim_each(order, &mut phase, None, |s| self.init_shard(s));
         self.wait(); // init burst + carryover seeds visible
         loop {
             if let Some(log) = log.as_deref_mut() {
-                self.decide(prev, log);
+                self.decide(round > 0, log);
             }
             self.wait(); // #1: decision epoch closed
-            let word = self.c.ctrl_word.load(Ordering::SeqCst);
-            let base = self.c.ctrl_round.load(Ordering::SeqCst);
-            prev = match word & 0xff {
-                CTRL_CLASSIC => {
-                    let sample = Some(&self.c.ph_deliver);
-                    self.claim_each(order, &mut phase, sample, |s| self.classic_deliver(s));
-                    self.wait(); // #2: all inboxes assembled
-                    let sample = Some(&self.c.ph_compute);
-                    self.claim_each(order, &mut phase, sample, |s| {
-                        self.classic_compute(s, base + 1)
-                    });
-                    self.wait(); // #3: all sends queued
-                    Prev::Classic
-                }
-                CTRL_FUSED => {
-                    self.claim_each(order, &mut phase, None, |s| {
-                        self.fused_block(s, base, word >> 8)
-                    });
-                    self.wait(); // resync: block results visible
-                    Prev::Fused
-                }
+            if self.c.ctrl_code.load(Ordering::SeqCst) != CTRL_ROUND {
                 // Terminal (quiescent / livelocked / aborted): worker 0
-                // already booked the final unit.
-                _ => return,
-            };
+                // already booked the final round.
+                return;
+            }
+            round += 1;
+            let sample = Some(&self.c.ph_deliver);
+            self.claim_each(order, &mut phase, sample, |s| self.deliver(s));
+            self.wait(); // #2: all inboxes assembled
+            let sample = Some(&self.c.ph_compute);
+            self.claim_each(order, &mut phase, sample, |s| self.compute(s, round));
+            self.wait(); // #3: all sends queued
         }
     }
 
@@ -835,77 +735,36 @@ impl<P: Program> RunCtx<'_, P> {
         }
     }
 
-    /// Worker 0 alone, between barriers: books the previous unit in the
-    /// round log — every counter settled before the last barrier — and
+    /// Worker 0 alone, between barriers: books the round just run, if
+    /// `book` — every counter settled before the last barrier — and
     /// broadcasts the next move.
-    fn decide(&self, prev: Prev, log: &mut RoundLog) {
+    fn decide(&self, book: bool, log: &mut RoundLog) {
         let c = &self.c;
-        match prev {
-            Prev::Init => {}
-            Prev::Classic => {
-                let wall = PhaseWall {
-                    deliver_ns: c.ph_deliver.swap(0, Ordering::SeqCst),
-                    compute_ns: c.ph_compute.swap(0, Ordering::SeqCst),
-                    barrier_ns: c.ph_barrier.swap(0, Ordering::SeqCst),
-                };
-                log.round(
-                    c.round_delivered.swap(0, Ordering::SeqCst),
-                    c.round_active.swap(0, Ordering::SeqCst),
-                    c.round_depth.swap(0, Ordering::SeqCst),
-                    wall,
-                );
-            }
-            Prev::Fused => {
-                // Merge the block's per-shard records into exact global
-                // rounds (local round `j` of every shard is global round
-                // `base + j`). Fused rounds have no barriers, so the
-                // block's single resync wait goes to its first round.
-                let mut barrier_ns = c.ph_barrier.swap(0, Ordering::SeqCst);
-                let rounds = c.block_rounds.swap(0, Ordering::SeqCst);
-                c.fused_rounds.fetch_add(rounds, Ordering::SeqCst);
-                for j in 0..rounds as usize {
-                    let mut r = FusedRound::default();
-                    for s in 0..self.nshards {
-                        // SAFETY: decide phase — worker 0 alone, every
-                        // other worker parked at barrier #1, so no shard
-                        // is claimed and no fused record is written.
-                        if let Some(fr) = unsafe { self.states.get_mut(s) }.fused.get(j) {
-                            r.delivered += fr.delivered;
-                            r.active += fr.active;
-                            r.depth = r.depth.max(fr.depth);
-                            r.deliver_ns += fr.deliver_ns;
-                            r.compute_ns += fr.compute_ns;
-                        }
-                    }
-                    let wall = PhaseWall {
-                        deliver_ns: r.deliver_ns,
-                        compute_ns: r.compute_ns,
-                        barrier_ns: std::mem::take(&mut barrier_ns),
-                    };
-                    log.round(r.delivered, r.active, r.depth, wall);
-                }
-            }
+        if book {
+            let wall = PhaseWall {
+                deliver_ns: c.ph_deliver.swap(0, Ordering::SeqCst),
+                compute_ns: c.ph_compute.swap(0, Ordering::SeqCst),
+                barrier_ns: c.ph_barrier.swap(0, Ordering::SeqCst),
+            };
+            log.round(
+                c.round_delivered.swap(0, Ordering::SeqCst),
+                c.round_active.swap(0, Ordering::SeqCst),
+                c.round_depth.swap(0, Ordering::SeqCst),
+                wall,
+            );
         }
-        let round = log.rounds();
-        // Only worker 0 ever touches `fuse_dist` here, so the swap-reset
-        // cannot race worker loads.
-        let k = c.fuse_dist.swap(u64::MAX, Ordering::SeqCst);
-        let (code, b) = if c.abort.load(Ordering::SeqCst) {
-            (CTRL_ABORTED, 0)
+        let code = if c.abort.load(Ordering::SeqCst) {
+            CTRL_ABORTED
         } else if c.pending.load(Ordering::SeqCst) == 0
             && c.nonquiescent.load(Ordering::SeqCst) == 0
         {
-            (CTRL_QUIESCENT, 0)
-        } else if round + 1 > self.max_rounds {
-            (CTRL_LIVELOCKED, 0)
-        } else if k >= 1 && k != u64::MAX {
-            let b = k.min(FUSE_BLOCK_MAX).min(self.max_rounds - round);
-            (CTRL_FUSED, b)
+            CTRL_QUIESCENT
+        } else if log.rounds() + 1 > self.max_rounds {
+            CTRL_LIVELOCKED
         } else {
-            (CTRL_CLASSIC, 0)
+            CTRL_ROUND
         };
-        c.ctrl_round.store(round, Ordering::SeqCst);
-        c.ctrl_word.store(code | (b << 8), Ordering::SeqCst);
+        c.ctrl_code.store(code, Ordering::SeqCst);
     }
 
     /// Publishes a shard's batched staging counters and its change in
@@ -945,90 +804,14 @@ impl<P: Program> RunCtx<'_, P> {
             }
         }
         self.publish(&t, st.carry_nodes.len() as i64);
-        self.fuse_scan(s, st);
-    }
-
-    /// A classic round's deliver for claimed shard `s`, from every
-    /// sender shard's bucket.
-    fn classic_deliver(&self, s: usize) {
-        // SAFETY: deliver phase; this worker claimed shard `s`.
-        let st = unsafe { self.states.get_mut(s) };
-        let delivered = self.deliver(s, 0..self.nshards, st);
-        self.c.pending.fetch_sub(delivered as i64, Ordering::SeqCst);
-        self.c
-            .round_delivered
-            .fetch_add(delivered, Ordering::SeqCst);
-    }
-
-    /// A classic round's compute for claimed shard `s` at logical round
-    /// `round`, then its fusion-eligibility report for the next
-    /// decision.
-    fn classic_compute(&self, s: usize, round: u64) {
-        // SAFETY: compute phase; this worker claimed shard `s`.
-        let st = unsafe { self.states.get_mut(s) };
-        let carried = st.carry_nodes.len() as i64;
-        let mut t = Tally::default();
-        let (active, depth) = self.compute(s, round, st, &mut t);
-        self.publish(&t, st.carry_nodes.len() as i64 - carried);
-        self.c.round_active.fetch_add(active, Ordering::SeqCst);
-        if self.record {
-            self.c.round_depth.fetch_max(depth, Ordering::SeqCst);
-        }
-        self.fuse_scan(s, st);
-    }
-
-    /// Claimed shard `s`'s fused block: up to `b` barrier-free rounds
-    /// after logical round `base`, each the same deliver and compute as
-    /// a classic round. All traffic is shard-internal by the clause-9
-    /// predicate (active nodes sit ≥ 1 intra-shard hop from the
-    /// boundary for the whole block), so deliver drains only the
-    /// diagonal bucket. Stops early once the shard is dead — nothing can
-    /// wake it mid-block — and records one [`FusedRound`] per round.
-    fn fused_block(&self, s: usize, base: u64, b: u64) {
-        // SAFETY: fused phase; this worker claimed shard `s`.
-        let st = unsafe { self.states.get_mut(s) };
-        st.fused.clear();
-        let carried = st.carry_nodes.len() as i64;
-        let mut t = Tally::default();
-        for j in 1..=b {
-            if self.c.abort.load(Ordering::SeqCst) {
-                break;
-            }
-            // SAFETY: fused phase; the diagonal bucket `(s, s)` is
-            // written and drained only by the claimed shard `s`.
-            let bucket = unsafe { self.touched.get_mut(s * self.nshards + s) };
-            if st.carry_edges.is_empty() && st.carry_nodes.is_empty() && bucket.is_empty() {
-                break;
-            }
-            let clock = self.timed.then(Instant::now);
-            let delivered = self.deliver(s, s..s + 1, st);
-            t.pending -= delivered as i64;
-            let deliver_ns = clock.map_or(0, |c| c.elapsed().as_nanos() as u64);
-            let clock = self.timed.then(Instant::now);
-            let (active, depth) = self.compute(s, base + j, st, &mut t);
-            st.fused.push(FusedRound {
-                delivered,
-                active,
-                depth,
-                deliver_ns,
-                compute_ns: clock.map_or(0, |c| c.elapsed().as_nanos() as u64),
-            });
-        }
-        // Batched flushes: decisions only read these after the block's
-        // resync barrier.
-        self.publish(&t, st.carry_nodes.len() as i64 - carried);
-        self.c
-            .block_rounds
-            .fetch_max(st.fused.len() as u64, Ordering::SeqCst);
-        self.fuse_scan(s, st);
     }
 
     /// Stages node `v`'s sends — drained from its `Ctx` buffer — on its
-    /// outgoing queues: the one staging path of init, classic rounds and
-    /// fused blocks. A message either merges into a co-queued one per
-    /// the sender's combiner (clause 7, through the shared slab; that
-    /// queue was non-empty, so it is already charged and backlogged) or
-    /// is appended, charging an idle queue into bucket
+    /// outgoing queues: the one staging path of init and compute. A
+    /// message either merges into a co-queued one per the sender's
+    /// combiner (clause 7, through the shared slab; that queue was
+    /// non-empty, so it is already charged and backlogged) or is
+    /// appended, charging an idle queue into bucket
     /// `(s, receiver shard)` and, in record mode, `s`'s backlog list.
     fn stage(
         &self,
@@ -1039,17 +822,17 @@ impl<P: Program> RunCtx<'_, P> {
         backlog: &mut Vec<DirectedId>,
         t: &mut Tally,
     ) {
+        debug_assert_eq!(self.shard_of(v), s, "sender {v} outside its shard");
         for (to, msg) in staged.drain(..) {
             t.sent += 1;
             let d = self.topo.csr.out_id(v, to);
             let key = p.combine_key(&msg);
             let ci = s * self.nshards + self.shard_of(to);
-            // SAFETY: init, compute or fused phase of the claimed shard
-            // `s`. Node `v` belongs to `s` and is the unique sender on
-            // `d`, so `v`'s counter, queue `d` with its flags, and the
-            // row-`s` cell and bucket are this shard's alone: receivers
-            // drain column `s` only in deliver phases, and inside a
-            // fused block `s` stages only on its own diagonal.
+            // SAFETY: init or compute phase of the claimed shard `s`.
+            // Node `v` belongs to `s` and is the unique sender on `d`,
+            // so `v`'s counter, queue `d` with its flags, and the row-`s`
+            // cell and bucket are this shard's alone: receiver shards
+            // drain their columns only in deliver phases.
             unsafe {
                 if self.track_nodes {
                     *self.ns_sent.get_mut(v) += 1;
@@ -1081,32 +864,28 @@ impl<P: Program> RunCtx<'_, P> {
         }
     }
 
-    /// Shard `s`'s deliver: appends the touched buckets of the sender
-    /// shards `senders` in column `s` to the still-charged carryover —
-    /// every sender shard for a classic round; `s` alone inside a fused
-    /// block, whose traffic is shard-internal and where the other
-    /// shards' fusion scans read their own bucket rows — then pops up
-    /// to `cap` messages per charged queue into the shard's inbox arena
-    /// in `(receiver, directed id)` order, the simulator's per-node
-    /// inbox order. Returns the messages delivered.
-    fn deliver(&self, s: usize, senders: Range<usize>, st: &mut ShardState) -> u64 {
+    /// Claimed shard `s`'s deliver: appends every sender shard's bucket
+    /// in column `s` to the still-charged carryover, then pops up to
+    /// `cap` messages per charged queue into the shard's inbox arena in
+    /// `(receiver, directed id)` order, the simulator's per-node inbox
+    /// order, and publishes the deliveries.
+    fn deliver(&self, s: usize) {
+        // SAFETY: deliver phase; this worker claimed shard `s`.
         let ShardState {
             carry_edges,
             next_edges,
             arena,
             inbox_ranges,
             ..
-        } = st;
+        } = unsafe { self.states.get_mut(s) };
         let receivers = &self.topo.receivers;
         arena.clear();
         inbox_ranges.clear();
         let mut fresh = false;
-        for w in senders {
-            // SAFETY: deliver phase or fused block of the claimed shard
-            // `s`: only the receiver shard drains column `s`, and no
-            // sender stages into it concurrently (senders stage in
-            // compute phases; inside a block only `s` stages on its
-            // diagonal, which this same loop drains).
+        for w in 0..self.nshards {
+            // SAFETY: deliver phase of the claimed shard `s`: only the
+            // receiver shard drains column `s`, and senders stage into
+            // it only in init and compute phases.
             let bucket = unsafe { self.touched.get_mut(w * self.nshards + s) };
             fresh |= !bucket.is_empty();
             carry_edges.append(bucket);
@@ -1118,17 +897,17 @@ impl<P: Program> RunCtx<'_, P> {
         next_edges.clear();
         for &d in carry_edges.iter() {
             let v = receivers[d];
+            debug_assert_eq!(self.shard_of(v), s, "receiver {v} outside its shard");
             match inbox_ranges.last_mut() {
                 Some(&mut (node, _)) if node == v => {}
                 _ => inbox_ranges.push((v, (arena.len(), arena.len()))),
             }
             let from = self.topo.senders[d];
             let ci = self.shard_of(from) * self.nshards + s;
-            // SAFETY: deliver phase or fused block of the claimed shard
-            // `s`: `d` is charged toward receiver `v` of `s`, its unique
-            // receiver shard, so queue `d` with its flag and counter,
-            // `v`'s counter and the column-`s` cell are this shard's
-            // alone.
+            // SAFETY: deliver phase of the claimed shard `s`: `d` is
+            // charged toward receiver `v` of `s`, its unique receiver
+            // shard, so queue `d` with its flag and counter, `v`'s
+            // counter and the column-`s` cell are this shard's alone.
             unsafe {
                 let (cell, q) = (self.slabs.get_mut(ci), self.heads.get_mut(d));
                 let mut popped = 0u64;
@@ -1157,17 +936,21 @@ impl<P: Program> RunCtx<'_, P> {
             inbox_ranges.last_mut().expect("pushed above").1 .1 = arena.len();
         }
         std::mem::swap(carry_edges, next_edges);
-        delivered
+        self.c.pending.fetch_sub(delivered as i64, Ordering::SeqCst);
+        self.c
+            .round_delivered
+            .fetch_add(delivered, Ordering::SeqCst);
     }
 
-    /// Shard `s`'s compute at logical round `round`: runs its active
-    /// programs (deliveries ∪ non-quiescent carryover — clause 5 via
-    /// the shared merge), stages their sends, and rotates the
-    /// carryover. Returns the programs invoked and, in record mode, the
-    /// largest queue among the shard's backlogged out-queues — queues
-    /// outside the backlog are empty, so this matches a full `2m`-queue
-    /// sweep at frontier-proportional cost.
-    fn compute(&self, s: usize, round: u64, st: &mut ShardState, t: &mut Tally) -> (u64, u64) {
+    /// Claimed shard `s`'s compute at logical round `round`: runs its
+    /// active programs (deliveries ∪ non-quiescent carryover — clause 5
+    /// via the shared merge), stages their sends, rotates the
+    /// carryover, and publishes the invocations and, in record mode,
+    /// the largest queue among the shard's backlogged out-queues —
+    /// queues outside the backlog are empty, so this matches a full
+    /// `2m`-queue sweep at frontier-proportional cost.
+    fn compute(&self, s: usize, round: u64) {
+        // SAFETY: compute phase; this worker claimed shard `s`.
         let ShardState {
             carry_nodes,
             next_nodes,
@@ -1176,13 +959,16 @@ impl<P: Program> RunCtx<'_, P> {
             out_backlog,
             staged,
             ..
-        } = st;
+        } = unsafe { self.states.get_mut(s) };
+        let carried = carry_nodes.len() as i64;
+        let mut t = Tally::default();
         let mut active = 0u64;
         next_nodes.clear();
         congest::for_each_active(inbox_ranges, carry_nodes, (0, 0), |v, (lo, hi)| {
+            debug_assert_eq!(self.shard_of(v), s, "active {v} outside its shard");
             active += 1;
-            // SAFETY: compute phase or fused block of the claimed shard
-            // `s`, which owns node `v`.
+            // SAFETY: compute phase of the claimed shard `s`, which owns
+            // node `v`.
             let p = unsafe {
                 if self.track_nodes {
                     *self.ns_invocations.get_mut(v) += 1;
@@ -1197,19 +983,26 @@ impl<P: Program> RunCtx<'_, P> {
                 &mut *staged,
             );
             p.round(&mut ctx, &arena[lo..hi]);
-            self.stage(s, v, p, &mut *staged, &mut *out_backlog, t);
+            self.stage(s, v, p, &mut *staged, &mut *out_backlog, &mut t);
             if !p.is_quiescent() {
                 next_nodes.push(v);
             }
         });
         std::mem::swap(carry_nodes, next_nodes);
-        let mut depth = 0;
+        self.publish(&t, carry_nodes.len() as i64 - carried);
+        self.c.round_active.fetch_add(active, Ordering::SeqCst);
         if self.record {
+            let mut depth = 0;
             out_backlog.retain(|&d| {
-                // SAFETY: compute phase or fused block of the claimed
-                // shard `s`, the unique sender on its backlogged queue
-                // `d`; `d`'s receiver pops it only in a later deliver
-                // phase, or is `s` itself inside a block.
+                let sender = self.topo.senders[d];
+                debug_assert_eq!(
+                    self.shard_of(sender),
+                    s,
+                    "sender {sender} outside its shard"
+                );
+                // SAFETY: compute phase of the claimed shard `s`, the
+                // unique sender on its backlogged queue `d`; `d`'s
+                // receiver pops it only in a later deliver phase.
                 let len = unsafe { self.heads.get_mut(d) }.len() as u64;
                 if len == 0 {
                     // SAFETY: as above; only the sender shard keeps
@@ -1221,41 +1014,12 @@ impl<P: Program> RunCtx<'_, P> {
                     true
                 }
             });
-        }
-        (active, depth)
-    }
-
-    /// Shard `s`'s fusion-eligibility report after its sends: the min
-    /// dist-to-boundary over everything that can be active next round
-    /// from this shard — leftover charged receivers, freshly charged
-    /// receivers (bucket row `s`), and the non-quiescent carryover —
-    /// batched into one `fetch_min`.
-    fn fuse_scan(&self, s: usize, st: &ShardState) {
-        let dist = &self.plan.loc.dist_to_boundary;
-        let receivers = &self.topo.receivers;
-        let mut k = u64::MAX;
-        for &d in &st.carry_edges {
-            k = k.min(dist[receivers[d]] as u64);
-        }
-        for r in 0..self.nshards {
-            // SAFETY: init, compute or fused phase of the claimed shard
-            // `s`: bucket row `s` is written only by `s`, and receivers
-            // drain it only in a later deliver phase (inside a block,
-            // every shard drains only its own diagonal).
-            for &d in unsafe { self.touched.get_mut(s * self.nshards + r) }.iter() {
-                k = k.min(dist[receivers[d]] as u64);
-            }
-        }
-        for &v in &st.carry_nodes {
-            k = k.min(dist[v] as u64);
-        }
-        if k != u64::MAX {
-            self.c.fuse_dist.fetch_min(k, Ordering::SeqCst);
+            self.c.round_depth.fetch_max(depth, Ordering::SeqCst);
         }
     }
 
     fn shard_of(&self, v: NodeId) -> usize {
-        self.plan.loc.shard_of[v] as usize
+        self.plan.shard_of[v] as usize
     }
 }
 
@@ -1265,11 +1029,10 @@ impl<'g> Executor for Engine<'g> {
     fn sub<'h>(&self, graph: &'h Graph) -> Engine<'h> {
         // Sub-executors share the session plan cache (a derived graph
         // seen before skips CSR/shard-plan rebuilds), the parent's
-        // parked workers, its stress plan and its fused-round count — a
-        // composite algorithm spawns threads exactly once.
+        // parked workers and its stress plan — a composite algorithm
+        // spawns threads exactly once.
         let core = self.core.sub(graph.n());
         let mut sub = Engine::with_shared_plans(graph, self.threads, self.plans.clone(), core);
-        sub.fused_rounds = self.fused_rounds.clone();
         sub.pool = self.pool.clone();
         sub.stress_seed = self.stress_seed;
         sub
@@ -1430,23 +1193,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "livelocked")]
     fn livelock_guard_fires() {
+        // One shard on the calling thread, and two workers on the pool:
+        // both must stop at max_rounds.
         let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let mut eng = Engine::with_threads(&g, 2);
-        Executor::set_max_rounds(&mut eng, 100);
-        eng.run(|_, _| Chatter);
-    }
-
-    #[test]
-    #[should_panic(expected = "livelocked")]
-    fn livelock_guard_fires_inside_fused_blocks() {
-        // Single-threaded (one boundless shard): the whole run executes
-        // as fused blocks, and the guard must still stop at max_rounds.
-        let g = lightgraph::Graph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let mut eng = Engine::with_threads(&g, 1);
-        Executor::set_max_rounds(&mut eng, 1000);
-        eng.run(|_, _| Chatter);
+        for threads in [1, 2] {
+            let mut eng = Engine::with_threads(&g, threads);
+            Executor::set_max_rounds(&mut eng, 100);
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| eng.run(|_, _| Chatter)))
+                .expect_err("the round guard fires");
+            let text = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(text.contains("livelocked"), "threads={threads}: {text:?}");
+        }
     }
 
     #[test]
@@ -1617,10 +1375,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_blocks_keep_report_series_exact() {
-        // Single-thread runs fuse whole bursts into barrier-free
-        // blocks; every per-round histogram column must still match
-        // the barriered multi-thread schedule bit for bit.
+    fn report_series_identical_across_threads() {
+        // One shard at threads=1, stolen overshards beyond: every
+        // per-round histogram column must match bit for bit, whichever
+        // worker ran which shard in which round.
         let g = generators::path(24, 1);
         let mut sim = Simulator::new(&g);
         let (os, ss) = sim.run(|_, _| Flood { have: false });
@@ -1658,44 +1416,6 @@ mod tests {
                 reference = Some(report.clone());
             }
         }
-    }
-
-    #[test]
-    fn a_single_shard_run_fuses_every_round() {
-        // Env stress re-cuts even a one-worker run into several shards.
-        if stress_env_base().is_some() {
-            return;
-        }
-        // One worker owns one boundless shard: the whole run is fused
-        // blocks, and sub-executors add to the same count.
-        let g = generators::path(24, 1);
-        let mut eng = Engine::with_threads(&g, 1);
-        let (_, stats) = eng.run(|_, _| Flood { have: false });
-        assert!(stats.rounds > 0);
-        assert_eq!(eng.fused_rounds(), stats.rounds);
-        let mut sub = eng.sub(&g);
-        sub.run(|_, _| Flood { have: false });
-        assert_eq!(sub.fused_rounds(), 2 * stats.rounds);
-        assert_eq!(
-            eng.fused_rounds(),
-            2 * stats.rounds,
-            "sub-runs count toward the root"
-        );
-    }
-
-    #[test]
-    fn a_run_with_every_node_on_a_shard_boundary_never_fuses() {
-        // Env stress replaces the one-node shards below with random cuts.
-        if stress_env_base().is_some() {
-            return;
-        }
-        // Four workers overshard the 8-cycle into eight one-node
-        // shards, so every node is a boundary node (distance 0).
-        let g = generators::cycle(8, 1);
-        let mut eng = Engine::with_threads(&g, 4);
-        let (_, stats) = eng.run(|_, _| Flood { have: false });
-        assert!(stats.rounds > 0);
-        assert_eq!(eng.fused_rounds(), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Everything the engine derives from the input **topology alone** —
 //! the CSR index, the per-directed-edge sender/receiver maps, and the
-//! per-configuration shard plans (bounds, claim orders, boundary
-//! distances) — lives here, behind `Arc`s shared by a root engine and
+//! per-configuration shard plans (bounds, claim orders, node owners) —
+//! lives here, behind `Arc`s shared by a root engine and
 //! every sub-executor it spawns. Reuse is semantics-invisible by the
 //! determinism contract (`congest::exec`, "plan reuse" note): a cached
 //! plan is byte-for-byte the plan a cold build would produce.
@@ -13,7 +13,7 @@
 //! a stressed run participates in the cache through its seed (same
 //! seed, same plan) rather than bypassing it.
 
-use crate::csr::{Csr, ShardLocality};
+use crate::csr::Csr;
 use lightgraph::{Graph, NodeId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -25,12 +25,27 @@ use std::sync::{Arc, Mutex};
 const PLAN_CAP: usize = 64;
 
 /// One shard configuration: bounds, per-worker claim orders, and the
-/// shard-locality metadata (owner shard + hops-to-boundary, the
-/// fusion-eligibility metric of contract clause 9).
+/// shard owning each node.
 pub(crate) struct PlanData {
     pub shards: Vec<(usize, usize)>,
     pub orders: Vec<Vec<usize>>,
-    pub loc: ShardLocality,
+    pub shard_of: Vec<u32>,
+}
+
+impl PlanData {
+    /// A plan over `n` nodes cut into the contiguous `shards`, which
+    /// cover `0..n`.
+    pub fn new(n: usize, shards: Vec<(usize, usize)>, orders: Vec<Vec<usize>>) -> Self {
+        let mut shard_of = vec![0u32; n];
+        for (s, &(lo, hi)) in shards.iter().enumerate() {
+            shard_of[lo..hi].fill(s as u32);
+        }
+        PlanData {
+            shards,
+            orders,
+            shard_of,
+        }
+    }
 }
 
 /// Topology-derived engine structure, cached in the shared

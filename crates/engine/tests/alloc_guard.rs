@@ -246,7 +246,7 @@ fn run_relax<E: Executor>(exec: &mut E) {
 /// pooled relax tables, a *warmed* session pays only the inherent
 /// bookkeeping of the `run` API per sub-run (the program and output
 /// vectors plus worker hand-off) — never per-sub-run *setup*: shard
-/// plans, locality BFS, slab geometry, or slot-table refills. The
+/// plans, slab geometry, or slot-table refills. The
 /// delta method again: measure `REPS` warmed reps, then `2 × REPS`,
 /// and cap the marginal cost of the extra reps. Rebuilding any
 /// topology-derived structure per sub-run costs several allocations

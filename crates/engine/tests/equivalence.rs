@@ -8,18 +8,17 @@
 //! *exactly* the same per-node outputs and the same `RunStats` (rounds,
 //! messages, and combine counters) on `congest::Simulator` and on
 //! `engine::Engine`, across thread counts. This is the determinism
-//! contract of `congest::exec` (see the module docs there for the seven
+//! contract of `congest::exec` (see the module docs there for the eight
 //! clauses an engine must honor) — the property that lets the engine
 //! stand in for the simulator when reproducing the paper's round
 //! counts. Clause 7 (per-edge message combining) additionally gets a
 //! combined-vs-uncombined equivalence wall: a combine-correct program
 //! must reach the same outputs with and without its combiner, and the
 //! dense-validation mode must catch a combiner that breaks the algebra.
-//! Clause 9 (round fusion) gets adversarial fusion-heavy chain
-//! workloads — long shard-local paths where the parallel engine runs
-//! most rounds inside barrier-free fused blocks — asserting outputs,
-//! `RunStats`, frontier totals, and flattened span trees bit-identical
-//! across thread counts and vs the (never-fusing) Simulator.
+//! Long chain workloads — thin frontiers crawling through every shard
+//! and across its cuts, one hop per round — assert outputs, `RunStats`,
+//! frontier totals, and flattened span trees bit-identical across
+//! thread counts and vs the Simulator.
 //!
 //! Test-helper conventions (determinism-contract expectations):
 //! * every helper runs the algorithm *fresh* on each executor — a
@@ -686,16 +685,16 @@ proptest! {
         }
     }
 
-    /// Clause 9 (round fusion) under an adversarial fusion-heavy load:
-    /// long shard-local chains where the `HoldAndRelay` token wanders
-    /// deep inside shards, so the parallel engine runs most rounds
-    /// inside fused blocks (the distance-to-boundary predicate keeps
-    /// firing as the wave crawls along the chain). Outputs — including
-    /// per-node invocation counts, which pin the exact schedule —
-    /// `RunStats`, and frontier totals must stay bit-identical across
-    /// `threads ∈ {1, 2, 4, 8}` and vs the Simulator, fused or not.
+    /// Clauses 3–5 on long chains (paths, combs, caterpillars): the
+    /// `HoldAndRelay` token crawls one hop per round deep inside shards
+    /// and across their cuts, so a thin frontier sits in one shard while
+    /// the others idle — the most skewed load the work-stealing schedule
+    /// sees. Outputs — including per-node invocation counts, which pin
+    /// the exact schedule — `RunStats`, and frontier totals must stay
+    /// bit-identical across `threads ∈ {1, 2, 4, 8}` and vs the
+    /// Simulator.
     #[test]
-    fn prop_fusion_heavy_chains_identical(
+    fn prop_chain_relays_identical(
         n in 48usize..144, seed in 0u64..500, kind in 0u64..3
     ) {
         let g = match kind {
@@ -1018,17 +1017,17 @@ fn euler_tour_structured_graphs_match_sequential_reference() {
     }
 }
 
-/// Clause-9 accounting under a real composite algorithm: SLT on a long
-/// path is the fusion-heavy regime (every phase is a wave crawling a
-/// chain, so the engine spends most rounds inside fused blocks), and
-/// the *flattened span tree* is the strictest observable — per-phase
-/// `RunStats`, invocation counts, and scheduler rounds, all derived
-/// from the per-round accounting that fused blocks must reconstruct
-/// as if every global barrier had happened. All deterministic span
-/// columns must be bit-identical across `threads ∈ {1, 2, 4, 8}` and
-/// vs the Simulator; only `wall_ns` may differ.
+/// Per-round accounting under a real composite algorithm: SLT on a
+/// long path runs every phase as a wave crawling a chain — thousands of
+/// thin-frontier rounds, each booked from the counters its shards
+/// published — and the *flattened span tree* is the strictest
+/// observable: per-phase `RunStats`, invocation counts, and scheduler
+/// rounds, all derived from that per-round accounting. All
+/// deterministic span columns must be bit-identical across
+/// `threads ∈ {1, 2, 4, 8}` and vs the Simulator; only `wall_ns` may
+/// differ.
 #[test]
-fn fusion_heavy_slt_span_tree_identical_across_threads() {
+fn chain_slt_span_tree_identical_across_threads() {
     use congest::obs;
     let g = generators::path(160, 3);
     let params = engine::scenario::AlgoParams::default();

@@ -2,7 +2,7 @@
 //!
 //! The determinism contract's *plan reuse note* (`congest::exec`)
 //! permits caching anything derivable from the input topology alone —
-//! shard bounds, claim orders, shard locality — because observable
+//! shard bounds, claim orders, node owners — because observable
 //! behavior is a pure function of `(graph, programs, cap)` plus the
 //! stress seed. These tests pin the two ways that promise could break:
 //!
@@ -19,7 +19,8 @@
 //!    must *key* the plan cache — a distinct seed is a distinct plan,
 //!    a revisited seed is a cache hit — never bypass it or, worse,
 //!    serve a differently-cut plan. Outputs must not move at all:
-//!    clause 9 makes shard geometry semantically invisible.
+//!    clauses 3–5 are schedule-independent, which makes shard geometry
+//!    semantically invisible.
 
 use congest::tree::build_bfs_tree;
 use congest::{obs, Executor, RunStats, Simulator};
