@@ -95,20 +95,6 @@ fn main() {
             )
         );
     }
-    if want("throughput") {
-        let sizes: &[usize] = if quick {
-            &[1000, 4000]
-        } else {
-            &[1000, 4000, 16000]
-        };
-        println!(
-            "{}",
-            render(
-                "Throughput — sequential simulator vs parallel engine (BFS + MST)",
-                &run_throughput(sizes, seed)
-            )
-        );
-    }
     if want("e6") {
         println!(
             "{}",

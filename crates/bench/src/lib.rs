@@ -3,12 +3,11 @@
 //!
 //! Each `run_e*` function regenerates one experiment — the workload, the
 //! parameter sweep, the baselines, and the table rows — and returns the
-//! rows so both the `experiments` binary and the Criterion benches can
-//! drive them. `EXPERIMENTS.md` records paper-vs-measured.
+//! rows for the `experiments` binary to render. `EXPERIMENTS.md`
+//! records paper-vs-measured.
 
 use congest::tree::build_bfs_tree;
-use congest::{Executor, Simulator};
-use engine::Engine;
+use congest::Simulator;
 use lightgraph::{generators, metrics, mst, Graph, NodeId};
 use lightnet::{
     doubling_spanner, estimate_mst_weight, kry_slt, light_slt, light_spanner, net, net_quality,
@@ -58,100 +57,6 @@ fn sim_with_tau(g: &Graph, rt: NodeId) -> (Simulator<'_>, congest::tree::BfsTree
     let mut sim = Simulator::new(g);
     let (tau, _) = build_bfs_tree(&mut sim, rt);
     (sim, tau)
-}
-
-// ---------------------------------------------------------------------
-// Backend dispatch: run any experiment on either execution engine.
-// ---------------------------------------------------------------------
-
-/// Which execution engine drives a run. Rounds and messages are
-/// engine-independent (the parallel engine is bit-identical to the
-/// simulator); only wall-clock differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The sequential reference simulator (`congest::Simulator`).
-    Sim,
-    /// The parallel deterministic engine (`engine::Engine`).
-    Engine,
-}
-
-impl Backend {
-    /// Both backends, for sweeps.
-    pub const ALL: [Backend; 2] = [Backend::Sim, Backend::Engine];
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Engine => "engine",
-        }
-    }
-}
-
-/// A computation generic over the executor, dispatched by [`run_on`].
-///
-/// (A trait rather than a closure because `Executor::run` is generic,
-/// so executors cannot be trait objects.)
-pub trait BackendJob {
-    /// Result type.
-    type Out;
-    /// Runs the job on a concrete executor.
-    fn run<E: Executor>(self, exec: &mut E) -> Self::Out;
-}
-
-/// Runs `job` over `g` on the chosen backend.
-pub fn run_on<J: BackendJob>(g: &Graph, backend: Backend, job: J) -> J::Out {
-    match backend {
-        Backend::Sim => job.run(&mut Simulator::new(g)),
-        Backend::Engine => job.run(&mut Engine::new(g)),
-    }
-}
-
-/// Throughput comparison of the two backends: wall-clock for a BFS
-/// tree plus a distributed MST on sparse Erdős–Rényi graphs, with the
-/// (identical) round counts as a cross-check. Drives the
-/// `experiments -- throughput` mode; the Criterion bench
-/// `engine_vs_sim` covers the same axis with proper sampling.
-pub fn run_throughput(sizes: &[usize], seed: u64) -> Vec<Row> {
-    struct BfsMst {
-        seed: u64,
-    }
-    impl BackendJob for BfsMst {
-        type Out = congest::RunStats;
-        fn run<E: Executor>(self, exec: &mut E) -> congest::RunStats {
-            let (tau, _) = build_bfs_tree(exec, 0);
-            let _ = dist_mst::boruvka::distributed_mst(exec, &tau, 0, self.seed);
-            exec.total()
-        }
-    }
-
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let g = generators::gnp_sparse(n, (8.0 / n as f64).min(1.0), 100, seed);
-        let mut cols: Vec<(&'static str, f64)> = Vec::new();
-        let mut stats = Vec::new();
-        for backend in Backend::ALL {
-            let start = std::time::Instant::now();
-            let s = run_on(&g, backend, BfsMst { seed });
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            cols.push((
-                match backend {
-                    Backend::Sim => "sim-ms",
-                    Backend::Engine => "engine-ms",
-                },
-                ms,
-            ));
-            stats.push(s);
-        }
-        assert_eq!(stats[0], stats[1], "backends diverged on n={n}");
-        cols.push(("rounds", stats[0].rounds as f64));
-        cols.push(("messages", stats[0].messages as f64));
-        rows.push(Row {
-            label: format!("erdos-renyi n={n}"),
-            cols,
-        });
-    }
-    rows
 }
 
 /// E1 (Table 1 row 1, Theorem 2): light spanners for general graphs,

@@ -109,20 +109,19 @@
 //! pure function of `(graph, programs, cap)` — plus, for a stressed
 //! engine, the stress seed that picked the shard plan. Nothing
 //! observable depends on *when or how often* an engine derived its
-//! internal structure from those inputs. Engines may therefore cache
-//! and share anything computed from the input topology alone — CSR
-//! indices, routing maps, shard bounds and node owners, pooled
-//! queue arenas and dense-table storage — across runs, sub-runs, and
-//! sub-executors, with no invalidation protocol beyond keying by the
-//! inputs themselves (topology fingerprint; `(threads, stress seed)`
-//! for shard plans, so stress cuts key the cache rather than bypass
-//! it). Reused storage must be *logically* reset: epoch-stamped lazy
-//! resets are fine, reading a previous run's bytes is not. The session
-//! layer lives in [`crate::plan`] (shared cache) and
-//! `crates/engine/src/plan.rs` (engine structures). *Conformance:*
+//! internal structure from those inputs. Each executor therefore builds
+//! what it derives from the topology alone — routing maps, the CSR
+//! index, and the engine's unstressed shard bounds and node owners —
+//! once, in its constructor, and reuses it for every run; a
+//! sub-executor builds its own for its own graph, and a stressed run
+//! cuts a plan from its seed and drops it after the run. Run-scoped
+//! storage (queue arenas, scratch lists) is reused across runs as
+//! well, and must start each run logically empty: quiescence drains
+//! every queue, and nothing reads a previous run's bytes. The engine's
+//! side is `crates/engine/src/plan.rs`. *Conformance:*
 //! `crates/engine/tests/plan_cache.rs` (warm vs cold bit-identity
 //! across threads and stress seeds) and the composite-workload case of
-//! `crates/engine/tests/alloc_guard.rs` (zero per-sub-run setup
+//! `crates/engine/tests/alloc_guard.rs` (no per-sub-run setup
 //! allocations once warmed).
 //!
 //! Any engine honoring 1–8 produces bit-identical per-node outputs and

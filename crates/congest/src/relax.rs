@@ -21,9 +21,9 @@
 //!   the single merge every keyed-relaxation program declares,
 //! * a **dense table** ([`KeyedRelaxation`]): keys are small integers
 //!   (source *indices*, not node ids), so per-node state is a flat
-//!   `Vec` of [`Slot`]s — allocated lazily on first touch, so nodes a
-//!   bounded exploration never reaches pay nothing — instead of a hash
-//!   map per node,
+//!   `Vec` of [`Slot`]s — allocated on the first seed or improvement,
+//!   so nodes a bounded exploration never reaches pay nothing — instead
+//!   of a hash map per node,
 //! * **activation/quiescence handling**: the ready-made
 //!   [`RelaxProgram`] is message-driven (activation-correct by
 //!   construction) and batches announcements per round — each key is
@@ -40,102 +40,9 @@
 use crate::message::{pack2, unpack2, Message, Word};
 use crate::program::{Ctx, Program};
 use lightgraph::{NodeId, Weight, INF};
-use std::sync::{Mutex, OnceLock};
 
 /// Sentinel for "no predecessor" in a [`Slot`].
 const NO_PARENT: u64 = u64::MAX;
-
-/// Upper bound on pooled tables/weight lists retained for reuse. Set
-/// high enough that one full run's tables (one per reached node) come
-/// back in the next sub-run — session-scoped retention, the same
-/// policy as the executor run arenas — while still bounding a
-/// pathological churn workload.
-const POOL_CAP: usize = 1 << 16;
-
-/// A recycled dense table: the slot storage, its validity stamps, and
-/// the last epoch the pair was used under. Stamps only ever hold
-/// epochs `<=` the recorded one, so `epoch + 1` is fresh — no refill
-/// needed on checkout (the epoch-reset trick; see DESIGN.md, "Run
-/// lifecycle & plan cache").
-struct PooledTable {
-    slots: Vec<Slot>,
-    stamps: Vec<u32>,
-    epoch: u32,
-}
-
-fn slot_pool() -> &'static Mutex<Vec<PooledTable>> {
-    static POOL: OnceLock<Mutex<Vec<PooledTable>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Checks a `(slots, stamps)` pair out of the pool, or allocates fresh
-/// on an empty/contended pool. Every pre-existing stamp is `< epoch`,
-/// so the whole table is logically `EMPTY_SLOT` without a memset —
-/// slots revalidate lazily, one at a time, as they are written.
-/// `try_lock` keeps the pool off the lock-contention path: engine
-/// workers touch tables concurrently, and a miss just allocates.
-fn table_checkout(keys: usize) -> (Vec<Slot>, Vec<u32>, u32) {
-    let pooled = slot_pool().try_lock().ok().and_then(|mut p| p.pop());
-    match pooled {
-        Some(mut p) => {
-            let epoch = p.epoch.wrapping_add(1);
-            if epoch == 0 {
-                // The 32-bit epoch wrapped: stale stamps could now
-                // collide with future epochs, so invalidate them all.
-                p.stamps.clear();
-            }
-            p.slots.truncate(keys);
-            p.slots.resize(keys, EMPTY_SLOT);
-            p.stamps.truncate(keys);
-            p.stamps.resize(keys, epoch.wrapping_sub(1));
-            (p.slots, p.stamps, epoch)
-        }
-        None => (vec![EMPTY_SLOT; keys], vec![0; keys], 1),
-    }
-}
-
-fn table_checkin(slots: Vec<Slot>, stamps: Vec<u32>, epoch: u32) {
-    if slots.capacity() == 0 {
-        return;
-    }
-    if let Ok(mut pool) = slot_pool().try_lock() {
-        if pool.len() < POOL_CAP {
-            pool.push(PooledTable {
-                slots,
-                stamps,
-                epoch,
-            });
-        }
-    }
-}
-
-fn weights_pool() -> &'static Mutex<Vec<Vec<(NodeId, Weight)>>> {
-    static POOL: OnceLock<Mutex<Vec<Vec<(NodeId, Weight)>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn weights_checkout() -> Vec<(NodeId, Weight)> {
-    weights_pool()
-        .try_lock()
-        .ok()
-        .and_then(|mut p| p.pop())
-        .map(|mut v| {
-            v.clear();
-            v
-        })
-        .unwrap_or_default()
-}
-
-fn weights_checkin(w: Vec<(NodeId, Weight)>) {
-    if w.capacity() == 0 {
-        return;
-    }
-    if let Ok(mut pool) = weights_pool().try_lock() {
-        if pool.len() < POOL_CAP {
-            pool.push(w);
-        }
-    }
-}
 
 /// A decoded keyed-relaxation message (see the canonical codec in the
 /// module docs): `key` identifies the table slot, `dist` is the
@@ -257,15 +164,11 @@ pub struct KeyedRelaxation {
     keys: usize,
     bound: Weight,
     hop_bound: u64,
-    /// Dense table, lazily *checked out of the session pool* on first
-    /// touch (`seed`/`absorb`): a node never reached by the exploration
-    /// allocates nothing, and warmed sub-runs allocate nothing either.
-    /// A slot is logically [`EMPTY_SLOT`] unless `stamps[key] == epoch`
-    /// — pooled storage carries stale bytes from its previous life that
-    /// must never be read.
+    /// Dense table, allocated on the first seed or improvement: a node
+    /// the exploration never reaches allocates nothing. The table is
+    /// allocated exactly when some slot is reached, which is what lets
+    /// [`RelaxTable`] derive its equality.
     slots: Vec<Slot>,
-    stamps: Vec<u32>,
-    epoch: u32,
     /// Keys improved since the last flush, in first-improvement order
     /// (deterministic: inbox order is contract-pinned).
     improved: Vec<u32>,
@@ -288,44 +191,21 @@ impl KeyedRelaxation {
             bound,
             hop_bound,
             slots: Vec::new(),
-            stamps: Vec::new(),
-            epoch: 0,
             improved: Vec::new(),
             truncated: false,
         }
     }
 
-    fn touch(&mut self) {
-        if self.slots.is_empty() && self.keys > 0 {
-            let (slots, stamps, epoch) = table_checkout(self.keys);
-            self.slots = slots;
-            self.stamps = stamps;
-            self.epoch = epoch;
-        }
-    }
-
-    /// The logical value of `key`'s slot: pooled storage is only live
-    /// where the stamp matches the current epoch.
-    fn slot_get(&self, key: usize) -> Slot {
-        if self.stamps[key] == self.epoch {
-            self.slots[key]
-        } else {
-            EMPTY_SLOT
-        }
-    }
-
-    /// Validates `key`'s slot (stale storage becomes [`EMPTY_SLOT`])
-    /// and hands out the storage for writing.
+    /// Writes `key`'s slot, allocating the table on first use.
     fn slot_mut(&mut self, key: usize) -> &mut Slot {
-        if self.stamps[key] != self.epoch {
-            self.stamps[key] = self.epoch;
-            self.slots[key] = EMPTY_SLOT;
+        if self.slots.is_empty() {
+            self.slots = vec![EMPTY_SLOT; self.keys];
         }
         &mut self.slots[key]
     }
 
     fn mark(&mut self, key: usize) {
-        let slot = self.slot_mut(key);
+        let slot = &mut self.slots[key];
         if !slot.dirty {
             slot.dirty = true;
             self.improved.push(key as u32);
@@ -336,7 +216,6 @@ impl KeyedRelaxation {
     /// [`Program::init`]; the seed is announced by the next
     /// [`KeyedRelaxation::flush`].
     pub fn seed(&mut self, key: usize) {
-        self.touch();
         *self.slot_mut(key) = Slot {
             dist: 0,
             hops: 0,
@@ -361,8 +240,7 @@ impl KeyedRelaxation {
         if nd > self.bound {
             return false;
         }
-        self.touch();
-        let cur = self.slot_get(key);
+        let cur = self.slots.get(key).copied().unwrap_or(EMPTY_SLOT);
         if nd >= cur.dist {
             return false;
         }
@@ -424,8 +302,6 @@ impl KeyedRelaxation {
         RelaxTable {
             keys: self.keys,
             slots: self.slots,
-            stamps: self.stamps,
-            epoch: self.epoch,
             truncated: self.truncated,
         }
     }
@@ -433,19 +309,10 @@ impl KeyedRelaxation {
 
 /// A finished per-node relaxation table: dense slots over the key
 /// space (empty when nothing reached this node — lazy allocation).
-///
-/// The storage is pooled: slots carry epoch stamps, and dropping the
-/// table returns `(slots, stamps)` to the session pool for the next
-/// sub-run to check out (with a bumped epoch, so stale bytes stay
-/// invisible without a refill). Equality and every accessor operate on
-/// the *logical* view — an unstamped slot reads as unreached — so
-/// pooling never leaks one run's contents into another's comparisons.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelaxTable {
     keys: usize,
     slots: Vec<Slot>,
-    stamps: Vec<u32>,
-    epoch: u32,
     /// Whether some accepted improvement at this node arrived with an
     /// exhausted hop budget. If **no** node of an unbounded-distance
     /// run reports this, the hop bound never blocked a relaxation and
@@ -454,36 +321,7 @@ pub struct RelaxTable {
     pub truncated: bool,
 }
 
-impl Drop for RelaxTable {
-    fn drop(&mut self) {
-        table_checkin(
-            std::mem::take(&mut self.slots),
-            std::mem::take(&mut self.stamps),
-            self.epoch,
-        );
-    }
-}
-
-impl PartialEq for RelaxTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys
-            && self.truncated == other.truncated
-            && (0..self.keys).all(|k| self.logical(k) == other.logical(k))
-    }
-}
-
-impl Eq for RelaxTable {}
-
 impl RelaxTable {
-    /// The logical value of `key`'s slot (stale pooled storage reads as
-    /// [`EMPTY_SLOT`]).
-    fn logical(&self, key: usize) -> Slot {
-        match self.slots.get(key) {
-            Some(&s) if self.stamps[key] == self.epoch => s,
-            _ => EMPTY_SLOT,
-        }
-    }
-
     /// Number of keys in the table's key space.
     pub fn keys(&self) -> usize {
         self.keys
@@ -491,10 +329,7 @@ impl RelaxTable {
 
     /// The slot for `key`, if reached.
     pub fn get(&self, key: usize) -> Option<&Slot> {
-        self.slots
-            .get(key)
-            .filter(|_| self.stamps[key] == self.epoch)
-            .filter(|s| s.reached())
+        self.slots.get(key).filter(|s| s.reached())
     }
 
     /// Distance for `key`, if reached.
@@ -509,18 +344,17 @@ impl RelaxTable {
 
     /// Number of reached keys.
     pub fn reached_len(&self) -> usize {
-        (0..self.slots.len())
-            .filter(|&k| self.logical(k).reached())
-            .count()
+        self.slots.iter().filter(|s| s.reached()).count()
     }
 
     /// Iterates the reached keys in ascending key order as
     /// `(key, dist, parent)`.
     pub fn iter_reached(&self) -> impl Iterator<Item = (usize, Weight, Option<NodeId>)> + '_ {
-        (0..self.slots.len()).filter_map(move |k| {
-            let s = self.logical(k);
-            s.reached().then(|| (k, s.dist, s.parent()))
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.reached())
+            .map(|(k, s)| (k, s.dist, s.parent()))
     }
 
     /// The nearest reached key with its distance (ties broken towards
@@ -576,9 +410,7 @@ impl Program for RelaxProgram {
 
     fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         if self.weights.is_empty() && !inbox.is_empty() {
-            self.weights = weights_checkout();
-            self.weights
-                .extend(ctx.neighbors().iter().map(|&(u, w, _)| (u, w)));
+            self.weights = ctx.neighbors().iter().map(|&(u, w, _)| (u, w)).collect();
             self.weights.sort_unstable();
         }
         for (from, msg) in inbox {
@@ -601,7 +433,6 @@ impl Program for RelaxProgram {
     }
 
     fn finish(self) -> RelaxTable {
-        weights_checkin(self.weights);
         self.core.finish()
     }
 }

@@ -4,12 +4,10 @@
 use crate::exec::{ExecCore, Executor};
 use crate::message::Message;
 use crate::obs::PhaseWall;
-use crate::plan::TopoCache;
 use crate::program::{Ctx, Program, RunStats};
 use crate::slab::{EdgeQueue, Slab};
 use lightgraph::{EdgeId, Graph, NodeId};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One queued message in the simulator: the sender, the (possibly
@@ -87,11 +85,11 @@ fn refold_check<P: Program>(p: &P, entry: &QueuedMsg) {
     );
 }
 
-/// Topology-derived routing for the simulator, cached per root
-/// executor and shared with every sub-executor (see [`crate::plan`]):
-/// the neighbor → edge-id maps and the directed-edge receiver table.
-/// Both are pure functions of the endpoint list, so reuse is
-/// semantics-invisible (contract "plan reuse" note in [`crate::exec`]).
+/// Topology-derived routing for the simulator, built once in the
+/// constructor and reused by every run: the neighbor → edge-id maps and
+/// the directed-edge receiver table. Both are pure functions of the
+/// endpoint list, so reuse is semantics-invisible (contract "plan
+/// reuse" note in [`crate::exec`]).
 struct SimTopo {
     edge_of: Vec<HashMap<NodeId, EdgeId>>,
     /// Receiver of each directed edge `2 * edge_id + dir` (`dir` 0 =
@@ -113,10 +111,10 @@ impl SimTopo {
     }
 }
 
-/// Per-run scratch kept across runs (epoch-free: every list is left or
-/// made empty at run start, so only capacity survives). Part of the
-/// run-session layer: a composite algorithm's hundreds of sub-runs
-/// reuse these instead of reallocating them.
+/// Per-run scratch kept across runs (every list is left or made empty
+/// at run start, so only capacity survives): the hundreds of sub-runs a
+/// composite algorithm issues on one executor reuse these instead of
+/// reallocating them.
 #[derive(Default)]
 struct SimScratch {
     staged: Vec<(NodeId, Message)>,
@@ -154,10 +152,8 @@ pub struct Simulator<'g> {
     graph: &'g Graph,
     core: ExecCore,
     validate_activation: bool,
-    /// Topology-derived routing, shared with sub-executors through
-    /// `plans`.
-    topo: Arc<SimTopo>,
-    plans: Arc<TopoCache<SimTopo>>,
+    /// Topology-derived routing, built in the constructor.
+    topo: SimTopo,
     /// Arena storage recycled across runs ([`crate::slab`]): the entry
     /// pool, the per-directed-edge queue headers, the charged flags,
     /// and the per-node inboxes. All empty between runs — quiescence
@@ -186,20 +182,16 @@ impl<'g> Simulator<'g> {
     /// Creates a simulator for `graph` with bandwidth cap 1 (the
     /// standard CONGEST bound: one message per edge per round).
     pub fn new(graph: &'g Graph) -> Self {
-        Simulator::with_plans(graph, Arc::new(TopoCache::new()), ExecCore::default())
+        Simulator::with_core(graph, ExecCore::default())
     }
 
-    /// Shared-cache constructor used by [`Executor::sub`]: a composite
-    /// algorithm's sub-executors look their routing tables up in the
-    /// root's plan cache instead of rebuilding them per sub-graph.
-    fn with_plans(graph: &'g Graph, plans: Arc<TopoCache<SimTopo>>, core: ExecCore) -> Self {
-        let topo = plans.get_or_build(graph, SimTopo::build);
+    /// A simulator starting from `core` (the [`Executor::sub`] path).
+    fn with_core(graph: &'g Graph, core: ExecCore) -> Self {
         Simulator {
             graph,
             core,
             validate_activation: false,
-            topo,
-            plans,
+            topo: SimTopo::build(graph),
             slab: Slab::new(),
             heads: vec![EdgeQueue::EMPTY; 2 * graph.m()],
             charged: vec![false; 2 * graph.m()],
@@ -265,14 +257,13 @@ impl<'g> Simulator<'g> {
         let n = self.graph.n();
         let cap = self.cap();
         let max_rounds = self.core.max_rounds();
-        let topo = self.topo.clone();
+        let topo = &self.topo;
         let mut programs: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
         // queue index = 2 * edge_id + dir, dir 0 = u->v. Queue storage
         // is the persistent arena (left drained by the previous run's
         // quiescence, with its high-water capacity intact), moved out
         // of `self` for the duration of the run. The per-run scratch
-        // lists are part of the same session arena: cleared, never
-        // reallocated.
+        // lists are reused the same way: cleared, never reallocated.
         let mut slab = std::mem::take(&mut self.slab);
         let mut heads = std::mem::take(&mut self.heads);
         let mut inboxes = std::mem::take(&mut self.inboxes);
@@ -521,11 +512,7 @@ impl<'g> Executor for Simulator<'g> {
     type Sub<'h> = Simulator<'h>;
 
     fn sub<'h>(&self, graph: &'h Graph) -> Simulator<'h> {
-        // Sub-executors share the root's topology-plan cache: spawning
-        // a sub on a previously-seen topology reuses its routing tables
-        // instead of rebuilding the `O(n + m)` hash maps.
-        let core = self.core.sub(graph.n());
-        let mut sub = Simulator::with_plans(graph, self.plans.clone(), core);
+        let mut sub = Simulator::with_core(graph, self.core.sub(graph.n()));
         sub.validate_activation = self.validate_activation;
         sub
     }

@@ -20,7 +20,9 @@
 //! the entry pool, the free list, and the combiner index all reach a
 //! high-water capacity and are **recycled across rounds and runs**
 //! (quiescence guarantees every queue drains, so a finished run leaves
-//! the whole pool on the free list).
+//! the whole pool on the free list). Slabs are run-scoped storage owned
+//! by one executor and never shared: a sub-executor starts with empty
+//! slabs of its own.
 //!
 //! The parallel engine keys one slab per *(sender shard, receiver
 //! shard)* cell, mirroring its `touched` buckets: the compute phase

@@ -20,6 +20,11 @@
 //!                               #   workload on stderr
 //! ```
 //!
+//! Arguments are validated before any graph is built: a `--out`,
+//! `--check` or `--profile` without a value (or followed by another
+//! `--` flag), and a `--check` baseline that cannot be read, print the
+//! usage line or the error and exit 2, writing nothing.
+//!
 //! `--check` is the CI **bench-regression gate**: the deterministic
 //! columns (`rounds`, `messages`, `messages_combined`,
 //! `messages_delivered`, `invocations`, `active_peak`, `metric`, the
@@ -30,10 +35,10 @@
 //! a silent message-volume or invocation regression fails the PR.
 //! Wall-clock columns (`wall_ms`, `setup_ms`, `rounds_per_sec`,
 //! `msgs_per_sec`, `speedup_vs_1`) are machine-dependent and never
-//! compared. `setup_ms` is the cumulative executor setup wall (plan +
-//! arena acquisition, program construction) summed across every run
-//! and sub-run of the workload — the floor the run-session layer
-//! amortizes — so its trajectory is visible next to `wall_ms`. After
+//! compared. `setup_ms` is the cumulative per-run executor setup wall
+//! (a stressed run's plan cut, arena checkout, program construction)
+//! summed across every run and sub-run of the workload, so its
+//! trajectory is visible next to `wall_ms`. After
 //! an *intentional* change, regenerate the baseline by running `bench`
 //! without flags.
 //!
@@ -42,7 +47,7 @@
 //! build, which `wall_ms` excludes), then setup/deliver/compute/barrier
 //! wall (phase-wall sampling only — a few clock reads per round,
 //! observer-neutral by contract clause 8), and the executed-round count.
-//! A regression in generation, topology build or the session layer is
+//! A regression in generation, topology build or per-run setup is
 //! attributable without a `--profile` trace. The line goes to stderr
 //! only; the JSON schema and `--check` are unaffected.
 //!
@@ -119,6 +124,13 @@ const SEED: u64 = 1;
 const USAGE: &str =
     "usage: bench [--out PATH] [--threads N] [--quick] [--check BASELINE] [--profile TRACE.jsonl]";
 
+/// Prints `msg` and the usage line, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 /// Thread counts the scaling sweep pins (the workload is SLT@64k, or
 /// SLT@8k under `--quick`). The `threads = 1` row doubles as the
 /// determinism reference the other rows are diffed against at runtime.
@@ -146,10 +158,10 @@ struct Entry {
     msg_p50: u64,
     msg_p99: u64,
     wall: f64,
-    /// Cumulative executor setup wall (plan + arena acquisition and
+    /// Cumulative per-run executor setup wall (arena checkout and
     /// program construction) across every run and sub-run of the
-    /// workload, in seconds — the per-run-setup floor the session layer
-    /// amortizes. Machine-dependent; scrubbed by `--check` like `wall`.
+    /// workload, in seconds. Machine-dependent; scrubbed by `--check`
+    /// like `wall`.
     setup: f64,
 }
 
@@ -309,36 +321,37 @@ fn main() {
         eprintln!("{USAGE}");
         return;
     }
+    // Every argument is validated, and the baseline read, before any
+    // graph is built.
     let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
+        let i = args.iter().position(|a| a == name)?;
+        match args.get(i + 1) {
+            Some(value) if !value.starts_with("--") => Some(value.clone()),
+            value => usage_error(&format!("{name} takes a value, got {value:?}")),
+        }
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_engine.json".to_owned());
-    // Validated like the scenario runner's `threads` key, before any
-    // graph is built.
+    // Validated like the scenario runner's `threads` key.
     let threads = match args.iter().position(|a| a == "--threads") {
         None => 1,
         Some(i) => {
             let value = args.get(i + 1).map_or("", String::as_str);
             match value.parse::<usize>() {
                 Ok(t) if (1..=MAX_THREADS).contains(&t) => t,
-                _ => {
-                    eprintln!(
-                        "bench: --threads takes an integer in 1..={MAX_THREADS}, got {value:?}"
-                    );
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
+                _ => usage_error(&format!(
+                    "--threads takes an integer in 1..={MAX_THREADS}, got {value:?}"
+                )),
             }
         }
     };
     let quick = args.iter().any(|a| a == "--quick");
-    let check_path = flag_value("--check");
-    let trace = flag_value("--profile").map(|p| {
-        let f = std::fs::File::create(&p)
-            .unwrap_or_else(|e| panic!("cannot create trace file {p}: {e}"));
-        TraceSink::shared(Box::new(f))
+    let baseline = flag_value("--check").map(|path| match std::fs::read_to_string(&path) {
+        Ok(text) => (path, text),
+        Err(e) => usage_error(&format!("cannot read baseline {path}: {e}")),
+    });
+    let trace = flag_value("--profile").map(|p| match std::fs::File::create(&p) {
+        Ok(f) => TraceSink::shared(Box::new(f)),
+        Err(e) => usage_error(&format!("cannot create trace file {p}: {e}")),
     });
 
     let workloads: Vec<(&str, &str, usize)> = if quick {
@@ -499,9 +512,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+    if let Some((path, baseline)) = baseline {
         // Scaling rows share the baseline line of the matching main
         // workload (first match by family/algorithm/n — the "workloads"
         // array precedes "scaling" in the file), so each multi-thread

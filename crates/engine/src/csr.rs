@@ -2,19 +2,17 @@
 //!
 //! The engine addresses every *directed* edge with a dense id
 //! `2 * edge_id + dir` (`dir` 0 = `u → v`, 1 = `v → u`), the same
-//! numbering the sequential simulator uses for its queue array. Two
-//! compressed views are precomputed per graph:
+//! numbering the sequential simulator uses for its queue array. One
+//! compressed view is precomputed per graph: for each node, its
+//! `(neighbor, directed id)` out pairs sorted by neighbor, keeping the
+//! smallest edge id per neighbor. This mirrors `Simulator`'s `edge_of`
+//! map (`entry(..).or_insert(..)` keeps the first edge), so sends on
+//! graphs with parallel edges route identically on both engines.
 //!
-//! * **out** — for each node, `(neighbor, directed id)` pairs sorted by
-//!   neighbor, keeping the smallest edge id per neighbor. This mirrors
-//!   `Simulator`'s `edge_of` map (`entry(..).or_insert(..)` keeps the
-//!   first edge), so sends on graphs with parallel edges route
-//!   identically on both engines.
-//! * **in** — for each node, its incoming directed ids in ascending
-//!   order. Ascending directed id order *is* the sequential delivery
-//!   order (edge id ascending, direction `u→v` before `v→u`), so a
-//!   round's inbox assembled by walking this list is bit-identical to
-//!   the simulator's.
+//! Delivery needs no incoming view: the engine walks only the charged
+//! incoming edges of a round, sorted by `(receiver, directed id)`, and
+//! ascending directed id *is* the sequential delivery order (edge id
+//! ascending, direction `u→v` before `v→u`).
 
 use lightgraph::{Graph, NodeId};
 
@@ -27,12 +25,8 @@ pub struct Csr {
     /// Flattened per-node `(neighbor, directed out id)` pairs, sorted by
     /// neighbor id within each node.
     out_pairs: Vec<(NodeId, DirectedId)>,
-    /// Flattened per-node incoming directed ids, ascending within each
-    /// node.
-    in_ids: Vec<DirectedId>,
-    /// Node offsets into both `out_pairs` and `in_ids` (`n + 1`
-    /// entries): a node has one out and one in directed edge per
-    /// incident edge, so both views share the degree prefix sums.
+    /// Node offsets into `out_pairs` (`n + 1` entries): the degree
+    /// prefix sums, one out directed edge per incident edge.
     offsets: Vec<usize>,
 }
 
@@ -41,23 +35,21 @@ impl Csr {
     /// m)` plus a sort of every list not already ordered by neighbor.
     ///
     /// A node's adjacency list holds its incident edges in ascending
-    /// edge id, so walking it yields its directed ids in ascending
-    /// order — the incoming view as is, and the outgoing view up to the
-    /// per-node sort by neighbor. Direction comes from the endpoints:
-    /// `2 * id` leaves `e.u`, `2 * id + 1` leaves `e.v`.
+    /// edge id, so walking it yields its out pairs in ascending directed
+    /// id, ordered by neighbor up to the per-node sort. Direction comes
+    /// from the endpoints: `2 * id` leaves `e.u`, `2 * id + 1` leaves
+    /// `e.v`.
     pub fn new(graph: &Graph) -> Self {
         let n = graph.n();
         let edges = graph.edges();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut out_pairs = Vec::with_capacity(2 * graph.m());
-        let mut in_ids = Vec::with_capacity(2 * graph.m());
         for v in 0..n {
             let start = out_pairs.len();
             for &(nbr, _, id) in graph.neighbors(v) {
                 let from_u = usize::from(edges[id].u == v);
                 out_pairs.push((nbr, 2 * id + 1 - from_u));
-                in_ids.push(2 * id + from_u);
             }
             // Sort by (neighbor, directed id): with parallel edges the
             // smallest edge id per neighbor comes first, which is the
@@ -69,16 +61,12 @@ impl Csr {
             }
             offsets.push(out_pairs.len());
         }
-        Csr {
-            out_pairs,
-            in_ids,
-            offsets,
-        }
+        Csr { out_pairs, offsets }
     }
 
     /// Total number of directed edges (`2m`).
     pub fn directed_len(&self) -> usize {
-        self.in_ids.len()
+        self.out_pairs.len()
     }
 
     /// `(neighbor, directed id)` pairs for sends from `v`, sorted by
@@ -99,11 +87,6 @@ impl Csr {
             Some(&(nbr, d)) if nbr == to => d,
             _ => panic!("no edge between {from} and {to}"),
         }
-    }
-
-    /// Incoming directed ids of `v`, in delivery order.
-    pub fn incoming(&self, v: NodeId) -> &[DirectedId] {
-        &self.in_ids[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The sender of a directed edge, given the graph.
@@ -142,12 +125,6 @@ mod tests {
             Graph::from_edges(4, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 1), (3, 1, 2)]).unwrap();
         let csr = Csr::new(&g);
         assert_eq!(csr.directed_len(), 10);
-        // node 2's incoming: edge1 dir0 (1->2) = 2, edge2 dir0 (0->2) = 4,
-        // edge3 dir1 (3->2) = 7
-        assert_eq!(csr.incoming(2), &[2, 4, 7]);
-        // node 1's incoming: edge0 dir0 (0->1) = 0, edge1 dir1 (2->1) = 3,
-        // edge4 dir0 (3->1) = 8
-        assert_eq!(csr.incoming(1), &[0, 3, 8]);
         // node 0 sends to 1 via directed 0 (edge0 u-side), to 2 via 4
         assert_eq!(csr.out_id(0, 1), 0);
         assert_eq!(csr.out_id(0, 2), 4);
@@ -169,8 +146,6 @@ mod tests {
             for &(to, d) in csr.out(v) {
                 assert_eq!((Csr::sender(&g, d), Csr::receiver(&g, d)), (v, to));
             }
-            assert!(csr.incoming(v).is_sorted());
-            assert!(csr.incoming(v).iter().all(|&d| Csr::receiver(&g, d) == v));
         }
     }
 
@@ -182,8 +157,6 @@ mod tests {
         let csr = Csr::new(&g);
         assert_eq!(csr.out_id(0, 1), 2 * e0);
         assert_eq!(csr.out_id(1, 0), 2 * e0 + 1);
-        // both parallel edges still deliver
-        assert_eq!(csr.incoming(1), &[0, 2]);
     }
 
     #[test]

@@ -84,7 +84,6 @@ use crate::plan::{EngineTopo, PlanData};
 use crate::pool::WorkerPool;
 use congest::exec::{ExecCore, RoundLog};
 use congest::obs::PhaseWall;
-use congest::plan::TopoCache;
 use congest::slab::{EdgeQueue, Slab};
 use congest::{Ctx, Executor, Message, Program, RunStats};
 use lightgraph::{Graph, NodeId};
@@ -243,6 +242,20 @@ fn plan_shards(graph: &Graph, threads: usize, stress: Option<u64>) -> Vec<(usize
     shard_bounds(graph, (threads * OVERSHARD).min(n.max(1)))
 }
 
+/// Worker threads a run on `graph` uses: the configured count, clamped
+/// to the node count.
+fn run_threads(graph: &Graph, threads: usize) -> usize {
+    threads.clamp(1, graph.n().max(1))
+}
+
+/// The shard plan for `(threads, stress)`: the cuts of [`plan_shards`],
+/// their claim orders and the node owners.
+fn cut_plan(graph: &Graph, threads: usize, stress: Option<u64>) -> PlanData {
+    let shards = plan_shards(graph, threads, stress);
+    let orders = claim_orders(shards.len(), threads, stress);
+    PlanData::new(graph.n(), shards, orders)
+}
+
 /// Per-shard worker claim order: a rotation spreading workers across
 /// the shard space (so first claims rarely collide), or a seeded
 /// shuffle under stress to exercise every steal interleaving.
@@ -354,12 +367,13 @@ impl RunArena {
 pub struct Engine<'g> {
     graph: &'g Graph,
     core: ExecCore,
-    /// Topology-derived structure (CSR, sender/receiver maps, shard
-    /// plans), checked out of the shared session cache — see
-    /// [`crate::plan`]. Shared with every sub-executor.
-    topo: Arc<EngineTopo>,
-    plans: Arc<TopoCache<EngineTopo>>,
-    plan_builds: u64,
+    /// Topology-derived structure (CSR, sender/receiver maps), built
+    /// in the constructor — see [`crate::plan`].
+    topo: EngineTopo,
+    /// The unstressed shard plan for `threads` (clamped to the node
+    /// count), built in the constructor and used by every unstressed
+    /// run.
+    plan: PlanData,
     threads: usize,
     pool: Option<Arc<WorkerPool>>,
     stress_seed: Option<u64>,
@@ -394,28 +408,17 @@ impl<'g> Engine<'g> {
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn with_threads(graph: &'g Graph, threads: usize) -> Self {
-        let plans = Arc::new(TopoCache::new());
-        Engine::with_shared_plans(graph, threads, plans, ExecCore::default())
+        Engine::with_core(graph, threads, ExecCore::default())
     }
 
-    /// Creates an engine sharing an existing plan cache and starting
-    /// from `core` — the sub-executor path: every sub-run of a
-    /// composite algorithm reuses the root engine's topology-derived
-    /// structure.
-    fn with_shared_plans(
-        graph: &'g Graph,
-        threads: usize,
-        plans: Arc<TopoCache<EngineTopo>>,
-        core: ExecCore,
-    ) -> Self {
+    /// An engine starting from `core` (the [`Executor::sub`] path).
+    fn with_core(graph: &'g Graph, threads: usize, core: ExecCore) -> Self {
         assert!(threads >= 1, "engine needs at least one worker thread");
-        let topo = plans.get_or_build(graph, EngineTopo::build);
         Engine {
             graph,
             core,
-            topo,
-            plans,
-            plan_builds: 0,
+            topo: EngineTopo::build(graph),
+            plan: cut_plan(graph, run_threads(graph, threads), None),
             threads,
             pool: None,
             stress_seed: None,
@@ -426,12 +429,6 @@ impl<'g> Engine<'g> {
     /// Worker threads used per run.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// How many times this engine actually *built* a shard plan rather
-    /// than reusing a cached one (diagnostics; see `tests/plan_cache`).
-    pub fn plan_builds(&self) -> u64 {
-        self.plan_builds
     }
 
     /// Pins the shard-stress seed for this engine (and its
@@ -464,23 +461,23 @@ impl<'g> Engine<'g> {
         let (mut log, node_stats) = self.core.begin_run("parallel");
         let graph = self.graph;
         let n = graph.n();
-        let threads = self.threads.clamp(1, n.max(1));
+        let threads = run_threads(graph, self.threads);
         // Ensure the persistent pool; sub-executors share it via `Arc`
         // (see `Executor::sub`).
         if threads > 1 && self.pool.as_ref().map_or(0, |p| p.workers()) < threads - 1 {
             self.pool = Some(Arc::new(WorkerPool::new(threads - 1)));
         }
-        let stress = stress_run_seed(self.stress_seed);
-        let topo = self.topo.clone();
-        // Shard plan (bounds, claim orders, node owners): acquired from
-        // the session cache, built at most once per `(threads, stress)`
-        // pair per topology.
-        let (plan, built) = topo.plan_for(threads, stress, || {
-            let shards = plan_shards(graph, threads, stress);
-            let orders = claim_orders(shards.len(), threads, stress);
-            PlanData::new(n, shards, orders)
-        });
-        self.plan_builds += u64::from(built);
+        let topo = &self.topo;
+        // Shard plan (bounds, claim orders, node owners): the one built
+        // in the constructor, or, under stress, a cut for this run only.
+        let stressed;
+        let plan = match stress_run_seed(self.stress_seed) {
+            None => &self.plan,
+            Some(seed) => {
+                stressed = cut_plan(graph, threads, Some(seed));
+                &stressed
+            }
+        };
 
         // `make` runs on the calling thread, in node order (contract).
         let mut programs: Vec<P> = (0..n).map(|v| make(v, graph)).collect();
@@ -492,16 +489,16 @@ impl<'g> Engine<'g> {
         arena.checkout(topo.csr.directed_len(), plan.shards.len(), log.recording());
         let track_nodes = node_stats.is_some();
         let mut node_stats = node_stats.unwrap_or_default();
-        // Everything up to here — plan acquisition, arena checkout,
-        // program construction — is the per-run setup the session layer
-        // amortizes; the workers below are the run proper.
+        // Everything up to here — a stressed plan cut, arena checkout,
+        // program construction — is per-run setup; the workers below
+        // are the run proper.
         log.setup_done();
 
         let (stats, livelocked) = {
             let ctx = RunCtx {
                 graph,
-                topo: &topo,
-                plan: &plan,
+                topo,
+                plan,
                 nshards: plan.shards.len(),
                 cap: self.cap() as u64,
                 max_rounds: self.core.max_rounds(),
@@ -1027,12 +1024,10 @@ impl<'g> Executor for Engine<'g> {
     type Sub<'h> = Engine<'h>;
 
     fn sub<'h>(&self, graph: &'h Graph) -> Engine<'h> {
-        // Sub-executors share the session plan cache (a derived graph
-        // seen before skips CSR/shard-plan rebuilds), the parent's
-        // parked workers and its stress plan — a composite algorithm
-        // spawns threads exactly once.
-        let core = self.core.sub(graph.n());
-        let mut sub = Engine::with_shared_plans(graph, self.threads, self.plans.clone(), core);
+        // Sub-executors build their own topology and plan for their own
+        // graph, and share the parent's parked workers and its stress
+        // seed — a composite algorithm spawns threads exactly once.
+        let mut sub = Engine::with_core(graph, self.threads, self.core.sub(graph.n()));
         sub.pool = self.pool.clone();
         sub.stress_seed = self.stress_seed;
         sub

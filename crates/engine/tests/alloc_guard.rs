@@ -14,10 +14,15 @@
 //! per-message or per-round allocation would show up multiplied by the
 //! extra ~9000 messages and fail loudly.
 //!
+//! A second, composite case runs SLT-style sub-run sequences — relax
+//! sub-runs included, on the simulator and on the engine at one and two
+//! threads — and caps the marginal allocations per warmed rep, so a
+//! sub-run that rebuilds topology-derived structure fails too.
+//!
 //! The file deliberately contains a single `#[test]` so no concurrent
-//! test in the same binary pollutes the global counter. Per-run setup
-//! allocations (shard plans, program vectors, output vectors) are
-//! identical between the two sizes and cancel in the delta.
+//! test in the same binary pollutes the global counter. Per-run
+//! allocations (program vectors, output vectors) are identical between
+//! the two sizes and cancel in the delta.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,9 +229,8 @@ fn guard<E: Executor>(exec: &mut E, engine_name: &str) {
     }
 }
 
-/// One relax sub-run: node 0 seeds key 0, the table pools recycle the
-/// slot/stamp/weight storage (epoch reset, no refill) on a warmed
-/// executor.
+/// One relax sub-run: node 0 seeds key 0; every reached node allocates
+/// its slot table and its sorted weight list.
 fn run_relax<E: Executor>(exec: &mut E) {
     let (out, _) = exec.run(|v, _| {
         RelaxProgram::new(
@@ -240,15 +244,15 @@ fn run_relax<E: Executor>(exec: &mut E) {
     assert_eq!(out[1].dist(0), Some(1), "relax never reached node 1");
 }
 
-/// Composite-session guard (the run-session layer): SLT-style
-/// workloads issue hundreds of heterogeneous sub-runs against one
-/// executor. With memoized execution plans, epoch-reset arenas, and
-/// pooled relax tables, a *warmed* session pays only the inherent
-/// bookkeeping of the `run` API per sub-run (the program and output
-/// vectors plus worker hand-off) — never per-sub-run *setup*: shard
-/// plans, slab geometry, or slot-table refills. The
-/// delta method again: measure `REPS` warmed reps, then `2 × REPS`,
-/// and cap the marginal cost of the extra reps. Rebuilding any
+/// Composite-session guard (the run lifecycle): SLT-style workloads
+/// issue hundreds of heterogeneous sub-runs against one executor. With
+/// the topology and shard plan built in the constructor and the run
+/// arenas reused, a *warmed* session pays only the inherent bookkeeping
+/// of the `run` API per sub-run (the program and output vectors, the
+/// reached nodes' relax tables, worker hand-off) — never per-sub-run
+/// *setup*: shard plans, routing tables or slab geometry. The delta
+/// method again: measure `REPS` warmed reps, then `2 × REPS`, and cap
+/// the marginal cost of the extra reps. Rebuilding any
 /// topology-derived structure per sub-run costs several allocations
 /// per rep and fails the cap.
 const REPS: usize = 32;
@@ -257,7 +261,8 @@ const REPS: usize = 32;
 /// sub-run (programs + outputs) plus worker hand-off on the engine.
 const PER_REP_MSG: u64 = 10;
 /// Budget with the relax sub-run included (three sub-runs, plus the
-/// seed vector at node 0).
+/// seed vector at node 0 and both nodes' slot tables and weight
+/// lists).
 const PER_REP_RELAX: u64 = 16;
 
 fn composite_guard<E: Executor>(exec: &mut E, engine_name: &str, with_relax: bool) {
@@ -270,7 +275,7 @@ fn composite_guard<E: Executor>(exec: &mut E, engine_name: &str, with_relax: boo
             }
         }
     }
-    reps(exec, 2, with_relax); // warm every pool to high water
+    reps(exec, 2, with_relax); // warm every arena to high water
     let base = alloc_events_during(|| reps(exec, REPS, with_relax));
     let double = alloc_events_during(|| reps(exec, 2 * REPS, with_relax));
     let marginal = double.saturating_sub(base); // cost of REPS extra reps
@@ -283,7 +288,7 @@ fn composite_guard<E: Executor>(exec: &mut E, engine_name: &str, with_relax: boo
         marginal <= budget,
         "{engine_name}/composite(relax={with_relax}): {} extra reps cost {marginal} \
          allocation events (budget {budget}) — a sub-run is paying setup again \
-         (see DESIGN.md, \"Run lifecycle & the plan cache\")",
+         (see DESIGN.md, \"Run lifecycle\")",
         REPS,
     );
 }
@@ -301,11 +306,8 @@ fn steady_state_message_path_is_allocation_free() {
     let mut eng2 = Engine::with_threads(&g, 2);
     guard(&mut eng2, "engine(2)");
 
-    // Composite sessions: the relax-inclusive variant stays on
-    // single-threaded executors (the table pools fall back to a fresh
-    // allocation under lock contention — correct, but not countable);
-    // the multi-threaded engine runs the message-only composite.
     composite_guard(&mut sim, "simulator", true);
     composite_guard(&mut eng, "engine(1)", true);
     composite_guard(&mut eng2, "engine(2)", false);
+    composite_guard(&mut eng2, "engine(2)", true);
 }
