@@ -1,4 +1,5 @@
-//! The experiment driver: regenerates every table of EXPERIMENTS.md.
+//! The Table-1 harness binary: runs the experiments and prints each
+//! table as markdown on stdout.
 //!
 //! ```text
 //! cargo run --release -p lightnet-bench --bin experiments            # all

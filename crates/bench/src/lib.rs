@@ -3,8 +3,8 @@
 //!
 //! Each `run_e*` function regenerates one experiment — the workload, the
 //! parameter sweep, the baselines, and the table rows — and returns the
-//! rows for the `experiments` binary to render. `EXPERIMENTS.md`
-//! records paper-vs-measured.
+//! rows for the `experiments` binary, which prints each table as
+//! markdown on stdout.
 
 use congest::tree::build_bfs_tree;
 use congest::Simulator;

@@ -55,21 +55,21 @@ const TAG_SEND: u64 = 3;
 // Broadcast
 // ---------------------------------------------------------------------
 
-struct BroadcastProgram {
+struct BroadcastProgram<'a> {
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    children: &'a [NodeId],
     /// Only the root holds items initially.
     initial: Vec<Item>,
     received: Vec<Item>,
 }
 
-impl Program for BroadcastProgram {
+impl Program for BroadcastProgram<'_> {
     type Output = Vec<Item>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         if self.parent.is_none() {
             for &(k, [a, b]) in &self.initial {
-                for &c in &self.children.clone() {
+                for &c in self.children {
                     ctx.send(c, Message::words(&[TAG_ITEM, k, a, b]));
                 }
             }
@@ -82,7 +82,7 @@ impl Program for BroadcastProgram {
             debug_assert_eq!(msg.word(0), TAG_ITEM);
             let item = (msg.word(1), [msg.word(2), msg.word(3)]);
             self.received.push(item);
-            for &c in &self.children.clone() {
+            for &c in self.children {
                 ctx.send(c, msg.clone());
             }
         }
@@ -97,7 +97,7 @@ impl Program for BroadcastProgram {
 ///
 /// Every vertex receives all items in the root's order. Takes
 /// `|items| + height` rounds at cap 1 (`O(M + D)`, Lemma 1).
-pub fn broadcast<E: Executor>(
+pub fn broadcast<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: Vec<Item>,
@@ -105,7 +105,7 @@ pub fn broadcast<E: Executor>(
     let root = tree.root;
     sim.run(|v, _| BroadcastProgram {
         parent: tree.parent[v],
-        children: tree.children[v].clone(),
+        children: &tree.children[v],
         initial: if v == root { items.clone() } else { Vec::new() },
         received: Vec::new(),
     })
@@ -115,16 +115,16 @@ pub fn broadcast<E: Executor>(
 // Downcast (targeted unicast down tree paths)
 // ---------------------------------------------------------------------
 
-struct DowncastProgram {
+struct DowncastProgram<'a> {
     /// Only the root holds items initially: `(target, (key, value))`.
     initial: Vec<(NodeId, Item)>,
     /// Next hop per routed target at this vertex (targets whose root
     /// path passes through here).
-    route: BTreeMap<Word, NodeId>,
+    route: &'a BTreeMap<Word, NodeId>,
     received: Vec<Item>,
 }
 
-impl Program for DowncastProgram {
+impl Program for DowncastProgram<'_> {
     type Output = Vec<Item>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
@@ -198,7 +198,7 @@ impl Program for DowncastProgram {
 /// assert_eq!(per_vertex[3], vec![(9, [90, 900])]);
 /// assert!(per_vertex[0].is_empty() && per_vertex[1].is_empty());
 /// ```
-pub fn downcast<E: Executor>(
+pub fn downcast<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: Vec<(NodeId, Item)>,
@@ -215,7 +215,7 @@ pub fn downcast<E: Executor>(
     let root = tree.root;
     sim.run(|v, _| DowncastProgram {
         initial: if v == root { items.clone() } else { Vec::new() },
-        route: route[v].clone(),
+        route: &route[v],
         received: Vec::new(),
     })
 }
@@ -300,14 +300,14 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for ConvergeProgram
 ///
 /// Items are streamed in increasing key order with per-child watermarks,
 /// so `K` distinct keys cost `O(K + height)` rounds at cap 1.
-pub fn converge<E, C>(
+pub fn converge<'g, E, C>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
     combine: C,
 ) -> (BTreeMap<Word, [Word; 2]>, RunStats)
 where
-    E: Executor,
+    E: Executor<'g>,
     C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2] + Clone + Send,
 {
     let root = tree.root;
@@ -329,7 +329,7 @@ where
 
 /// Convergecast of distinct items (duplicate keys keep the smaller
 /// value, which callers with genuinely unique keys never observe).
-pub fn gather<E: Executor>(
+pub fn gather<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
@@ -483,7 +483,7 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for EagerConvergePr
 /// `set_combiner = false` runs the identical eager program without the
 /// clause-7 message combiner — the reference path the equivalence
 /// proptests compare against.
-pub fn converge_merged_with<E, C>(
+pub fn converge_merged_with<'g, E, C>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
@@ -491,7 +491,7 @@ pub fn converge_merged_with<E, C>(
     set_combiner: bool,
 ) -> (BTreeMap<Word, [Word; 2]>, RunStats)
 where
-    E: Executor,
+    E: Executor<'g>,
     C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2] + Clone + Send,
 {
     let root = tree.root;
@@ -512,14 +512,14 @@ where
 
 /// [`converge_merged_with`] with the clause-7 combiner enabled — the
 /// production entry point.
-pub fn converge_merged<E, C>(
+pub fn converge_merged<'g, E, C>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
     combine: C,
 ) -> (BTreeMap<Word, [Word; 2]>, RunStats)
 where
-    E: Executor,
+    E: Executor<'g>,
     C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2] + Clone + Send,
 {
     converge_merged_with(sim, tree, items, combine, true)
@@ -531,7 +531,7 @@ where
 /// [`converge`]. The landmark pairwise gather uses this to collapse
 /// superseded bounded-distance items (`val = [distance, _]`, so the
 /// smaller genuine path length wins).
-pub fn gather_merged<E: Executor>(
+pub fn gather_merged<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
@@ -542,7 +542,7 @@ pub fn gather_merged<E: Executor>(
 /// Convergecast of keyed minima over the first value word; the second
 /// word rides along with its minimum (e.g. `val = [weight, edge-id]`
 /// keeps the lightest edge per key).
-pub fn converge_min<E: Executor>(
+pub fn converge_min<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
@@ -551,7 +551,7 @@ pub fn converge_min<E: Executor>(
 }
 
 /// Convergecast of keyed maxima over the first value word.
-pub fn converge_max<E: Executor>(
+pub fn converge_max<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,
@@ -561,7 +561,7 @@ pub fn converge_max<E: Executor>(
 
 /// Convergecast of keyed sums over the first value word (second word
 /// summed too).
-pub fn converge_sum<E: Executor>(
+pub fn converge_sum<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
     items: impl Fn(NodeId) -> Vec<Item>,

@@ -170,20 +170,46 @@ use std::time::Instant;
 /// [`Executor::run`] and the [`ExecCore`] accessors; the bookkeeping
 /// and observability methods are implemented once, here, over that
 /// core.
-pub trait Executor {
+///
+/// **Borrow contract.** The executor borrows its graph for `'g`, and
+/// the graph outlives it: [`Executor::graph`] hands out `&'g Graph`,
+/// not a borrow of the executor, so a composite algorithm reads the
+/// one input graph across all of its `&mut` runs without copying it.
+/// [`Executor::run`] needs only `P: Send`, not `'static`, so programs
+/// may borrow caller data (per-node slices, closures over locals) for
+/// the length of the run. Generic entry points name the lifetime:
+/// `&mut impl Executor<'g>` or `E: Executor<'g>`.
+pub trait Executor<'g> {
     /// The same engine kind instantiated over another (sub)graph,
     /// inheriting configuration such as the bandwidth cap. Lets
     /// composite algorithms recurse into subgraphs without committing
     /// to a concrete engine.
-    type Sub<'h>: Executor;
+    type Sub<'h>: Executor<'h>;
 
     /// Creates a fresh executor of the same kind over `graph`,
     /// inheriting this executor's configuration (see [`ExecCore::sub`])
     /// but with zeroed statistics.
     fn sub<'h>(&self, graph: &'h Graph) -> Self::Sub<'h>;
 
-    /// The underlying graph.
-    fn graph(&self) -> &Graph;
+    /// The underlying graph, with the graph's own lifetime: the
+    /// reference stays usable across later `&mut` calls on the
+    /// executor.
+    ///
+    /// ```
+    /// use congest::tree::build_bfs_tree;
+    /// use congest::{Executor, Simulator};
+    /// use lightgraph::generators;
+    ///
+    /// fn f<'g>(exec: &mut impl Executor<'g>) -> (usize, u64) {
+    ///     let g = exec.graph();
+    ///     let (tree, _) = build_bfs_tree(exec, 0);
+    ///     (g.n(), tree.height())
+    /// }
+    ///
+    /// let g = generators::path(5, 1);
+    /// assert_eq!(f(&mut Simulator::new(&g)), (5, 4));
+    /// ```
+    fn graph(&self) -> &'g Graph;
 
     /// The executor's configuration and cumulative accounting.
     fn core(&self) -> &ExecCore;

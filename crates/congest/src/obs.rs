@@ -210,7 +210,11 @@ pub fn spans_active() -> bool {
 /// assert_eq!(node.stats.rounds, sim.total().rounds);
 /// assert!(node.invocations > 0);
 /// ```
-pub fn span<E: Executor, R>(exec: &mut E, name: &'static str, f: impl FnOnce(&mut E) -> R) -> R {
+pub fn span<'g, E: Executor<'g>, R>(
+    exec: &mut E,
+    name: &'static str,
+    f: impl FnOnce(&mut E) -> R,
+) -> R {
     if !spans_active() {
         return f(exec);
     }

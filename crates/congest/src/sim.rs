@@ -200,12 +200,6 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// The underlying graph (with the graph's own lifetime, so the
-    /// reference can outlive a borrow of the simulator).
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
     /// Enables the dense-validation mode (off by default; inherited by
     /// sub-executors): the activation-contract validator plus the
     /// combiner-contract validator.
@@ -508,7 +502,7 @@ impl<'g> Simulator<'g> {
     }
 }
 
-impl<'g> Executor for Simulator<'g> {
+impl<'g> Executor<'g> for Simulator<'g> {
     type Sub<'h> = Simulator<'h>;
 
     fn sub<'h>(&self, graph: &'h Graph) -> Simulator<'h> {
@@ -517,7 +511,7 @@ impl<'g> Executor for Simulator<'g> {
         sub
     }
 
-    fn graph(&self) -> &Graph {
+    fn graph(&self) -> &'g Graph {
         self.graph
     }
 

@@ -92,7 +92,7 @@ impl Program for BfsProgram {
 ///
 /// # Panics
 /// Panics if the network is disconnected (some vertex never joins).
-pub fn build_bfs_tree<E: Executor>(sim: &mut E, root: NodeId) -> (BfsTree, RunStats) {
+pub fn build_bfs_tree<'g, E: Executor<'g>>(sim: &mut E, root: NodeId) -> (BfsTree, RunStats) {
     let (out, stats) = sim.run(|_, _| BfsProgram {
         root,
         parent: None,

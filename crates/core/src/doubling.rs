@@ -43,8 +43,8 @@ pub struct DoublingSpanner {
 /// edges, scales and `RunStats` on the simulator and the parallel
 /// engine (property-tested in `crates/engine/tests/equivalence.rs`;
 /// reachable from the `scenario` runner as `doubling`).
-pub fn doubling_spanner(
-    sim: &mut impl Executor,
+pub fn doubling_spanner<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     rt: NodeId,
     epsilon: f64,
@@ -52,10 +52,7 @@ pub fn doubling_spanner(
 ) -> DoublingSpanner {
     assert!(epsilon > 0.0 && epsilon <= 1.0, "epsilon must be in (0,1]");
     let start = sim.total();
-    // Owned copy: the per-scale loop borrows `g` across `&mut sim`
-    // phases (see `distributed_mst` for the rationale).
-    let g_owned = sim.graph().clone();
-    let g = &g_owned;
+    let g = sim.graph();
     let n = g.n();
     if n <= 1 {
         return DoublingSpanner {

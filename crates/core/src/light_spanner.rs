@@ -43,7 +43,6 @@ use dist_mst::euler::distributed_euler_tour;
 use lightgraph::{EdgeId, NodeId, Weight};
 use sparse_spanner::baswana_sen::baswana_sen;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 
 const TAG_STATE: u64 = 70;
 
@@ -153,8 +152,8 @@ fn bucket_neighbors(bucket_edges: &[Vec<(NodeId, Weight, EdgeId)>]) -> Vec<Vec<N
         .collect()
 }
 
-fn exchange_states(
-    sim: &mut impl Executor,
+fn exchange_states<'g>(
+    sim: &mut impl Executor<'g>,
     nbrs: &[Vec<NodeId>],
     payload: impl Fn(NodeId) -> [Word; 3],
 ) -> Vec<HashMap<NodeId, [Word; 3]>> {
@@ -176,8 +175,8 @@ struct BucketContext<'a> {
 
 /// Case 1: EN17b on the cluster graph with global (convergecast +
 /// broadcast) coordination.
-fn simulate_case1(
-    sim: &mut impl Executor,
+fn simulate_case1<'g>(
+    sim: &mut impl Executor<'g>,
     ctx: &BucketContext<'_>,
     seed: u64,
     chosen: &mut HashSet<EdgeId>,
@@ -306,8 +305,8 @@ fn simulate_case1(
 
 /// Case 2: EN17b with interval-local coordination along the Euler tour.
 #[allow(clippy::too_many_arguments)]
-fn simulate_case2(
-    sim: &mut impl Executor,
+fn simulate_case2<'g>(
+    sim: &mut impl Executor<'g>,
     ctx: &BucketContext<'_>,
     routing: &TourRouting,
     center_of: &[usize],
@@ -360,7 +359,6 @@ fn simulate_case2(
 
     for round in 0..=ctx.k {
         // (a) LTR sweep distributing center state through intervals
-        let state_rc = Arc::new(state.clone());
         let is_center_ref = &is_center;
         let (_ltr, _) = tour_sweep(
             sim,
@@ -368,7 +366,7 @@ fn simulate_case2(
             Direction::LeftToRight,
             |p| is_center_ref[p],
             |p| {
-                state_rc
+                state
                     .get(&(p as u64))
                     .map(|st| [enc(st.m, shift), st.s])
                     .unwrap_or(neutral)
@@ -413,7 +411,8 @@ fn simulate_case2(
                 best
             })
             .collect();
-        // (d) RTL sweep accumulating the candidates towards centers
+        // (d) RTL sweep accumulating the candidates towards centers;
+        // every position folds its owner's contribution into the token
         let contribution = |p: usize| -> [Word; 2] {
             let v = routing.owner[p];
             if first_app[v] == p && ctx.cluster_of[v] == center_of[p] as u64 {
@@ -422,34 +421,13 @@ fn simulate_case2(
                 neutral
             }
         };
-        let cand_rc = Arc::new(cand.clone());
-        let first_app_rc = Arc::new(first_app.to_vec());
-        let cluster_rc = Arc::new(ctx.cluster_of.to_vec());
-        let center_rc = Arc::new(center_of.to_vec());
         let (rtl, _) = tour_sweep(
             sim,
             routing,
             Direction::RightToLeft,
             |p| is_center_ref[p],
             contribution,
-            |v| {
-                let cand = Arc::clone(&cand_rc);
-                let first_app = Arc::clone(&first_app_rc);
-                let cluster = Arc::clone(&cluster_rc);
-                let center = Arc::clone(&center_rc);
-                move |p: usize, t: [u64; 2]| {
-                    let mine = if first_app[v] == p && cluster[v] == center[p] as u64 {
-                        cand[v]
-                    } else {
-                        [0, u64::MAX]
-                    };
-                    if mine[0] > t[0] || (mine[0] == t[0] && mine[1] <= t[1]) {
-                        mine
-                    } else {
-                        t
-                    }
-                }
-            },
+            |_| move |p: usize, t: [u64; 2]| better(contribution(p), t),
         );
         // (e) centers merge: incoming token at center position +
         // the center owner's own contribution
@@ -539,8 +517,8 @@ fn simulate_case2(
 
 /// Builds a `(2k−1)(1+O(ε))`-spanner with `O(k·n^{1+1/k})` edges and
 /// lightness `O(k·n^{1/k})` (Theorem 2).
-pub fn light_spanner(
-    sim: &mut impl Executor,
+pub fn light_spanner<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     rt: NodeId,
     k: usize,
@@ -550,10 +528,7 @@ pub fn light_spanner(
     assert!(k >= 1, "k must be at least 1");
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
     let start = sim.total();
-    // Owned copy: bucket processing borrows `g` across `&mut sim`
-    // phases (see `distributed_mst` for the rationale).
-    let g_owned = sim.graph().clone();
-    let g = &g_owned;
+    let g = sim.graph();
     let n = g.n();
     if n <= 1 {
         return LightSpannerResult {

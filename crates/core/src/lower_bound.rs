@@ -37,7 +37,11 @@ pub struct MstWeightEstimate {
 ///
 /// Guarantee (proved in §8): `L ≤ Ψ ≤ O(α log n) · L` where `L` is the
 /// MST weight.
-pub fn estimate_mst_weight(sim: &mut impl Executor, tau: &BfsTree, seed: u64) -> MstWeightEstimate {
+pub fn estimate_mst_weight<'g>(
+    sim: &mut impl Executor<'g>,
+    tau: &BfsTree,
+    seed: u64,
+) -> MstWeightEstimate {
     let start = sim.total();
     let delta = 0.5;
     let alpha = 1.0 + delta;

@@ -49,8 +49,8 @@ pub struct NetResult {
 /// Panics if the iteration count exceeds `20·log₂n + 20` — the
 /// `O(log n)` bound holds w.h.p., so this indicates a seed catastrophe
 /// rather than an expected outcome.
-pub fn net(
-    sim: &mut impl Executor,
+pub fn net<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     big_delta: Weight,
     delta: f64,

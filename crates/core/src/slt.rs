@@ -27,7 +27,6 @@ use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
 use dist_sssp::landmark::{approx_spt, SptConfig};
 use lightgraph::{EdgeId, Graph, NodeId, Weight};
-use std::sync::Arc;
 
 /// Result of the distributed SLT construction.
 #[derive(Debug, Clone)]
@@ -98,8 +97,8 @@ fn joins(r_x: Weight, r_prev: Weight, d_rt: Weight, epsilon: f64) -> bool {
 ///
 /// # Panics
 /// Panics if the graph is disconnected or `epsilon` is not positive.
-pub fn shallow_light_tree(
-    sim: &mut impl Executor,
+pub fn shallow_light_tree<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     rt: NodeId,
     epsilon: f64,
@@ -113,8 +112,8 @@ pub fn shallow_light_tree(
 /// inside `H`) use `spt_landmarks` / `spt_hop_bound` in place of the
 /// adaptive defaults (see [`SptConfig`]) — the deterministic ablation
 /// surface the `scenario` runner exposes as `landmarks` / `hop_bound`.
-pub fn shallow_light_tree_with(
-    sim: &mut impl Executor,
+pub fn shallow_light_tree_with<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     rt: NodeId,
     epsilon: f64,
@@ -129,10 +128,7 @@ pub fn shallow_light_tree_with(
         ..SptConfig::new(s)
     };
     let start = sim.total();
-    // Owned copy: the phases below borrow `g` across `&mut sim` runs
-    // (see `distributed_mst` for the rationale).
-    let g_owned = sim.graph().clone();
-    let g = &g_owned;
+    let g = sim.graph();
     let n = g.n();
     if n <= 1 {
         return SltResult {
@@ -154,12 +150,10 @@ pub fn shallow_light_tree_with(
     });
 
     let (seq, times) = tour.assemble();
-    let times = Arc::new(times);
     let alpha = (n as f64).sqrt().ceil() as usize;
 
     // (2a) BP₁: parallel sequential scans inside the intervals.
-    let dist = Arc::new(spt.dist.clone());
-    let seq_rc = Arc::new(seq.clone());
+    let (times_ref, dist_ref, seq_ref) = (&times, &spt.dist, &seq);
     let eps = epsilon;
     let (sweep_out, _) = obs::span(sim, "bp1", |sim| {
         tour_sweep(
@@ -169,13 +163,10 @@ pub fn shallow_light_tree_with(
             |p| p % alpha == 0,
             |p| [times[p], 0],
             |v| {
-                let times = Arc::clone(&times);
-                let dist = Arc::clone(&dist);
-                let seq = Arc::clone(&seq_rc);
                 move |pos: usize, tok: [u64; 2]| {
-                    debug_assert_eq!(seq[pos], v);
-                    if joins(times[pos], tok[0], dist[v], eps) {
-                        [times[pos], 0]
+                    debug_assert_eq!(seq_ref[pos], v);
+                    if joins(times_ref[pos], tok[0], dist_ref[v], eps) {
+                        [times_ref[pos], 0]
                     } else {
                         tok
                     }
@@ -198,8 +189,6 @@ pub fn shallow_light_tree_with(
     // same sequential rule and unicasts each selected position to the
     // vertex that owns it — `Σ depth` deliveries instead of the
     // `|BP₂| · n` the old broadcast paid.
-    let dist_ref = &spt.dist;
-    let seq_ref = &seq;
     let bp2 = obs::span(sim, "bp2", |sim| {
         let (heads, _) = collective::gather_merged(sim, tau, |v| {
             routing.positions[v]

@@ -65,19 +65,17 @@ impl TourRouting {
     }
 }
 
-type Step<'a> = Box<dyn FnMut(usize, Token) -> Token + Send + 'a>;
-
-struct SweepProgram<'a> {
+struct SweepProgram<F> {
     /// For each owned position that forwards: the successor position
     /// and its owner.
     next: HashMap<usize, Option<(usize, NodeId)>>,
     /// Tokens to emit at init (at sweep origins owned here).
     initial: Vec<(usize, Token)>,
-    step: Step<'a>,
+    step: F,
     received: Vec<(usize, Token)>,
 }
 
-impl<'a> SweepProgram<'a> {
+impl<F> SweepProgram<F> {
     fn emit(&mut self, ctx: &mut Ctx<'_>, pos: usize, token: Token) {
         if let Some(Some((next_pos, owner))) = self.next.get(&pos) {
             ctx.send(
@@ -88,7 +86,7 @@ impl<'a> SweepProgram<'a> {
     }
 }
 
-impl<'a> Program for SweepProgram<'a> {
+impl<F: FnMut(usize, Token) -> Token> Program for SweepProgram<F> {
     type Output = Vec<(usize, Token)>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
@@ -123,8 +121,8 @@ impl<'a> Program for SweepProgram<'a> {
 ///
 /// All intervals run in parallel; rounds ≈ max interval length.
 /// Returns per-vertex `(position, incoming token)` observations.
-pub fn tour_sweep<F>(
-    sim: &mut impl Executor,
+pub fn tour_sweep<'g, F>(
+    sim: &mut impl Executor<'g>,
     routing: &TourRouting,
     direction: Direction,
     is_start: impl Fn(usize) -> bool,
@@ -132,7 +130,7 @@ pub fn tour_sweep<F>(
     mut make_step: impl FnMut(NodeId) -> F,
 ) -> (Vec<Vec<(usize, Token)>>, RunStats)
 where
-    F: FnMut(usize, Token) -> Token + Send + 'static,
+    F: FnMut(usize, Token) -> Token + Send,
 {
     let len = routing.len();
     if len == 0 {
@@ -173,7 +171,7 @@ where
         SweepProgram {
             next,
             initial,
-            step: Box::new(make_step(v)),
+            step: make_step(v),
             received: Vec::new(),
         }
     })
@@ -187,18 +185,18 @@ mod tests {
     use dist_mst::{boruvka::distributed_mst, euler::distributed_euler_tour};
     use lightgraph::generators;
 
-    fn routing_for(g: &lightgraph::Graph) -> (TourRouting, lightgraph::Graph) {
+    fn routing_for(g: &lightgraph::Graph) -> TourRouting {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
         let mst = distributed_mst(&mut sim, &tau, 0, 1);
         let tour = distributed_euler_tour(&mut sim, &tau, &mst, 0);
-        (TourRouting::new(&tour), g.clone())
+        TourRouting::new(&tour)
     }
 
     #[test]
     fn left_to_right_visits_every_interval_position_once() {
         let g = generators::erdos_renyi(30, 0.15, 20, 3);
-        let (routing, g) = routing_for(&g);
+        let routing = routing_for(&g);
         let len = routing.len();
         let alpha = 7usize;
         let mut sim = Simulator::new(&g);
@@ -232,7 +230,7 @@ mod tests {
     #[test]
     fn right_to_left_reaches_interval_heads() {
         let g = generators::path(16, 2);
-        let (routing, g) = routing_for(&g);
+        let routing = routing_for(&g);
         let len = routing.len();
         let alpha = 5usize;
         let mut sim = Simulator::new(&g);
@@ -265,7 +263,7 @@ mod tests {
     #[test]
     fn sweep_charges_interval_length_rounds() {
         let g = generators::path(64, 1);
-        let (routing, g) = routing_for(&g);
+        let routing = routing_for(&g);
         let mut sim = Simulator::new(&g);
         let (_, stats) = tour_sweep(
             &mut sim,

@@ -187,7 +187,7 @@ impl NbrTable {
     /// neighbor announces to `v` only when their old ids differ, and
     /// the rewrite touches only entries equal to `v`'s old id), so
     /// application order is irrelevant.
-    fn refresh(&mut self, sim: &mut impl Executor, frag: &[u64]) {
+    fn refresh<'g>(&mut self, sim: &mut impl Executor<'g>, frag: &[u64]) {
         let last = &self.last_announced;
         let frag_at = &self.frag_at;
         // Targets are computed against the pre-rewrite table: entries
@@ -276,16 +276,16 @@ impl Program for Negotiate {
 }
 
 /// Re-label + re-root flood inside merged tail fragments.
-struct Relabel {
+struct Relabel<'a> {
     /// `Some((new frag, partner))` at the acting endpoint.
     start: Option<(u64, NodeId)>,
-    tree_neighbors: Vec<NodeId>,
+    tree_neighbors: &'a [NodeId],
     adopted: Option<(u64, Option<NodeId>)>,
 }
 
-impl Relabel {
+impl Relabel<'_> {
     fn spread(&mut self, ctx: &mut Ctx<'_>, new_frag: u64, skip: Option<NodeId>) {
-        for &u in &self.tree_neighbors.clone() {
+        for &u in self.tree_neighbors {
             if Some(u) != skip {
                 ctx.send(u, Message::words(&[TAG_RELABEL, new_frag]));
             }
@@ -293,7 +293,7 @@ impl Relabel {
     }
 }
 
-impl Program for Relabel {
+impl Program for Relabel<'_> {
     type Output = Option<(u64, Option<NodeId>)>;
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         if let Some((new_frag, partner)) = self.start {
@@ -351,13 +351,13 @@ fn min_by_weight_edge(a: Val, b: Val) -> Val {
 ///
 /// # Panics
 /// Panics if the graph is disconnected.
-pub fn distributed_mst(sim: &mut impl Executor, tau: &BfsTree, rt: NodeId, seed: u64) -> MstResult {
-    // Owned copy: phase closures capture `g` across `&mut sim` runs,
-    // which the borrow checker cannot tie to the executor's inner
-    // graph lifetime through the `Executor` trait. O(n + m) once,
-    // negligible against the simulation itself.
-    let g_owned = sim.graph().clone();
-    let g = &g_owned;
+pub fn distributed_mst<'g>(
+    sim: &mut impl Executor<'g>,
+    tau: &BfsTree,
+    rt: NodeId,
+    seed: u64,
+) -> MstResult {
+    let g = sim.graph();
     let n = g.n();
     let start_stats = sim.total();
     let diam_cap = (n as f64).sqrt().ceil() as u64;
@@ -448,7 +448,7 @@ pub fn distributed_mst(sim: &mut impl Executor, tau: &BfsTree, rt: NodeId, seed:
                 // (f) relabel/re-root flood inside merged tails.
                 let (relabels, _) = sim.run(|v, _| Relabel {
                     start: negotiated[v].1,
-                    tree_neighbors: views[v].tree_neighbors.clone(),
+                    tree_neighbors: &views[v].tree_neighbors,
                     adopted: None,
                 });
                 // (g) local state updates (free).

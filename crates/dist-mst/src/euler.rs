@@ -108,8 +108,8 @@ impl FragTree {
 /// keys, so the eager min-merge is trivially lawful) and assemble `T′`
 /// there. Nothing is broadcast — per-fragment answers later return by
 /// targeted downcasts.
-fn gather_fragment_tree(
-    sim: &mut impl Executor,
+fn gather_fragment_tree<'g>(
+    sim: &mut impl Executor<'g>,
     g: &Graph,
     tau: &BfsTree,
     mst: &MstResult,
@@ -201,8 +201,8 @@ fn gather_fragment_tree(
 
 /// Steps 3–8 for one weight function; returns per-vertex visit "times"
 /// of all appearances, in traversal order.
-fn tour_times(
-    sim: &mut impl Executor,
+fn tour_times<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     views: &[FragView],
     ft: &FragTree,
@@ -300,17 +300,16 @@ fn tour_times(
     // (6) interval starts: top-down, fragment-relative; external
     // children receive (over the external edge) their interval inside
     // the parent fragment but do not propagate it.
-    let t_children_ref = &t_children;
     let (starts, _) = passes::down_pass(
         sim,
         views,
         |_| [0, 0, 0],
         |v| {
-            let ch = t_children_ref[v].clone();
+            let ch = &t_children[v];
             move |_, val: Val| {
                 let mut acc = val[0];
                 let mut out = Vec::with_capacity(ch.len());
-                for &(c, m, w) in &ch {
+                for &(c, m, w) in ch {
                     out.push((c, [acc + w, 0, 0]));
                     acc += m;
                 }
@@ -374,17 +373,14 @@ fn tour_times(
 /// appearances and `RunStats` on the simulator and the parallel engine
 /// (property-tested in `crates/engine/tests/equivalence.rs`), which is
 /// what lets the `scenario` runner sweep `euler` on either engine.
-pub fn distributed_euler_tour(
-    sim: &mut impl Executor,
+pub fn distributed_euler_tour<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     mst: &MstResult,
     rt: NodeId,
 ) -> DistEulerTour {
     let start = sim.total();
-    // Owned copy: closures below capture `g` across `&mut sim` phases
-    // (see `distributed_mst`).
-    let g_owned = sim.graph().clone();
-    let g: &Graph = &g_owned;
+    let g = sim.graph();
     let n = g.n();
     if n == 0 {
         return DistEulerTour {

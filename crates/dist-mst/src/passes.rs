@@ -102,8 +102,8 @@ impl<C: Fn(Val, Val) -> Val, T: Fn(Val) -> Val> Program for UpProgram<C, T> {
 /// `own(v)` is the vertex's initial value; `combine` must be associative
 /// and commutative. Returns each vertex's aggregate over its fragment
 /// subtree (fragment roots hold the fragment-wide aggregate).
-pub fn up_pass<C>(
-    sim: &mut impl Executor,
+pub fn up_pass<'g, C>(
+    sim: &mut impl Executor<'g>,
     views: &[FragView],
     own: impl Fn(NodeId) -> Val,
     combine: C,
@@ -123,8 +123,8 @@ fn identity_transform() -> impl Fn(Val) -> Val {
 /// *sends* to its parent is `outgoing(v)(aggregate)` (e.g. "subtree tour
 /// length plus twice the parent edge weight", §3.2), and the result
 /// includes the individual values received from each child.
-pub fn up_pass_full<C, T>(
-    sim: &mut impl Executor,
+pub fn up_pass_full<'g, C, T>(
+    sim: &mut impl Executor<'g>,
     views: &[FragView],
     own: impl Fn(NodeId) -> Val,
     combine: C,
@@ -210,8 +210,8 @@ impl<F: FnMut(NodeId, Val) -> ChildPayloads> Program for DownProgram<F> {
 ///
 /// Returns every value each vertex received, in arrival order; fragment
 /// roots see their own `root_val` first.
-pub fn down_pass<F>(
-    sim: &mut impl Executor,
+pub fn down_pass<'g, F>(
+    sim: &mut impl Executor<'g>,
     views: &[FragView],
     root_val: impl Fn(NodeId) -> Val,
     mut make_derive: impl FnMut(NodeId) -> F,
@@ -230,8 +230,8 @@ where
 
 /// Broadcasts the fragment root's value to every vertex of the fragment
 /// (a [`down_pass`] that forwards verbatim).
-pub fn flood_pass(
-    sim: &mut impl Executor,
+pub fn flood_pass<'g>(
+    sim: &mut impl Executor<'g>,
     views: &[FragView],
     root_val: impl Fn(NodeId) -> Val,
 ) -> (Vec<Option<Val>>, RunStats) {
@@ -242,15 +242,15 @@ pub fn flood_pass(
 /// `Some(val)` flood; the others stay silent and their vertices spend no
 /// messages (and return `None`). Used by the global Borůvka phase to
 /// re-label only the fragments whose component id actually changed.
-pub fn flood_pass_opt(
-    sim: &mut impl Executor,
+pub fn flood_pass_opt<'g>(
+    sim: &mut impl Executor<'g>,
     views: &[FragView],
     root_val: impl Fn(NodeId) -> Option<Val>,
 ) -> (Vec<Option<Val>>, RunStats) {
     let children: Vec<Vec<NodeId>> = views.iter().map(FragView::children).collect();
     let (out, stats) = sim.run(|v, _| {
         let start = views[v].parent.is_none().then(|| root_val(v)).flatten();
-        let ch = children[v].clone();
+        let ch = &children[v];
         DownProgram {
             is_root: start.is_some(),
             root_val: start.unwrap_or_default(),
@@ -271,16 +271,16 @@ pub fn flood_pass_opt(
 // Re-rooting flood
 // ---------------------------------------------------------------------
 
-struct RerootProgram {
+struct RerootProgram<'a> {
     is_new_root: bool,
-    tree_neighbors: Vec<NodeId>,
+    tree_neighbors: &'a [NodeId],
     new_parent: Option<NodeId>,
     done: bool,
 }
 
-impl RerootProgram {
+impl RerootProgram<'_> {
     fn spread(&mut self, ctx: &mut Ctx<'_>, skip: Option<NodeId>) {
-        for &u in &self.tree_neighbors.clone() {
+        for &u in self.tree_neighbors {
             if Some(u) != skip {
                 ctx.send(u, Message::words(&[TAG_RESET]));
             }
@@ -288,7 +288,7 @@ impl RerootProgram {
     }
 }
 
-impl Program for RerootProgram {
+impl Program for RerootProgram<'_> {
     type Output = Option<NodeId>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
@@ -321,14 +321,14 @@ impl Program for RerootProgram {
 /// Panics if some fragment has no designated new root (its vertices
 /// would keep `None` parents *and* miss the flood — detected by the
 /// returned orientation check in debug builds).
-pub fn reroot(
-    sim: &mut impl Executor,
+pub fn reroot<'g>(
+    sim: &mut impl Executor<'g>,
     views: &[FragView],
     is_new_root: impl Fn(NodeId) -> bool,
 ) -> (Vec<FragView>, RunStats) {
     let (parents, stats) = sim.run(|v, _| RerootProgram {
         is_new_root: is_new_root(v),
-        tree_neighbors: views[v].tree_neighbors.clone(),
+        tree_neighbors: &views[v].tree_neighbors,
         new_parent: None,
         done: false,
     });

@@ -64,7 +64,7 @@ impl SsspResult {
 /// Runs until quiescence: the number of rounds is the weighted
 /// shortest-path hop depth, which the paper's substitutes avoid — see
 /// [`crate::landmark`] for the `Õ(√n + D)`-round version.
-pub fn bellman_ford(sim: &mut impl Executor, src: NodeId) -> SsspResult {
+pub fn bellman_ford<'g>(sim: &mut impl Executor<'g>, src: NodeId) -> SsspResult {
     bounded_bellman_ford(sim, src, INF, u64::MAX)
 }
 
@@ -81,8 +81,8 @@ pub fn bellman_ford(sim: &mut impl Executor, src: NodeId) -> SsspResult {
 /// stages at most one update per edge per round, so with the default
 /// cap the combiner never actually fires here; the caveat is live in
 /// [`multi_source_bounded`].)
-pub fn bounded_bellman_ford(
-    sim: &mut impl Executor,
+pub fn bounded_bellman_ford<'g>(
+    sim: &mut impl Executor<'g>,
     src: NodeId,
     bound: Weight,
     hop_bound: u64,
@@ -192,8 +192,8 @@ impl MultiSourceResult {
 /// With `hop_bound == u64::MAX` the tables are bit-identical to the
 /// uncombined fixed point. See the clause-7 audit in DESIGN.md for why
 /// the landmark SPT's exactness guarantees survive this.
-pub fn multi_source_bounded(
-    sim: &mut impl Executor,
+pub fn multi_source_bounded<'g>(
+    sim: &mut impl Executor<'g>,
     sources: &[NodeId],
     bound: Weight,
     hop_bound: u64,

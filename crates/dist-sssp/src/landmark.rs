@@ -160,8 +160,8 @@ fn quantize(d: Weight, epsilon: f64) -> Weight {
 /// that the hop budget never truncates (module docs), the whole
 /// landmark phase — the dominant message cost — is skipped and the
 /// result is an exact SPT.
-pub fn approx_spt(
-    sim: &mut impl Executor,
+pub fn approx_spt<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     rt: NodeId,
     cfg: &SptConfig,

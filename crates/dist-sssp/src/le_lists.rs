@@ -192,8 +192,8 @@ impl Program for LeProgram {
 /// quiescence. `delta` stretches each edge weight by a hash-random
 /// factor in `[1, 1+delta]`, realizing the auxiliary graph `H` of
 /// \[FL16\] with `d_G ≤ d_H ≤ (1+δ)·d_G`.
-pub fn le_lists(
-    sim: &mut impl Executor,
+pub fn le_lists<'g>(
+    sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     active: &[bool],
     bound: Weight,

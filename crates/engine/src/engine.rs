@@ -440,11 +440,6 @@ impl<'g> Engine<'g> {
         self.stress_seed = seed;
     }
 
-    /// The underlying graph (with the graph's own lifetime).
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
     /// Runs one program per node until global quiescence. Same contract
     /// and same observable behavior as [`congest::Simulator::run`]; see
     /// the module docs.
@@ -1020,7 +1015,7 @@ impl<P: Program> RunCtx<'_, P> {
     }
 }
 
-impl<'g> Executor for Engine<'g> {
+impl<'g> Executor<'g> for Engine<'g> {
     type Sub<'h> = Engine<'h>;
 
     fn sub<'h>(&self, graph: &'h Graph) -> Engine<'h> {
@@ -1033,7 +1028,7 @@ impl<'g> Executor for Engine<'g> {
         sub
     }
 
-    fn graph(&self) -> &Graph {
+    fn graph(&self) -> &'g Graph {
         self.graph
     }
 
@@ -1540,7 +1535,7 @@ mod tests {
     /// accumulate and that a sub-executor inherits every setting — the
     /// cap, the round guard, metrics recording, node stats and the
     /// trace sink — while its own totals start at zero.
-    fn check_sub_inherits<E: Executor>(mut root: E, name: &str) {
+    fn check_sub_inherits<'g, E: Executor<'g>>(mut root: E, name: &str) {
         let written = Arc::new(Mutex::new(Vec::new()));
         let sink = congest::TraceSink::shared(Box::new(SharedBuf(written.clone())));
         root.set_cap(5);

@@ -22,7 +22,7 @@
 //! Tracing never perturbs the deterministic columns (contract
 //! clause 8).
 
-use crate::config::{self, Table};
+use crate::config::{self, Table, Value};
 use crate::Engine;
 use congest::obs;
 use congest::tree::build_bfs_tree;
@@ -294,7 +294,7 @@ impl Default for AlgoParams {
 /// metric. All nine [`ALGORITHMS`] dispatch through here, on either
 /// engine — the algorithms themselves are written once against
 /// `congest::Executor`.
-pub fn drive<E: Executor>(
+pub fn drive<'g, E: Executor<'g>>(
     exec: &mut E,
     algorithm: &str,
     p: &AlgoParams,
@@ -403,7 +403,7 @@ type Probe = (
 /// Runs [`drive`] with a span collector installed when the sweep has a
 /// trace sink; the harvested span tree is appended to the trace under
 /// the cell's scope string.
-fn drive_cell<E: Executor>(
+fn drive_cell<'g, E: Executor<'g>>(
     exec: &mut E,
     globals: &Globals,
     cell: &Cell<'_>,
@@ -441,7 +441,7 @@ fn run_cell(
 /// Configures `exec` (running `threads` workers) from the sweep's
 /// globals, drives the cell on it and builds the row; `start` is when
 /// the cell began, executor construction included.
-fn measure_cell<E: Executor>(
+fn measure_cell<'g, E: Executor<'g>>(
     mut exec: E,
     threads: usize,
     start: Instant,
@@ -498,7 +498,9 @@ fn measure_cell<E: Executor>(
 ///
 /// # Errors
 /// Returns a message on unknown families/algorithms/engines, missing
-/// required keys, I/O failures, or a sim/parallel determinism mismatch.
+/// required keys, out-of-range or mistyped knobs (`threads`, `cap`,
+/// `sizes`, `max_w` and the per-run algorithm knobs), I/O failures, or
+/// a sim/parallel determinism mismatch.
 pub fn run_sweep(doc: &config::Document, out: &mut dyn Write) -> Result<(), String> {
     let root = &doc.root;
     let threads = match root.get("threads") {
@@ -538,7 +540,7 @@ pub fn run_sweep(doc: &config::Document, out: &mut dyn Write) -> Result<(), Stri
     };
     let globals = Globals {
         threads,
-        cap: root.int_or("cap", 1).max(1) as usize,
+        cap: positive_int(root, "cap", 1, "")? as usize,
         record: root.bool_or("record_metrics", false),
         engines,
         base_seed: root.int_or("seed", 1) as u64,
@@ -557,6 +559,21 @@ pub fn run_sweep(doc: &config::Document, out: &mut dyn Write) -> Result<(), Stri
         sweep_run(&globals, ri, run, out)?;
     }
     Ok(())
+}
+
+/// An integer knob that must be `>= 1`, `default` when absent. Zero,
+/// negative and non-integer values are errors naming the key (`at`
+/// prefixes the message, e.g. with the `[[run]]` index), not values
+/// silently clamped or replaced by the default.
+fn positive_int(table: &Table, key: &str, default: i64, at: &str) -> Result<i64, String> {
+    match table.get(key) {
+        None => Ok(default),
+        Some(v) => match v.as_int() {
+            Some(x) if x >= 1 => Ok(x),
+            Some(x) => Err(format!("{at}`{key}` must be >= 1, got {x}")),
+            None => Err(format!("{at}`{key}` must be an integer")),
+        },
+    }
 }
 
 /// Parses and validates the per-cell algorithm knobs of one `[[run]]`
@@ -625,10 +642,22 @@ fn parse_algo_params(ri: usize, run: &Table) -> Result<AlgoParams, String> {
 
 fn sweep_run(globals: &Globals, ri: usize, run: &Table, out: &mut dyn Write) -> Result<(), String> {
     let family = run.str_or("family", "erdos-renyi").to_owned();
-    let sizes = run.ints("sizes");
+    let sizes = run
+        .get("sizes")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
     if sizes.is_empty() {
         return Err(format!("[[run]] #{ri}: `sizes` is required"));
     }
+    let sizes = sizes
+        .iter()
+        .map(|v| match v.as_int() {
+            Some(n) if n >= 1 => Ok(n as usize),
+            _ => Err(format!(
+                "[[run]] #{ri}: every `sizes` entry must be an integer >= 1, got {v:?}"
+            )),
+        })
+        .collect::<Result<Vec<usize>, String>>()?;
     let algorithms = {
         let a = run.strs("algorithms");
         if a.is_empty() {
@@ -646,10 +675,9 @@ fn sweep_run(globals: &Globals, ri: usize, run: &Table, out: &mut dyn Write) -> 
         }
     };
     let params = parse_algo_params(ri, run)?;
-    let max_w = run.int_or("max_w", 100).max(1) as u64;
+    let max_w = positive_int(run, "max_w", 100, &format!("[[run]] #{ri}: "))? as u64;
 
-    for &size in &sizes {
-        let n = size.max(1) as usize;
+    for &n in &sizes {
         for &seed in &seeds {
             let g = build_graph(&family, n, max_w, seed)?;
             for algorithm in &algorithms {
@@ -742,6 +770,32 @@ mod tests {
         assert!(sweep_err(&cell("k = 0")).contains("`k`"));
         assert!(sweep_err(&cell("net_delta = -5")).contains("net_delta"));
         assert!(sweep_err(&cell("net_slack = 0.0")).contains("net_slack"));
+        assert!(sweep_err(&cell("max_w = 0")).contains("`max_w`"));
+        assert!(sweep_err(&cell("max_w = -7")).contains("`max_w`"));
+        assert!(sweep_err(&cell("max_w = \"heavy\"")).contains("`max_w`"));
+        let with_sizes = |s: &str| {
+            format!("engine = \"sim\"\n[[run]]\nfamily = \"grid\"\nsizes = {s}\nalgorithms = [\"bfs\"]\n")
+        };
+        assert!(sweep_err(&with_sizes("[16, 0]")).contains("`sizes`"));
+        assert!(sweep_err(&with_sizes("[-4]")).contains("`sizes`"));
+        assert!(sweep_err(&with_sizes("[16, \"big\"]")).contains("`sizes`"));
+        assert!(sweep_err(&with_sizes("[16, 2.5]")).contains("`sizes`"));
+    }
+
+    #[test]
+    fn cap_key_is_validated_loudly() {
+        let with_cap = |c: &str| {
+            format!(
+                "engine = \"sim\"\ncap = {c}\n[[run]]\nfamily = \"grid\"\n\
+                 sizes = [16]\nalgorithms = [\"bfs\"]\n"
+            )
+        };
+        assert!(sweep_err(&with_cap("0")).contains("`cap`"));
+        assert!(sweep_err(&with_cap("-3")).contains("`cap`"));
+        assert!(sweep_err(&with_cap("\"wide\"")).contains("`cap`"));
+        // In-range values run.
+        let doc = config::parse(&with_cap("2")).expect("config parses");
+        run_sweep(&doc, &mut Vec::new()).expect("sweep runs");
     }
 
     #[test]

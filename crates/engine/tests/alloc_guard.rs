@@ -171,7 +171,7 @@ impl Program for Beacon {
     }
 }
 
-fn run_beacon<E: Executor>(exec: &mut E, k: usize) {
+fn run_beacon<'g, E: Executor<'g>>(exec: &mut E, k: usize) {
     let (out, stats) = exec.run(|v, _| Beacon {
         left: if v == 0 { k as u64 } else { 0 },
         received: 0,
@@ -180,7 +180,7 @@ fn run_beacon<E: Executor>(exec: &mut E, k: usize) {
     assert_eq!(stats.messages, k as u64);
 }
 
-fn run_burst<E: Executor>(exec: &mut E, k: usize) {
+fn run_burst<'g, E: Executor<'g>>(exec: &mut E, k: usize) {
     let (out, stats) = exec.run(|v, _| Burst {
         k: if v == 0 { k } else { 0 },
         received: 0,
@@ -189,7 +189,7 @@ fn run_burst<E: Executor>(exec: &mut E, k: usize) {
     assert_eq!(stats.messages, k as u64);
 }
 
-fn run_trickle<E: Executor>(exec: &mut E, k: usize) {
+fn run_trickle<'g, E: Executor<'g>>(exec: &mut E, k: usize) {
     let (out, stats) = exec.run(|v, _| Trickle {
         left: if v == 0 { k as u64 } else { 0 },
         best: u64::MAX,
@@ -209,7 +209,7 @@ const SMALL: usize = 500;
 const LARGE: usize = 5000;
 const SLACK: u64 = 16;
 
-fn guard<E: Executor>(exec: &mut E, engine_name: &str) {
+fn guard<'g, E: Executor<'g>>(exec: &mut E, engine_name: &str) {
     for (workload, run) in [
         ("burst", run_burst as fn(&mut E, usize)),
         ("trickle", run_trickle as fn(&mut E, usize)),
@@ -231,7 +231,7 @@ fn guard<E: Executor>(exec: &mut E, engine_name: &str) {
 
 /// One relax sub-run: node 0 seeds key 0; every reached node allocates
 /// its slot table and its sorted weight list.
-fn run_relax<E: Executor>(exec: &mut E) {
+fn run_relax<'g, E: Executor<'g>>(exec: &mut E) {
     let (out, _) = exec.run(|v, _| {
         RelaxProgram::new(
             7,
@@ -265,8 +265,8 @@ const PER_REP_MSG: u64 = 10;
 /// lists).
 const PER_REP_RELAX: u64 = 16;
 
-fn composite_guard<E: Executor>(exec: &mut E, engine_name: &str, with_relax: bool) {
-    fn reps<E: Executor>(exec: &mut E, r: usize, with_relax: bool) {
+fn composite_guard<'g, E: Executor<'g>>(exec: &mut E, engine_name: &str, with_relax: bool) {
+    fn reps<'g, E: Executor<'g>>(exec: &mut E, r: usize, with_relax: bool) {
         for _ in 0..r {
             run_trickle(exec, 16);
             run_burst(exec, 16);

@@ -58,7 +58,7 @@ struct PassFingerprint {
     spans: Vec<(String, RunStats, u64, u64)>,
 }
 
-fn slt_pass<E: Executor>(exec: &mut E, seed: u64) -> PassFingerprint {
+fn slt_pass<'g, E: Executor<'g>>(exec: &mut E, seed: u64) -> PassFingerprint {
     let before = Executor::total(exec);
     let (res, tree) = obs::collect_spans(|| {
         let (tau, _) = build_bfs_tree(exec, 0);

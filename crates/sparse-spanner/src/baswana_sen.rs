@@ -67,7 +67,7 @@ impl Program for ClusterExchange {
 /// `seed` drives cluster sampling; the construction is deterministic in
 /// it. Stretch `2k−1` holds for every run (the randomness only affects
 /// the size).
-pub fn baswana_sen(sim: &mut impl Executor, k: usize, seed: u64) -> BsSpanner {
+pub fn baswana_sen<'g>(sim: &mut impl Executor<'g>, k: usize, seed: u64) -> BsSpanner {
     assert!(k >= 1, "stretch parameter k must be at least 1");
     let start = sim.total();
     let g = sim.graph();
@@ -89,7 +89,6 @@ pub fn baswana_sen(sim: &mut impl Executor, k: usize, seed: u64) -> BsSpanner {
             center: center_ref[v],
             heard: HashMap::new(),
         });
-        let g = sim.graph();
         // (b) sampling decision, locally computable from the seed.
         // The last phase samples nothing, forcing every clustered
         // vertex to connect to all adjacent clusters.

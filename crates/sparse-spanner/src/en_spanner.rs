@@ -13,10 +13,10 @@
 //! which holds with probability ≥ 1 − 1/c); the size `O(n^{1+1/k})`
 //! holds in expectation.
 //!
-//! This module provides the pure logic on explicit adjacency lists: the
-//! sequential runner used by tests and baselines, and the
-//! sampling/update/selection pieces that `lightnet::light_spanner`
-//! re-uses to drive the distributed cluster-graph simulation.
+//! This module is the sequential EN17b reference: the sampling, update
+//! and selection rules and a runner over explicit adjacency lists. It
+//! has no caller outside its own tests; `lightnet::light_spanner`
+//! simulates EN17b with its own `cluster_radii` and `ClusterState`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
