@@ -21,7 +21,7 @@ fn main() {
         let sizes: &[usize] = if quick { &[64, 128] } else { &[64, 128, 256] };
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E1 — light spanners for general graphs (Theorem 2)",
                 &run_e1(sizes, &[2, 3], seed)
             )
@@ -33,7 +33,7 @@ fn main() {
         };
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E1b — spanner round scaling (k = 2)",
                 &run_e1_rounds(rsizes, 2, seed)
             )
@@ -42,21 +42,21 @@ fn main() {
     if want("e2") {
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E2 — shallow-light trees vs the KRY95 optimum (Theorem 1)",
                 &run_e2(160, &[0.25, 0.5, 1.0], seed)
             )
         );
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E2b — inverse regime via [BFN16] (Lemma 5): lightness 1+γ",
                 &run_e2_inverse(160, &[0.25, 0.5, 0.75], seed)
             )
         );
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E2c — two-phase selection ablation",
                 &run_slt_ablation(seed)
             )
@@ -66,7 +66,7 @@ fn main() {
         let sizes: &[usize] = if quick { &[64, 128] } else { &[64, 128, 256] };
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E3 — nets (Theorem 3)",
                 &run_e3(sizes, &[0.25, 0.5, 1.0], seed)
             )
@@ -76,7 +76,7 @@ fn main() {
         let sizes: &[usize] = if quick { &[48, 96] } else { &[48, 96, 192] };
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E4 — light spanners for doubling graphs (Theorem 5)",
                 &run_e4(sizes, &[0.5, 0.25], seed)
             )
@@ -90,7 +90,7 @@ fn main() {
         };
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E5 — Euler tour of the MST (Lemma 2) round scaling",
                 &run_e5(sizes, seed)
             )
@@ -99,7 +99,7 @@ fn main() {
     if want("e6") {
         println!(
             "{}",
-            render(
+            markdown_table(
                 "E6 — MST-weight estimation from nets (Theorem 7, §8)",
                 &run_e6(seed)
             )

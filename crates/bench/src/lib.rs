@@ -25,7 +25,7 @@ pub struct Row {
 }
 
 /// Renders rows as a markdown table.
-pub fn render(title: &str, rows: &[Row]) -> String {
+pub fn markdown_table(title: &str, rows: &[Row]) -> String {
     let mut out = format!("\n### {title}\n\n");
     if rows.is_empty() {
         return out;

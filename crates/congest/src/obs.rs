@@ -131,30 +131,6 @@ impl SpanTree {
         walk("", &self.roots, &mut out);
         out
     }
-
-    /// Human-readable indented rendering (for `bench --profile`).
-    pub fn render(&self) -> String {
-        fn walk(nodes: &[SpanNode], depth: usize, out: &mut String) {
-            for n in nodes {
-                out.push_str(&format!(
-                    "{:indent$}{name}: {rounds} rounds, {delivered} delivered \
-                     ({combined} combined), {inv} invocations, {ms:.1} ms\n",
-                    "",
-                    indent = 2 * depth,
-                    name = n.name,
-                    rounds = n.stats.rounds,
-                    delivered = n.delivered(),
-                    combined = n.stats.messages_combined,
-                    inv = n.invocations,
-                    ms = n.wall_ns as f64 / 1e6,
-                ));
-                walk(&n.children, depth + 1, out);
-            }
-        }
-        let mut out = String::new();
-        walk(&self.roots, 0, &mut out);
-        out
-    }
 }
 
 struct Frame {

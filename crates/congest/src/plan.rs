@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// wall — a stressed run's plan cut, arena checkout and program
 /// construction — here, so a driver can report the setup floor of a
 /// composite workload without reaching into the sub-executors it
-/// spawns internally (`bench`'s `setup_ms` column reads the delta
-/// around each workload). Wall-clock only — never part of any
+/// spawns internally (the scenario runner's `setup_ms` column reads the
+/// delta around each cell). Wall-clock only — never part of any
 /// deterministic quantity (contract clause 8).
 static SETUP_WALL_NS: AtomicU64 = AtomicU64::new(0);
 

@@ -2,12 +2,13 @@
 //!
 //! crates.io is unreachable in the build environment, so instead of the
 //! `toml` crate the scenario runner parses the subset it needs:
-//! top-level `key = value` pairs, `[table]` sections, `[[array]]`
-//! array-of-tables sections, comments, and scalar/array values
-//! (integers, floats, booleans, `"strings"`, `[a, b, c]`). That covers
-//! every scenario file in `crates/engine/scenarios/`; anything fancier
-//! (dotted keys, inline tables, multiline strings) is rejected with a
-//! line-numbered error rather than misparsed.
+//! top-level `key = value` pairs, `[[array]]` array-of-tables sections,
+//! comments, and scalar/array values (integers, floats, booleans,
+//! `"strings"`, `[a, b, c]`). That covers every scenario file in
+//! `crates/engine/scenarios/`; anything else (`[table]` sections, a key
+//! repeated within one table, dotted keys, inline tables, multiline
+//! strings) is rejected with a line-numbered error rather than
+//! misparsed.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,54 +84,76 @@ impl Table {
         self.entries.get(key)
     }
 
-    /// Integer with default.
-    pub fn int_or(&self, key: &str, default: i64) -> i64 {
-        self.get(key).and_then(Value::as_int).unwrap_or(default)
+    /// Every key, in sorted order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.entries.keys().map(String::as_str)
     }
 
-    /// Float with default.
-    pub fn f64_or(&self, key: &str, default: f64) -> f64 {
-        self.get(key).and_then(Value::as_f64).unwrap_or(default)
+    /// `key` seen through `view`: `None` when absent, and an error
+    /// naming the key when present as something `view` rejects (`what`
+    /// describes the expected type).
+    pub fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        view: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => view(v)
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be {what}, got {v:?}")),
+        }
     }
 
-    /// Bool with default.
-    pub fn bool_or(&self, key: &str, default: bool) -> bool {
-        self.get(key).and_then(Value::as_bool).unwrap_or(default)
+    /// Integer, `default` when absent.
+    pub fn int_or(&self, key: &str, default: i64) -> Result<i64, String> {
+        Ok(self
+            .typed(key, "an integer", Value::as_int)?
+            .unwrap_or(default))
     }
 
-    /// String with default.
-    pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.get(key).and_then(Value::as_str).unwrap_or(default)
+    /// Number, `default` when absent.
+    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
+        Ok(self
+            .typed(key, "a number", Value::as_f64)?
+            .unwrap_or(default))
     }
 
-    /// Integer array (empty if absent).
-    pub fn ints(&self, key: &str) -> Vec<i64> {
-        self.get(key)
-            .and_then(Value::as_array)
-            .map(|xs| xs.iter().filter_map(Value::as_int).collect())
-            .unwrap_or_default()
+    /// Bool, `default` when absent.
+    pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, String> {
+        Ok(self
+            .typed(key, "a boolean", Value::as_bool)?
+            .unwrap_or(default))
     }
 
-    /// String array (empty if absent).
-    pub fn strs(&self, key: &str) -> Vec<String> {
-        self.get(key)
-            .and_then(Value::as_array)
-            .map(|xs| {
-                xs.iter()
-                    .filter_map(|v| v.as_str().map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// String, `default` when absent.
+    pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> Result<&'a str, String> {
+        Ok(self
+            .typed(key, "a string", Value::as_str)?
+            .unwrap_or(default))
+    }
+
+    /// Integer array, empty when absent.
+    pub fn ints(&self, key: &str) -> Result<Vec<i64>, String> {
+        let all = |xs: &[Value]| xs.iter().map(Value::as_int).collect();
+        let xs = self.typed(key, "a list of integers", |v| v.as_array().and_then(all))?;
+        Ok(xs.unwrap_or_default())
+    }
+
+    /// String array, empty when absent.
+    pub fn strs(&self, key: &str) -> Result<Vec<String>, String> {
+        let all = |xs: &[Value]| xs.iter().map(|x| x.as_str().map(str::to_owned)).collect();
+        let xs = self.typed(key, "a list of strings", |v| v.as_array().and_then(all))?;
+        Ok(xs.unwrap_or_default())
     }
 }
 
-/// A parsed document: root table, named tables, and arrays of tables.
+/// A parsed document: the root table and the arrays of tables.
 #[derive(Debug, Clone, Default)]
 pub struct Document {
     /// Keys above the first section header.
     pub root: Table,
-    /// `[name]` sections.
-    pub tables: BTreeMap<String, Table>,
     /// `[[name]]` sections, in file order.
     pub table_arrays: BTreeMap<String, Vec<Table>>,
 }
@@ -170,13 +193,9 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// supported subset.
 pub fn parse(input: &str) -> Result<Document, ParseError> {
     let mut doc = Document::default();
-    // (None, None) = root; (Some(name), idx) = table or array element.
-    enum Target {
-        Root,
-        Table(String),
-        ArrayElem(String),
-    }
-    let mut target = Target::Root;
+    // The `[[name]]` array whose last element receives keys; `None` is
+    // the root table.
+    let mut target: Option<String> = None;
 
     for (i, raw) in input.lines().enumerate() {
         let lineno = i + 1;
@@ -193,14 +212,12 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
                 .entry(name.to_owned())
                 .or_default()
                 .push(Table::default());
-            target = Target::ArrayElem(name.to_owned());
-        } else if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(err(lineno, "empty [section] name"));
-            }
-            doc.tables.entry(name.to_owned()).or_default();
-            target = Target::Table(name.to_owned());
+            target = Some(name.to_owned());
+        } else if line.starts_with('[') {
+            return Err(err(
+                lineno,
+                format!("unsupported section `{line}` (only [[name]] arrays of tables)"),
+            ));
         } else if let Some((key, value)) = line.split_once('=') {
             let key = key.trim();
             if key.is_empty() || key.contains(['[', ']', '"', '.']) {
@@ -208,15 +225,16 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
             }
             let value = parse_value(value.trim(), lineno)?;
             let table = match &target {
-                Target::Root => &mut doc.root,
-                Target::Table(name) => doc.tables.get_mut(name).expect("created above"),
-                Target::ArrayElem(name) => doc
+                None => &mut doc.root,
+                Some(name) => doc
                     .table_arrays
                     .get_mut(name)
                     .and_then(|v| v.last_mut())
                     .expect("created above"),
             };
-            table.entries.insert(key.to_owned(), value);
+            if table.entries.insert(key.to_owned(), value).is_some() {
+                return Err(err(lineno, format!("duplicate key `{key}`")));
+            }
         } else {
             return Err(err(
                 lineno,
@@ -319,9 +337,6 @@ label = "smoke"
 verbose = true
 ratio = 0.75
 
-[limits]
-max_rounds = 1_000_000
-
 [[run]]
 family = "erdos-renyi"
 sizes = [100, 1000]
@@ -336,33 +351,32 @@ eps = 0.5
     #[test]
     fn parses_the_scenario_shape() {
         let doc = parse(SAMPLE).unwrap();
-        assert_eq!(doc.root.int_or("seed", 0), 42);
-        assert_eq!(doc.root.int_or("threads", 9), 2);
-        assert_eq!(doc.root.str_or("label", ""), "smoke");
-        assert!(doc.root.bool_or("verbose", false));
-        assert_eq!(doc.root.f64_or("ratio", 0.0), 0.75);
-        assert_eq!(doc.tables["limits"].int_or("max_rounds", 0), 1_000_000);
+        assert_eq!(doc.root.int_or("seed", 0), Ok(42));
+        assert_eq!(doc.root.int_or("threads", 9), Ok(2));
+        assert_eq!(doc.root.str_or("label", ""), Ok("smoke"));
+        assert_eq!(doc.root.bool_or("verbose", false), Ok(true));
+        assert_eq!(doc.root.f64_or("ratio", 0.0), Ok(0.75));
         let runs = &doc.table_arrays["run"];
         assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].str_or("family", ""), "erdos-renyi");
-        assert_eq!(runs[0].ints("sizes"), vec![100, 1000]);
-        assert_eq!(runs[0].strs("algorithms"), vec!["bfs", "mst"]);
-        assert_eq!(runs[1].f64_or("eps", 0.0), 0.5);
-        assert!(runs[1].strs("algorithms").is_empty());
+        assert_eq!(runs[0].str_or("family", ""), Ok("erdos-renyi"));
+        assert_eq!(runs[0].ints("sizes"), Ok(vec![100, 1000]));
+        assert_eq!(runs[0].strs("algorithms").unwrap(), ["bfs", "mst"]);
+        assert_eq!(runs[1].f64_or("eps", 0.0), Ok(0.5));
+        assert_eq!(runs[1].strs("algorithms"), Ok(vec![]));
     }
 
     #[test]
     fn defaults_apply_when_absent() {
         let doc = parse("x = 1").unwrap();
-        assert_eq!(doc.root.int_or("y", 7), 7);
-        assert_eq!(doc.root.str_or("name", "fallback"), "fallback");
-        assert!(doc.root.ints("zs").is_empty());
+        assert_eq!(doc.root.int_or("y", 7), Ok(7));
+        assert_eq!(doc.root.str_or("name", "fallback"), Ok("fallback"));
+        assert_eq!(doc.root.ints("zs"), Ok(vec![]));
     }
 
     #[test]
     fn comments_inside_strings_survive() {
         let doc = parse(r##"tag = "a # b""##).unwrap();
-        assert_eq!(doc.root.str_or("tag", ""), "a # b");
+        assert_eq!(doc.root.str_or("tag", ""), Ok("a # b"));
     }
 
     #[test]
@@ -373,6 +387,19 @@ eps = 0.5
         assert!(e.message.contains("unterminated array"));
         let e = parse("x = @nope").unwrap_err();
         assert!(e.message.contains("unsupported value"));
+    }
+
+    #[test]
+    fn repeated_keys_and_table_sections_are_errors() {
+        let e = parse("threads = 1\nthreads = 3").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("`threads`"), "{e}");
+        let e = parse("[[run]]\nk = 1\nk = 2").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("`k`"), "{e}");
+        // Each `[[run]]` element is a table of its own.
+        assert!(parse("k = 1\n[[run]]\nk = 2\n[[run]]\nk = 3").is_ok());
+        assert_eq!(parse("x = 1\n[limits]\nmax = 2").unwrap_err().line, 2);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! On top of the engine, the [`scenario`] module (exposed by the
 //! `scenario` binary in `src/bin/scenario.rs`) sweeps graph family ×
 //! size × algorithm from a TOML config and emits JSONL or CSV result
-//! rows — the harness for workloads (10⁵⁺ nodes, up to million-node
-//! geometric instances) that the micro-bench crate does not reach.
-//! Every algorithm in the repository is reachable from a sweep; see
-//! [`scenario::ALGORITHMS`].
+//! rows — the harness for workloads up to million-node geometric
+//! instances, far past the n ≤ 1k simulator runs of the `experiments`
+//! harness in `crates/bench`. It is also the repository's regression
+//! gate: `scenario CONFIG --check BASELINE` compares a sweep's rows
+//! with committed ones (the golden fixtures, and `BENCH_engine.jsonl`
+//! for `scenarios/bench.toml`). Every algorithm in the repository is
+//! reachable from a sweep; see [`scenario::ALGORITHMS`].
 //!
 //! ```
 //! use congest::{Executor, Simulator};

@@ -12,9 +12,15 @@
 //! a JSON object per line (JSONL, the default) or as a CSV row behind a
 //! fixed header (`format = "csv"`). Round/message counts are
 //! engine-independent — the parallel engine is bit-identical to the
-//! simulator — so `engine = "both"` doubles as a production determinism
-//! check: the runner verifies the two engines' stats match and fails
-//! loudly otherwise.
+//! simulator — so every run of a cell must agree: `engine = "both"`
+//! runs the simulator and the parallel engine, and a `threads` list
+//! (`threads = [1, 2, 4]`) runs the parallel engine once per entry. The
+//! runner compares each run's pinned columns with the cell's first run
+//! and fails loudly on any difference.
+//!
+//! Every column except the [`SCRUBBED`] walls and worker count is
+//! deterministic. [`scrub`] blanks those, which is how the golden
+//! fixtures and `scenario --check BASELINE` compare whole rows.
 //!
 //! A root-level `trace = "path.jsonl"` key attaches a buffered
 //! [`TraceSink`] to every run: per-round profiling records plus one
@@ -40,12 +46,12 @@ use std::time::Instant;
 /// Upper bound on the `threads` TOML key — loud validation instead of
 /// silently over-subscribing the machine (mirrors the
 /// `landmarks`/`hop_bound` pattern). Omitting the key uses every core.
-pub const MAX_THREADS: usize = 512;
+const MAX_THREADS: usize = 512;
 
 /// The built-in default sweep (`scenario` with no arguments).
 pub const DEFAULT_CONFIG: &str = r#"# Built-in default sweep (see crates/engine/scenarios/ for more).
 seed = 1
-# threads = 4        # worker threads, 1..=512; omit to use every core
+# threads = 4        # worker threads, 1..=512 (or a list); omit to use every core
 engine = "parallel"  # "parallel" | "sim" | "both"
 format = "jsonl"     # "jsonl" | "csv"
 cap = 1
@@ -96,6 +102,9 @@ pub struct Row {
     pub seed: u64,
     /// Rounds/messages of the run.
     pub stats: RunStats,
+    /// `Program::round` calls executed (frontier scheduling; see the
+    /// activation contract in `congest::exec`). Engine-independent.
+    pub invocations: u64,
     /// Peak active-node count in any round (frontier width; see the
     /// activation contract in `congest::exec`). Engine-independent.
     pub active_peak: u64,
@@ -103,8 +112,15 @@ pub struct Row {
     /// (`invocations / FrontierStats::rounds` — analytically charged
     /// rounds are excluded from the denominator).
     pub active_mean: f64,
-    /// Wall-clock milliseconds.
+    /// Wall-clock milliseconds of the cell, executor construction and
+    /// teardown included.
     pub wall_ms: f64,
+    /// Per-run executor setup wall (a stressed run's plan cut, arena
+    /// checkout, program construction) summed over every run and
+    /// sub-run of the cell, in milliseconds. Read from a process-wide
+    /// accumulator (`congest::plan::setup_wall_ns`), so concurrent
+    /// sweeps in one process inflate it; machine-dependent.
+    pub setup_ms: f64,
     /// Algorithm-specific headline number, e.g. BFS height, MST weight.
     pub metric_name: &'static str,
     /// Value of the headline metric.
@@ -135,7 +151,7 @@ impl Row {
     /// fields (empty cells where instrumentation was not recorded).
     pub const CSV_HEADER: &'static str = "family,n,m,algorithm,engine,threads,seed,rounds,\
                                           messages,messages_combined,messages_delivered,\
-                                          active_peak,active_mean,wall_ms,\
+                                          invocations,active_peak,active_mean,wall_ms,setup_ms,\
                                           metric_name,metric,\
                                           peak_round_messages,peak_queue_depth,\
                                           deliver_ms,compute_ms,barrier_ms,\
@@ -147,8 +163,9 @@ impl Row {
         let mut s = format!(
             "{{\"family\":\"{}\",\"n\":{},\"m\":{},\"algorithm\":\"{}\",\"engine\":\"{}\",\
              \"threads\":{},\"seed\":{},\"rounds\":{},\"messages\":{},\
-             \"messages_combined\":{},\"messages_delivered\":{},\"active_peak\":{},\
-             \"active_mean\":{:.3},\"wall_ms\":{:.3},\"{}\":{}",
+             \"messages_combined\":{},\"messages_delivered\":{},\"invocations\":{},\
+             \"active_peak\":{},\"active_mean\":{:.3},\"wall_ms\":{:.3},\"setup_ms\":{:.3},\
+             \"{}\":{}",
             self.family,
             self.n,
             self.m,
@@ -160,9 +177,11 @@ impl Row {
             self.stats.messages,
             self.stats.messages_combined,
             self.stats.messages_delivered(),
+            self.invocations,
             self.active_peak,
             self.active_mean,
             self.wall_ms,
+            self.setup_ms,
             self.metric_name,
             self.metric,
         );
@@ -202,7 +221,7 @@ impl Row {
         let opt_u = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_default();
         let opt_f = |v: Option<f64>| v.map(|x| format!("{x:.3}")).unwrap_or_default();
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{}",
             self.family,
             self.n,
             self.m,
@@ -214,9 +233,11 @@ impl Row {
             self.stats.messages,
             self.stats.messages_combined,
             self.stats.messages_delivered(),
+            self.invocations,
             self.active_peak,
             self.active_mean,
             self.wall_ms,
+            self.setup_ms,
             self.metric_name,
             self.metric,
             opt_u(self.peak_round_messages),
@@ -230,6 +251,67 @@ impl Row {
             opt_u(self.msg_p99),
         )
     }
+
+    /// The columns every run of one cell must agree on, whatever its
+    /// engine and thread count (the runner's determinism probe).
+    fn probe(&self) -> impl PartialEq + std::fmt::Debug {
+        (
+            self.stats,
+            self.invocations,
+            self.active_peak,
+            self.active_mean.to_bits(),
+            self.metric,
+            (self.msg_max_node, self.msg_max, self.msg_p50, self.msg_p99),
+        )
+    }
+}
+
+/// The columns that differ between two runs of one cell: the walls and
+/// the worker count. Every other column is pinned.
+pub const SCRUBBED: [&str; 6] = [
+    "wall_ms",
+    "setup_ms",
+    "threads",
+    "deliver_ms",
+    "compute_ms",
+    "barrier_ms",
+];
+
+/// Writes `_` over every [`SCRUBBED`] column of JSONL rows, or of CSV
+/// rows in [`Row::CSV_HEADER`] order, so two outputs of one config are
+/// equal after scrubbing exactly when their pinned columns are.
+/// Idempotent.
+pub fn scrub(rows: &str) -> String {
+    let csv: Vec<bool> = Row::CSV_HEADER
+        .split(',')
+        .map(|c| SCRUBBED.contains(&c))
+        .collect();
+    let mut out = String::with_capacity(rows.len());
+    for line in rows.lines() {
+        let mut line = line.to_owned();
+        if line.starts_with('{') {
+            for key in SCRUBBED {
+                let needle = format!("\"{key}\":");
+                if let Some(at) = line.find(&needle) {
+                    let start = at + needle.len();
+                    let end = line[start..]
+                        .find([',', '}'])
+                        .map_or(line.len(), |i| start + i);
+                    line.replace_range(start..end, "_");
+                }
+            }
+        } else if line != Row::CSV_HEADER {
+            line = line
+                .split(',')
+                .enumerate()
+                .map(|(i, cell)| if csv.get(i) == Some(&true) { "_" } else { cell })
+                .collect::<Vec<_>>()
+                .join(",");
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
 }
 
 /// Instantiates a family at size `n`. The geometric family uses the
@@ -371,14 +453,51 @@ pub fn drive<'g, E: Executor<'g>>(
     }))
 }
 
+/// Root keys a config may set.
+const ROOT_KEYS: [&str; 8] = [
+    "seed",
+    "threads",
+    "engine",
+    "format",
+    "cap",
+    "record_metrics",
+    "trace",
+    "output",
+];
+
+/// Keys a `[[run]]` table may set.
+const RUN_KEYS: [&str; 11] = [
+    "family",
+    "sizes",
+    "algorithms",
+    "seeds",
+    "eps",
+    "k",
+    "net_delta",
+    "net_slack",
+    "landmarks",
+    "hop_bound",
+    "max_w",
+];
+
 struct Globals {
-    threads: usize,
+    /// `(engine, threads)` of every run of a cell, in row order: the
+    /// simulator once, the parallel engine once per `threads` entry.
+    executors: Vec<(&'static str, usize)>,
     cap: usize,
     record: bool,
-    engines: Vec<&'static str>,
-    base_seed: u64,
     format: OutputFormat,
     trace: Option<SharedTraceSink>,
+}
+
+/// One validated `[[run]]` table.
+struct RunSpec {
+    family: String,
+    sizes: Vec<usize>,
+    algorithms: Vec<String>,
+    seeds: Vec<u64>,
+    params: AlgoParams,
+    max_w: Weight,
 }
 
 struct Cell<'a> {
@@ -387,18 +506,6 @@ struct Cell<'a> {
     params: AlgoParams,
     seed: u64,
 }
-
-/// The per-cell determinism probe compared across engines: `RunStats`,
-/// frontier accounting, and the per-node message summary columns.
-type Probe = (
-    RunStats,
-    u64,
-    u64,
-    Option<u64>,
-    Option<u64>,
-    Option<u64>,
-    Option<u64>,
-);
 
 /// Runs [`drive`] with a span collector installed when the sweep has a
 /// trace sink; the harvested span tree is appended to the trace under
@@ -420,21 +527,21 @@ fn drive_cell<'g, E: Executor<'g>>(
     }
 }
 
-/// Runs one cell on the engine named `which` (`"sim"` or `"parallel"`).
+/// Runs one cell on the simulator (`which == "sim"`) or on the
+/// parallel engine with `threads` workers.
 fn run_cell(
     globals: &Globals,
     g: &Graph,
     which: &str,
+    threads: usize,
     cell: &Cell<'_>,
 ) -> Result<(Row, Option<RunReport>), String> {
     let start = Instant::now();
-    match which {
-        "sim" => measure_cell(Simulator::new(g), 1, start, globals, which, cell),
-        "parallel" => {
-            let eng = Engine::with_threads(g, globals.threads);
-            measure_cell(eng, globals.threads, start, globals, which, cell)
-        }
-        other => Err(format!("unknown engine `{other}`")),
+    if which == "sim" {
+        measure_cell(Simulator::new(g), 1, start, globals, which, cell)
+    } else {
+        let eng = Engine::with_threads(g, threads);
+        measure_cell(eng, threads, start, globals, which, cell)
     }
 }
 
@@ -458,7 +565,9 @@ fn measure_cell<'g, E: Executor<'g>>(
     exec.set_record_metrics(globals.record);
     exec.set_record_node_stats(globals.record);
     exec.set_trace(globals.trace.clone());
+    let setup0 = congest::plan::setup_wall_ns();
     let (stats, metric_name, metric) = drive_cell(&mut exec, globals, cell, &scope)?;
+    let setup_ms = (congest::plan::setup_wall_ns() - setup0) as f64 / 1e6;
     let frontier = exec.frontier_total();
     let report = exec.last_report().cloned();
     let summary = exec.node_stats().map(|ns| ns.summary());
@@ -475,9 +584,11 @@ fn measure_cell<'g, E: Executor<'g>>(
         threads,
         seed: cell.seed,
         stats,
+        invocations: frontier.invocations,
         active_peak: frontier.peak_active,
         active_mean: frontier.mean_active(),
         wall_ms,
+        setup_ms,
         metric_name,
         metric,
         peak_round_messages: report.as_ref().map(|r| r.peak_round_messages()),
@@ -497,243 +608,225 @@ fn measure_cell<'g, E: Executor<'g>>(
 /// `out` in the config's `format`.
 ///
 /// # Errors
-/// Returns a message on unknown families/algorithms/engines, missing
-/// required keys, out-of-range or mistyped knobs (`threads`, `cap`,
-/// `sizes`, `max_w` and the per-run algorithm knobs), I/O failures, or
-/// a sim/parallel determinism mismatch.
+/// Returns a message, before any cell runs, on an unknown key or
+/// section, a mistyped value, a missing required key or an out-of-range
+/// knob (`threads`, `cap`, `seed`, `sizes`, `max_w` and the per-run
+/// algorithm knobs); and, while running, on unknown families or
+/// algorithms, I/O failures, or runs of one cell that disagree.
 pub fn run_sweep(doc: &config::Document, out: &mut dyn Write) -> Result<(), String> {
     let root = &doc.root;
-    let threads = match root.get("threads") {
-        None => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
-        Some(v) => match v.as_int() {
-            Some(t) if (1..=MAX_THREADS as i64).contains(&t) => t as usize,
-            Some(0) => {
-                return Err("threads must be >= 1 (omit the key to use every core)".to_owned())
-            }
-            Some(t) => return Err(format!("threads must be in 1..={MAX_THREADS}, got {t}")),
-            None => return Err("`threads` must be an integer".to_owned()),
-        },
+    check_keys(root, &ROOT_KEYS)?;
+    if let Some(name) = doc.table_arrays.keys().find(|&k| k != "run") {
+        return Err(format!("unknown section `[[{name}]]` (expected [[run]])"));
+    }
+    let threads: Vec<usize> = match root.get("threads") {
+        None => vec![std::thread::available_parallelism().map_or(1, |p| p.get())],
+        Some(Value::Array(list)) if list.is_empty() => {
+            return Err("`threads` must list at least one count".to_owned())
+        }
+        Some(Value::Array(list)) => list.iter().map(thread_count).collect::<Result<_, _>>()?,
+        Some(v) => vec![thread_count(v)?],
     };
-    let engines: Vec<&'static str> = match root.str_or("engine", "parallel") {
-        "parallel" => vec!["parallel"],
-        "sim" => vec!["sim"],
-        "both" => vec!["sim", "parallel"],
+    let parallel = threads.iter().map(|&t| ("parallel", t));
+    let executors = match root.str_or("engine", "parallel")? {
+        "parallel" => parallel.collect(),
+        "sim" => vec![("sim", 1)],
+        "both" => std::iter::once(("sim", 1)).chain(parallel).collect(),
         other => return Err(format!("engine must be parallel|sim|both, got `{other}`")),
     };
-    let format = match root.str_or("format", "jsonl") {
+    let format = match root.str_or("format", "jsonl")? {
         "jsonl" => OutputFormat::Jsonl,
         "csv" => OutputFormat::Csv,
         other => return Err(format!("format must be jsonl|csv, got `{other}`")),
     };
-    let trace = match root.get("trace") {
+    let cap = positive_int(root, "cap", 1)? as usize;
+    let record = root.bool_or("record_metrics", false)?;
+    let base_seed = non_negative("seed", root.int_or("seed", 1)?)?;
+    let runs = doc.table_arrays.get("run").map_or(&[][..], Vec::as_slice);
+    if runs.is_empty() {
+        return Err("config has no [[run]] sections".to_owned());
+    }
+    let runs = runs
+        .iter()
+        .enumerate()
+        .map(|(ri, run)| parse_run(run, base_seed).map_err(|e| format!("[[run]] #{ri}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let trace = match root.typed("trace", "a path string", Value::as_str)? {
         None => None,
-        Some(v) => {
-            let path = v
-                .as_str()
-                .ok_or_else(|| "`trace` must be a path string".to_owned())?;
+        Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file `{path}`: {e}"))?;
             Some(TraceSink::shared(Box::new(file)))
         }
     };
     let globals = Globals {
-        threads,
-        cap: positive_int(root, "cap", 1, "")? as usize,
-        record: root.bool_or("record_metrics", false),
-        engines,
-        base_seed: root.int_or("seed", 1) as u64,
+        executors,
+        cap,
+        record,
         format,
         trace,
     };
     if format == OutputFormat::Csv {
         writeln!(out, "{}", Row::CSV_HEADER).map_err(|e| e.to_string())?;
     }
-
-    let runs = doc.table_arrays.get("run").cloned().unwrap_or_default();
-    if runs.is_empty() {
-        return Err("config has no [[run]] sections".to_owned());
-    }
-    for (ri, run) in runs.iter().enumerate() {
-        sweep_run(&globals, ri, run, out)?;
+    for run in &runs {
+        sweep_run(&globals, run, out)?;
     }
     Ok(())
 }
 
-/// An integer knob that must be `>= 1`, `default` when absent. Zero,
-/// negative and non-integer values are errors naming the key (`at`
-/// prefixes the message, e.g. with the `[[run]]` index), not values
-/// silently clamped or replaced by the default.
-fn positive_int(table: &Table, key: &str, default: i64, at: &str) -> Result<i64, String> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_int() {
-            Some(x) if x >= 1 => Ok(x),
-            Some(x) => Err(format!("{at}`{key}` must be >= 1, got {x}")),
-            None => Err(format!("{at}`{key}` must be an integer")),
-        },
+/// Errs on the first key of `table` that `allowed` does not list.
+fn check_keys(table: &Table, allowed: &[&str]) -> Result<(), String> {
+    match table.keys().find(|k| !allowed.contains(k)) {
+        Some(key) => Err(format!(
+            "unknown key `{key}` (expected one of {})",
+            allowed.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
-/// Parses and validates the per-cell algorithm knobs of one `[[run]]`
-/// table. Zero or absurd values are configuration mistakes (a zero hop
-/// bound kills every exploration, zero landmarks silently degenerates
-/// the scheme, a non-positive slack violates Theorem 3's premise), so
-/// they fail the sweep loudly instead of producing misleading rows.
-fn parse_algo_params(ri: usize, run: &Table) -> Result<AlgoParams, String> {
-    let eps = run.f64_or("eps", 0.5);
+/// One `threads` entry: an integer in `1..=MAX_THREADS`.
+fn thread_count(v: &Value) -> Result<usize, String> {
+    match v.as_int() {
+        Some(t) if (1..=MAX_THREADS as i64).contains(&t) => Ok(t as usize),
+        Some(0) => Err("`threads` must be >= 1 (omit the key to use every core)".to_owned()),
+        Some(t) => Err(format!("`threads` must be in 1..={MAX_THREADS}, got {t}")),
+        None => Err(format!(
+            "`threads` must be an integer or a list of integers, got {v:?}"
+        )),
+    }
+}
+
+/// An integer knob that must be `>= 1`, `default` when absent. Zero,
+/// negative and non-integer values are errors naming the key, not
+/// values silently clamped or replaced by the default.
+fn positive_int(table: &Table, key: &str, default: i64) -> Result<i64, String> {
+    match table.int_or(key, default)? {
+        x if x >= 1 => Ok(x),
+        x => Err(format!("`{key}` must be >= 1, got {x}")),
+    }
+}
+
+/// `x` as an unsigned value of `key`, or an error naming the key.
+fn non_negative(key: &str, x: i64) -> Result<u64, String> {
+    u64::try_from(x).map_err(|_| format!("`{key}` must be >= 0, got {x}"))
+}
+
+/// Parses and validates one `[[run]]` table. Unknown keys, mistyped
+/// values and zero or absurd knobs (a zero hop bound kills every
+/// exploration, zero landmarks silently degenerates the scheme, a
+/// non-positive slack violates Theorem 3's premise) are configuration
+/// mistakes, so they fail the sweep loudly instead of producing
+/// misleading rows.
+fn parse_run(run: &Table, base_seed: u64) -> Result<RunSpec, String> {
+    check_keys(run, &RUN_KEYS)?;
+    let sizes = run.ints("sizes")?;
+    if sizes.is_empty() {
+        return Err("`sizes` is required".to_owned());
+    }
+    if let Some(n) = sizes.iter().find(|&&n| n < 1) {
+        return Err(format!("every `sizes` entry must be >= 1, got {n}"));
+    }
+    let mut algorithms = run.strs("algorithms")?;
+    if algorithms.is_empty() {
+        algorithms.push("bfs".to_owned());
+    }
+    let mut seeds = run
+        .ints("seeds")?
+        .into_iter()
+        .map(|s| non_negative("seeds", s))
+        .collect::<Result<Vec<_>, _>>()?;
+    if seeds.is_empty() {
+        seeds.push(base_seed);
+    }
+    let eps = run.f64_or("eps", 0.5)?;
     if !eps.is_finite() || eps <= 0.0 || eps > 64.0 {
-        return Err(format!(
-            "[[run]] #{ri}: `eps` must be in (0, 64], got {eps}"
-        ));
+        return Err(format!("`eps` must be in (0, 64], got {eps}"));
     }
-    let k = run.int_or("k", 2);
-    if k < 1 {
-        return Err(format!("[[run]] #{ri}: `k` must be >= 1, got {k}"));
-    }
-    let net_delta = run.int_or("net_delta", 0);
-    if net_delta < 0 {
-        return Err(format!(
-            "[[run]] #{ri}: `net_delta` must be >= 0 (0 = auto), got {net_delta}"
-        ));
-    }
-    let net_slack = run.f64_or("net_slack", 0.5);
+    let net_slack = run.f64_or("net_slack", 0.5)?;
     if !net_slack.is_finite() || net_slack <= 0.0 || net_slack > 64.0 {
-        return Err(format!(
-            "[[run]] #{ri}: `net_slack` must be in (0, 64], got {net_slack}"
-        ));
+        return Err(format!("`net_slack` must be in (0, 64], got {net_slack}"));
     }
-    let landmarks = match run.get("landmarks") {
-        None => None,
-        Some(v) => match v.as_int() {
-            Some(l) if (1..=1i64 << 32).contains(&l) => Some(l as usize),
-            Some(l) => {
-                return Err(format!(
-                    "[[run]] #{ri}: `landmarks` must be in [1, 2^32] \
-                     (omit the key for the adaptive default), got {l}"
-                ))
-            }
-            None => return Err(format!("[[run]] #{ri}: `landmarks` must be an integer")),
-        },
+    let landmarks = match run.typed("landmarks", "an integer", Value::as_int)? {
+        Some(l) if !(1..=1i64 << 32).contains(&l) => {
+            return Err(format!(
+                "`landmarks` must be in [1, 2^32] (omit the key for the adaptive default), got {l}"
+            ))
+        }
+        l => l.map(|l| l as usize),
     };
-    let hop_bound = match run.get("hop_bound") {
-        None => None,
-        Some(v) => match v.as_int() {
-            Some(h) if h >= 1 => Some(h as u64),
-            Some(h) => {
-                return Err(format!(
-                    "[[run]] #{ri}: `hop_bound` must be >= 1 \
-                     (omit the key for the 2⌈√n⌉ default), got {h}"
-                ))
-            }
-            None => return Err(format!("[[run]] #{ri}: `hop_bound` must be an integer")),
-        },
+    let hop_bound = match run.typed("hop_bound", "an integer", Value::as_int)? {
+        Some(h) if h < 1 => {
+            return Err(format!(
+                "`hop_bound` must be >= 1 (omit the key for the 2⌈√n⌉ default), got {h}"
+            ))
+        }
+        h => h.map(|h| h as u64),
     };
-    Ok(AlgoParams {
-        eps,
-        k: k as usize,
-        net_delta: net_delta as Weight,
-        net_slack,
-        landmarks,
-        hop_bound,
+    Ok(RunSpec {
+        family: run.str_or("family", "erdos-renyi")?.to_owned(),
+        sizes: sizes.into_iter().map(|n| n as usize).collect(),
+        algorithms,
+        seeds,
+        params: AlgoParams {
+            eps,
+            k: positive_int(run, "k", 2)? as usize,
+            net_delta: non_negative("net_delta", run.int_or("net_delta", 0)?)?,
+            net_slack,
+            landmarks,
+            hop_bound,
+        },
+        max_w: positive_int(run, "max_w", 100)? as Weight,
     })
 }
 
-fn sweep_run(globals: &Globals, ri: usize, run: &Table, out: &mut dyn Write) -> Result<(), String> {
-    let family = run.str_or("family", "erdos-renyi").to_owned();
-    let sizes = run
-        .get("sizes")
-        .and_then(Value::as_array)
-        .unwrap_or_default();
-    if sizes.is_empty() {
-        return Err(format!("[[run]] #{ri}: `sizes` is required"));
-    }
-    let sizes = sizes
-        .iter()
-        .map(|v| match v.as_int() {
-            Some(n) if n >= 1 => Ok(n as usize),
-            _ => Err(format!(
-                "[[run]] #{ri}: every `sizes` entry must be an integer >= 1, got {v:?}"
-            )),
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    let algorithms = {
-        let a = run.strs("algorithms");
-        if a.is_empty() {
-            vec!["bfs".to_owned()]
-        } else {
-            a
-        }
-    };
-    let seeds = {
-        let s = run.ints("seeds");
-        if s.is_empty() {
-            vec![globals.base_seed]
-        } else {
-            s.into_iter().map(|x| x as u64).collect()
-        }
-    };
-    let params = parse_algo_params(ri, run)?;
-    let max_w = positive_int(run, "max_w", 100, &format!("[[run]] #{ri}: "))? as u64;
-
-    for &n in &sizes {
-        for &seed in &seeds {
-            let g = build_graph(&family, n, max_w, seed)?;
-            for algorithm in &algorithms {
+fn sweep_run(globals: &Globals, run: &RunSpec, out: &mut dyn Write) -> Result<(), String> {
+    for &n in &run.sizes {
+        for &seed in &run.seeds {
+            let g = build_graph(&run.family, n, run.max_w, seed)?;
+            for algorithm in &run.algorithms {
                 let cell = Cell {
-                    family: &family,
+                    family: &run.family,
                     algorithm,
-                    params,
+                    params: run.params,
                     seed,
                 };
-                // RunStats, frontier accounting *and* the per-node
-                // message summary must match across engines (the
-                // active set is contract-determined, clause 8 extends
-                // that to the observers).
-                let mut seen: Option<Probe> = None;
-                let mut seen_report: Option<RunReport> = None;
-                for which in &globals.engines {
-                    let (row, report) = run_cell(globals, &g, which, &cell)?;
-                    let probe = (
-                        row.stats,
-                        row.active_peak,
-                        row.active_mean.to_bits(),
-                        row.msg_max_node,
-                        row.msg_max,
-                        row.msg_p50,
-                        row.msg_p99,
-                    );
+                // Every run of the cell must match its first run on the
+                // probed columns (the active set is contract-determined,
+                // clause 8 extends that to the observers) and, with
+                // metrics recorded, on the whole per-round series.
+                let mut first: Option<(Row, Option<RunReport>)> = None;
+                for &(which, threads) in &globals.executors {
+                    let (row, report) = run_cell(globals, &g, which, threads, &cell)?;
                     let line = match globals.format {
                         OutputFormat::Jsonl => row.to_json(),
                         OutputFormat::Csv => row.to_csv(),
                     };
                     writeln!(out, "{line}").map_err(|e| e.to_string())?;
-                    if let Some(prev) = seen {
-                        if prev != probe {
-                            return Err(format!(
-                                "DETERMINISM VIOLATION: {family} n={n} {algorithm} seed={seed}: \
-                                 sim {prev:?} != parallel {probe:?}"
-                            ));
-                        }
+                    let Some((first_row, first_report)) = &first else {
+                        first = Some((row, report));
+                        continue;
+                    };
+                    let violation = |what: String| {
+                        format!(
+                            "DETERMINISM VIOLATION: {} n={n} {algorithm} seed={seed}: {} \
+                             threads={} and {which} threads={threads}: {what}",
+                            run.family, first_row.engine, first_row.threads
+                        )
+                    };
+                    if first_row.probe() != row.probe() {
+                        let (a, b) = (first_row.probe(), row.probe());
+                        return Err(violation(format!("{a:?} != {b:?}")));
                     }
-                    // With metrics recorded, the whole per-round series
-                    // must agree, not just the totals.
-                    if let (Some(prev), Some(cur)) = (seen_report.as_ref(), report.as_ref()) {
-                        if prev.messages_per_round != cur.messages_per_round
-                            || prev.active_per_round != cur.active_per_round
-                            || prev.max_queue_depth_per_round != cur.max_queue_depth_per_round
-                            || prev.hot_edges != cur.hot_edges
+                    if let (Some(a), Some(b)) = (first_report, &report) {
+                        if a.messages_per_round != b.messages_per_round
+                            || a.active_per_round != b.active_per_round
+                            || a.max_queue_depth_per_round != b.max_queue_depth_per_round
+                            || a.hot_edges != b.hot_edges
                         {
-                            return Err(format!(
-                                "DETERMINISM VIOLATION: {family} n={n} {algorithm} seed={seed}: \
-                                 per-round series differ between sim and parallel"
-                            ));
+                            return Err(violation("per-round series differ".to_owned()));
                         }
-                    }
-                    seen = Some(probe);
-                    if report.is_some() {
-                        seen_report = report;
                     }
                 }
             }
@@ -773,6 +866,16 @@ mod tests {
         assert!(sweep_err(&cell("max_w = 0")).contains("`max_w`"));
         assert!(sweep_err(&cell("max_w = -7")).contains("`max_w`"));
         assert!(sweep_err(&cell("max_w = \"heavy\"")).contains("`max_w`"));
+        assert!(sweep_err(&cell("eps = \"0.25\"")).contains("`eps`"));
+        assert!(sweep_err(&cell("seeds = [1, \"2\", -3]")).contains("`seeds`"));
+        assert!(sweep_err(&cell("seeds = [-3]")).contains("`seeds`"));
+        let unknown = sweep_err(&cell("hop_bond = 16"));
+        assert!(
+            unknown.contains("[[run]] #0: unknown key `hop_bond`"),
+            "{unknown}"
+        );
+        let algorithms = "engine = \"sim\"\n[[run]]\nsizes = [16]\nalgorithms = [\"bfs\", 3]\n";
+        assert!(sweep_err(algorithms).contains("`algorithms`"));
         let with_sizes = |s: &str| {
             format!("engine = \"sim\"\n[[run]]\nfamily = \"grid\"\nsizes = {s}\nalgorithms = [\"bfs\"]\n")
         };
@@ -799,6 +902,22 @@ mod tests {
     }
 
     #[test]
+    fn root_keys_are_validated_loudly() {
+        let with_root = |key: &str| {
+            format!("{key}\n[[run]]\nfamily = \"grid\"\nsizes = [16]\nalgorithms = [\"bfs\"]\n")
+        };
+        let unknown = sweep_err(&with_root("engine = \"sim\"\nthread = 4"));
+        assert!(unknown.contains("unknown key `thread`"), "{unknown}");
+        assert!(sweep_err(&with_root("engine = \"sim\"\nseed = -1")).contains("`seed`"));
+        let bad_record = with_root("engine = \"sim\"\nrecord_metrics = 1");
+        assert!(sweep_err(&bad_record).contains("`record_metrics`"));
+        assert!(sweep_err(&with_root("engine = 2")).contains("`engine`"));
+        assert!(sweep_err(&with_root("engine = \"sim\"\nformat = 1")).contains("`format`"));
+        let section = with_root("engine = \"sim\"\n[[runs]]\nsizes = [16]");
+        assert!(sweep_err(&section).contains("[[runs]]"));
+    }
+
+    #[test]
     fn threads_key_is_validated_loudly() {
         let with_threads = |t: &str| {
             format!(
@@ -813,12 +932,23 @@ mod tests {
         let absurd = sweep_err(&with_threads("100000"));
         assert!(absurd.contains("1..=512"), "{absurd}");
         assert!(sweep_err(&with_threads("\"many\"")).contains("integer"));
-        // In-range values run; `threads` lands in the emitted rows.
-        let body = with_threads("2").replace("engine = \"sim\"", "engine = \"parallel\"");
+        // A list is checked entry by entry, like the scalar.
+        assert!(sweep_err(&with_threads("[1, 0]")).contains("omit the key"));
+        assert!(sweep_err(&with_threads("[2, 513]")).contains("1..=512"));
+        assert!(sweep_err(&with_threads("[1, \"many\"]")).contains("integer"));
+        assert!(sweep_err(&with_threads("[]")).contains("threads"));
+        // In-range values run, the parallel engine once per entry after
+        // the simulator's row; `threads` lands in the emitted rows.
+        let body = with_threads("[2, 1]").replace("engine = \"sim\"", "engine = \"both\"");
         let doc = config::parse(&body).expect("config parses");
         let mut out = Vec::new();
         run_sweep(&doc, &mut out).expect("sweep runs");
-        assert!(String::from_utf8(out).unwrap().contains("\"threads\":2"));
+        let threads: Vec<&str> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| &l[l.find("\"threads\"").unwrap()..][..11])
+            .collect();
+        assert_eq!(threads, ["\"threads\":1", "\"threads\":2", "\"threads\":1"]);
     }
 
     #[test]

@@ -1,17 +1,12 @@
 //! Golden-file test for the scenario runner: `scenarios/quick.toml` is
 //! executed in-process (both output formats) and the rows must match
-//! the committed fixtures byte-for-byte after scrubbing the
-//! machine-dependent fields (`wall_ms`, `threads`, and the per-phase
-//! wall columns `deliver_ms`/`compute_ms`/`barrier_ms`) and the two
-//! frontier-bookkeeping fields (`active_peak`, `active_mean` — they
-//! are deterministic, but scrubbed so fixtures pin the *simulated*
-//! algorithm, not the scheduler's accounting). The per-node message
-//! summary columns (`msg_max_node`, `msg_max`, `msg_p50`, `msg_p99`)
-//! are deterministic and engine-identical (clause 8), so they stay
-//! pinned.
+//! the committed fixtures byte-for-byte after [`scrub`] blanks the
+//! machine-dependent columns listed in `scenario::SCRUBBED` (the walls
+//! and `threads`).
 //!
-//! Everything else — field order, seeds, graph sizes, round and message
-//! counts, headline metrics, engine instrumentation peaks — is pinned:
+//! Everything else — field order, seeds, graph sizes, round, message
+//! and invocation counts, frontier width, headline metrics, engine
+//! instrumentation peaks, the per-node message summary — is pinned:
 //! the generators are seeded, and the engines are deterministic by the
 //! `congest::exec` contract, so any diff is a real behavior change.
 //! To regenerate after an *intentional* change:
@@ -20,88 +15,25 @@
 //! UPDATE_GOLDEN=1 cargo test -p engine --test golden
 //! ```
 //!
-//! CI diffs the real `scenario` binary's output against the same
-//! fixtures, scrubbing through `scripts/scrub_golden.sh` — keep that
-//! script's field list in sync with [`SCRUBBED_FIELDS`].
+//! CI runs the real `scenario` binary against the same fixtures with
+//! `scenario <config> --check crates/engine/tests/fixtures/quick.jsonl`,
+//! which scrubs through the same function.
 
 use engine::config;
-use engine::scenario::run_sweep;
+use engine::scenario::{run_sweep, scrub};
 use std::path::PathBuf;
 
 const CONFIG: &str = include_str!("../scenarios/quick.toml");
 
-/// Runs quick.toml in-process with extra root keys prepended (the
-/// config's own keys win on duplicates, so only *new* keys like
-/// `format` may be injected this way).
+/// Runs quick.toml in-process with extra root keys prepended. A key
+/// repeated within one table is a parse error, so only keys quick.toml
+/// leaves unset (like `format`) may be injected this way.
 fn run_quick(extra_root_keys: &str) -> String {
     let text = format!("{extra_root_keys}\n{CONFIG}");
     let doc = config::parse(&text).expect("quick.toml parses");
     let mut buf = Vec::new();
     run_sweep(&doc, &mut buf).expect("quick sweep runs");
     String::from_utf8(buf).expect("output is UTF-8")
-}
-
-/// Replaces the value of a `"key":<number>` JSON field with `_`.
-fn scrub_json_field(line: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = line.find(&needle) else {
-        return line.to_owned();
-    };
-    let vstart = start + needle.len();
-    let vend = line[vstart..]
-        .find([',', '}'])
-        .map(|i| vstart + i)
-        .expect("JSON value terminates");
-    format!("{}_{}", &line[..vstart], &line[vend..])
-}
-
-const SCRUBBED_FIELDS: [&str; 7] = [
-    "wall_ms",
-    "threads",
-    "active_peak",
-    "active_mean",
-    "deliver_ms",
-    "compute_ms",
-    "barrier_ms",
-];
-
-fn scrub_jsonl(out: &str) -> String {
-    out.lines()
-        .map(|l| {
-            SCRUBBED_FIELDS
-                .iter()
-                .fold(l.to_owned(), |line, key| scrub_json_field(&line, key))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
-}
-
-fn scrub_csv(out: &str) -> String {
-    let mut lines = out.lines();
-    let header = lines.next().expect("CSV header").to_owned();
-    let ncols = header.split(',').count();
-    let scrub_idx: Vec<usize> = header
-        .split(',')
-        .enumerate()
-        .filter(|(_, c)| SCRUBBED_FIELDS.contains(c))
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(
-        scrub_idx.len(),
-        SCRUBBED_FIELDS.len(),
-        "header carries every scrubbed column"
-    );
-    let mut result = vec![header];
-    for line in lines {
-        let mut fields: Vec<String> = line.split(',').map(str::to_owned).collect();
-        assert_eq!(fields.len(), ncols, "row width matches header");
-        for &i in &scrub_idx {
-            fields[i] = "_".to_owned();
-        }
-        result.push(fields.join(","));
-    }
-    result.join("\n") + "\n"
 }
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -129,13 +61,13 @@ fn check_against_fixture(scrubbed: &str, name: &str) {
 #[test]
 fn quick_jsonl_matches_fixture() {
     let out = run_quick("");
-    check_against_fixture(&scrub_jsonl(&out), "quick.jsonl");
+    check_against_fixture(&scrub(&out), "quick.jsonl");
 }
 
 #[test]
 fn quick_csv_matches_fixture() {
     let out = run_quick("format = \"csv\"");
-    check_against_fixture(&scrub_csv(&out), "quick.csv");
+    check_against_fixture(&scrub(&out), "quick.csv");
 }
 
 #[test]

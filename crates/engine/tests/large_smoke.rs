@@ -130,7 +130,7 @@ fn geometric_64k_slt_end_to_end() {
     // the pipelined Borůvka merge broke the MST/tour message wall:
     // the old broadcast-everything tour alone would have delivered
     // >10⁹ messages here. The run lands at 15,353,706 delivered (pinned
-    // exactly in BENCH_engine.json); a generous ceiling still catches
+    // exactly in BENCH_engine.jsonl); a generous ceiling still catches
     // a regression back toward per-fragment broadcasts.
     let delivered = Executor::total(&eng).messages_delivered();
     assert!(
