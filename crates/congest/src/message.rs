@@ -2,17 +2,18 @@
 //!
 //! # Memory layout
 //!
-//! [`Message`] is a fixed-width **inline** value: a length tag plus a
+//! [`Message`] is a fixed-width **inline** value: a length plus a
 //! `[Word; WORDS_PER_MESSAGE]` payload array, stored directly in the
 //! struct with no heap indirection. Constructing, cloning, queueing, and
 //! delivering a message is a plain copy — the zero-allocation data path
 //! both engines rely on (see `DESIGN.md`, "Memory layout & the
-//! zero-alloc data path"). Payloads wider than [`WORDS_PER_MESSAGE`]
-//! (only reachable through [`Message::wide`], for "CONGEST with larger
-//! messages" ablations) spill to a boxed slice; the spill is a storage
-//! representation of the same word slice, so equality, hashing, FIFO
-//! order, and combining are width-agnostic and determinism is
-//! unaffected.
+//! zero-alloc data path"). The length is a [`NonZeroU8`]: empty payloads
+//! are rejected anyway, and the zero niche keeps `Option<Message>` as
+//! small as `Message` (40 bytes). "CONGEST with larger messages" is the
+//! executors' per-edge cap
+//! ([`Executor::set_cap`](crate::Executor::set_cap)), not wider payloads.
+
+use std::num::NonZeroU8;
 
 /// One machine word of `O(log n)` bits (§2: "we assume a word size is
 /// log n bits"). Node ids, edge weights, and tour times all fit in one
@@ -24,26 +25,15 @@ pub type Word = u64;
 /// message in this repository while keeping the `O(log n)` spirit.
 pub const WORDS_PER_MESSAGE: usize = 4;
 
-/// Storage of a message payload.
-///
-/// Invariants keeping the derived `PartialEq`/`Eq`/`Hash` canonical:
-/// `Inline` holds `1..=WORDS_PER_MESSAGE` words with every word past
-/// `len` zeroed; `Spill` holds strictly more than `WORDS_PER_MESSAGE`
-/// words. A given word slice therefore has exactly one representation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Repr {
-    Inline {
-        len: u8,
-        words: [Word; WORDS_PER_MESSAGE],
-    },
-    Spill(Box<[Word]>),
-}
-
 /// A CONGEST message: between 1 and [`WORDS_PER_MESSAGE`] words, stored
 /// inline (no heap allocation; cloning is a fixed-size copy).
+///
+/// Every word past `len` is zero, so the derived `PartialEq`/`Eq`/`Hash`
+/// see exactly the payload.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Message {
-    repr: Repr,
+    len: NonZeroU8,
+    words: [Word; WORDS_PER_MESSAGE],
 }
 
 impl Message {
@@ -62,39 +52,14 @@ impl Message {
         let mut inline = [0; WORDS_PER_MESSAGE];
         inline[..words.len()].copy_from_slice(words);
         Message {
-            repr: Repr::Inline {
-                len: words.len() as u8,
-                words: inline,
-            },
-        }
-    }
-
-    /// Creates a message of any positive width, spilling payloads wider
-    /// than [`WORDS_PER_MESSAGE`] to the heap. This is the entry point
-    /// for "CONGEST with larger messages" ablations (pair with
-    /// [`Executor::set_cap`](crate::Executor::set_cap)); regular
-    /// programs should use [`Message::words`], which enforces the
-    /// standard bandwidth bound and never allocates.
-    ///
-    /// # Panics
-    /// Panics if `words` is empty.
-    pub fn wide(words: &[Word]) -> Self {
-        assert!(!words.is_empty(), "CONGEST message must not be empty");
-        if words.len() <= WORDS_PER_MESSAGE {
-            Message::words(words)
-        } else {
-            Message {
-                repr: Repr::Spill(words.into()),
-            }
+            len: NonZeroU8::new(words.len() as u8).expect("checked above"),
+            words: inline,
         }
     }
 
     /// The payload words.
     pub fn as_words(&self) -> &[Word] {
-        match &self.repr {
-            Repr::Inline { len, words } => &words[..*len as usize],
-            Repr::Spill(words) => words,
-        }
+        &self.words[..self.len()]
     }
 
     /// The `i`-th payload word.
@@ -107,10 +72,7 @@ impl Message {
 
     /// Number of words.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Spill(words) => words.len(),
-        }
+        self.len.get() as usize
     }
 
     /// Whether the message has no words. [`Message::words`] rejects
@@ -165,35 +127,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn wide_rejects_empty_message() {
-        let _ = Message::wide(&[]);
-    }
-
-    #[test]
-    fn wide_spills_past_the_inline_bound() {
-        let long: Vec<Word> = (0..WORDS_PER_MESSAGE as u64 + 3).collect();
-        let m = Message::wide(&long);
-        assert_eq!(m.as_words(), &long[..]);
-        assert_eq!(m.len(), long.len());
-        assert_eq!(m.clone(), m, "spilled messages clone and compare");
-    }
-
-    #[test]
-    fn wide_at_or_under_the_bound_stays_inline() {
-        // Same representation (hence equality/hash) as Message::words.
-        let m = Message::wide(&[4, 5]);
-        assert_eq!(m, Message::words(&[4, 5]));
-    }
-
-    #[test]
     fn equality_ignores_padding_words() {
         // Messages of equal content but different construction paths
         // must compare (and hash) equal: the inline tail is canonical.
         let a = Message::words(&[9]);
         let b = Message::words(&[9, 1]);
         assert_ne!(a, b);
-        assert_eq!(a, Message::wide(&[9]));
+        assert_eq!(a, Message::words(&[9, 1][..1]));
+        assert_ne!(a, Message::words(&[9, 0]), "the length counts");
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let digest = |m: &Message| {
@@ -201,7 +142,14 @@ mod tests {
             m.hash(&mut h);
             h.finish()
         };
-        assert_eq!(digest(&a), digest(&Message::wide(&[9])));
+        assert_eq!(digest(&a), digest(&Message::words(&[9, 1][..1])));
+    }
+
+    #[test]
+    fn option_message_costs_no_extra_space() {
+        // The `NonZeroU8` length's niche encodes `None`.
+        assert_eq!(std::mem::size_of::<Message>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Message>>(), 40);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! `m`, and both streams, with probability on the order of 2⁻¹²⁸ per
 //! pair.
 
-use lightgraph::Graph;
+use lightgraph::{splitmix64, Graph};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide setup wall accumulator: every executor (`Simulator`
@@ -72,14 +72,6 @@ pub fn phase_wall_ns() -> (u64, u64, u64) {
 /// `(n, m, fp₁, fp₂)` — see the module docs on collision odds.
 pub type TopoKey = (usize, usize, u64, u64);
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The fingerprint of `graph`: a pure function of the topology (ordered
 /// endpoint list), independent of edge weights.
 pub fn topo_key(graph: &Graph) -> TopoKey {
@@ -88,10 +80,8 @@ pub fn topo_key(graph: &Graph) -> TopoKey {
     let (mut fp1, mut fp2) = (0u64, 0u64);
     for e in graph.edges() {
         let word = ((e.u as u64) << 32) | e.v as u64;
-        let mut a = s1 ^ word;
-        fp1 = fp1.wrapping_add(splitmix(&mut a)).rotate_left(7);
-        let mut b = s2 ^ word;
-        fp2 = fp2.wrapping_add(splitmix(&mut b)).rotate_left(11);
+        fp1 = fp1.wrapping_add(splitmix64(s1 ^ word)).rotate_left(7);
+        fp2 = fp2.wrapping_add(splitmix64(s2 ^ word)).rotate_left(11);
         s1 = s1.wrapping_add(1);
         s2 = s2.wrapping_add(3);
     }

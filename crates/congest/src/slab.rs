@@ -42,18 +42,15 @@
 //! Messages staged with `None` (no combiner, or an uncombinable
 //! payload) always append.
 //!
-//! The key→slot lookup is a `SlotMap`: one open-addressed table per
-//! slab, keyed by `(directed edge, key)` with a multiplicative
-//! (Fibonacci) hash — one multiply and a masked probe instead of the
-//! per-message SipHash of a `std` `HashMap`. The map stores the slab
-//! slot index directly, so a combiner hit is an index load plus an
-//! in-place write; the relaxation codec's key is already packed in
-//! word 0 ([`crate::relax`]), making the whole combine path
-//! branch-cheap. The table is allocated lazily, so unkeyed programs pay
-//! nothing, and is maintained with backward-shift deletion so a
-//! long-lived slab never degrades the way tombstone schemes do.
+//! The key→slot index is a `std` [`HashMap`] from `(directed edge,
+//! key)` to the slab slot: a keyed staging hashes once (a hit merges
+//! in place), a keyed pop once more. [`HashMap::new`] allocates
+//! nothing, so unkeyed programs never pay for it; removals keep
+//! capacity, so a warmed slab stays allocation-free; iteration order
+//! is never read, so the hasher's random seed cannot reach any output.
 
 use crate::message::Word;
+use std::collections::{hash_map, HashMap};
 
 /// Sentinel slot index: "no entry".
 const NIL: u32 = u32::MAX;
@@ -115,7 +112,7 @@ pub struct Slab<T> {
     /// Head of the intrusive free list threaded through `entries`.
     free: u32,
     /// `(directed edge, key)` → occupied slot, for clause-7 merges.
-    index: SlotMap,
+    index: HashMap<(usize, Word), u32>,
 }
 
 impl<T> Slab<T> {
@@ -124,7 +121,7 @@ impl<T> Slab<T> {
         Slab {
             entries: Vec::new(),
             free: NIL,
-            index: SlotMap::new(),
+            index: HashMap::new(),
         }
     }
 
@@ -157,14 +154,18 @@ impl<T> Slab<T> {
         item: T,
         merge: impl FnOnce(&mut T, T),
     ) -> bool {
-        if let Some(k) = key {
-            if let Some(slot) = self.index.get(d, k) {
-                let entry = &mut self.entries[slot as usize];
-                debug_assert_eq!(entry.key, Some(k), "index points at a same-key entry");
+        // One hash per keyed staging: a hit merges, a miss keeps the
+        // vacant index entry for the slot taken below.
+        let vacancy = match key.map(|k| self.index.entry((d, k))) {
+            Some(hash_map::Entry::Occupied(hit)) => {
+                let entry = &mut self.entries[*hit.get() as usize];
+                debug_assert_eq!(entry.key, key, "index points at a same-key entry");
                 merge(entry.item.as_mut().expect("indexed slot is occupied"), item);
                 return true;
             }
-        }
+            Some(hash_map::Entry::Vacant(vacancy)) => Some(vacancy),
+            None => None,
+        };
         let slot = if self.free != NIL {
             let slot = self.free;
             let entry = &mut self.entries[slot as usize];
@@ -183,8 +184,8 @@ impl<T> Slab<T> {
             });
             slot
         };
-        if let Some(k) = key {
-            self.index.insert(d, k, slot);
+        if let Some(vacancy) = vacancy {
+            vacancy.insert(slot);
         }
         if q.len == 0 {
             q.head = slot;
@@ -215,7 +216,8 @@ impl<T> Slab<T> {
         entry.next = self.free;
         self.free = slot;
         if let Some(k) = key {
-            self.index.remove(d, k);
+            let removed = self.index.remove(&(d, k));
+            debug_assert!(removed.is_some(), "popped key must be indexed");
         }
         Some((key, item))
     }
@@ -224,129 +226,6 @@ impl<T> Slab<T> {
 impl<T> Default for Slab<T> {
     fn default() -> Self {
         Slab::new()
-    }
-}
-
-/// Open-addressed `(directed edge, key) → slot` map with linear probing
-/// and backward-shift deletion. Parallel arrays: `edges[i]` holds
-/// `directed id + 1` (0 = empty), `keys[i]` the combining key,
-/// `slots[i]` the slab slot. Capacity is a power of two; the probe
-/// start comes from the top bits of a Fibonacci-multiplicative hash.
-#[derive(Debug, Default)]
-struct SlotMap {
-    edges: Vec<u64>,
-    keys: Vec<Word>,
-    slots: Vec<u32>,
-    len: usize,
-    /// `capacity - 1`; tables start empty (`mask == 0` with no storage)
-    /// so unkeyed programs never allocate the map.
-    mask: usize,
-}
-
-impl SlotMap {
-    const INITIAL_CAPACITY: usize = 16;
-
-    fn new() -> Self {
-        SlotMap::default()
-    }
-
-    /// Fibonacci-multiplicative hash of the pair: the key occupies the
-    /// full word (the relax codec packs tag+key there), the directed id
-    /// is rotated into the opposite half before the multiply mixes
-    /// both into the top bits.
-    fn hash(d: usize, k: Word) -> u64 {
-        (k ^ (d as u64).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    fn home(&self, d: usize, k: Word) -> usize {
-        // Top bits of the product are the best mixed; shift them down
-        // to the table width.
-        let cap = self.mask + 1;
-        (Self::hash(d, k) >> (64 - cap.trailing_zeros())) as usize
-    }
-
-    fn get(&self, d: usize, k: Word) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let tag = d as u64 + 1;
-        let mut i = self.home(d, k);
-        loop {
-            match self.edges[i] {
-                0 => return None,
-                e if e == tag && self.keys[i] == k => return Some(self.slots[i]),
-                _ => i = (i + 1) & self.mask,
-            }
-        }
-    }
-
-    fn insert(&mut self, d: usize, k: Word, slot: u32) {
-        if self.edges.is_empty() || (self.len + 1) * 8 > (self.mask + 1) * 7 {
-            self.grow();
-        }
-        let tag = d as u64 + 1;
-        let mut i = self.home(d, k);
-        while self.edges[i] != 0 {
-            debug_assert!(
-                !(self.edges[i] == tag && self.keys[i] == k),
-                "at most one queued entry per (edge, key)"
-            );
-            i = (i + 1) & self.mask;
-        }
-        self.edges[i] = tag;
-        self.keys[i] = k;
-        self.slots[i] = slot;
-        self.len += 1;
-    }
-
-    /// Removes the entry for `(d, k)` (which must exist), compacting
-    /// the probe chain by backward shift so lookups never cross stale
-    /// slots — no tombstones, so delete-heavy workloads (every pop of a
-    /// keyed message) cannot degrade the table.
-    fn remove(&mut self, d: usize, k: Word) {
-        let tag = d as u64 + 1;
-        let mut i = self.home(d, k);
-        while !(self.edges[i] == tag && self.keys[i] == k) {
-            debug_assert_ne!(self.edges[i], 0, "removed key must be present");
-            i = (i + 1) & self.mask;
-        }
-        self.len -= 1;
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            if self.edges[j] == 0 {
-                break;
-            }
-            let home = self.home(self.edges[j] as usize - 1, self.keys[j]);
-            // Entry at `j` may fill the hole at `i` iff its home does
-            // not lie in the cyclic interval `(i, j]` — i.e. the probe
-            // chain from `home` still reaches it at `i`.
-            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
-                self.edges[i] = self.edges[j];
-                self.keys[i] = self.keys[j];
-                self.slots[i] = self.slots[j];
-                i = j;
-            }
-        }
-        self.edges[i] = 0;
-    }
-
-    fn grow(&mut self) {
-        let cap = if self.edges.is_empty() {
-            Self::INITIAL_CAPACITY
-        } else {
-            (self.mask + 1) * 2
-        };
-        let old_edges = std::mem::replace(&mut self.edges, vec![0; cap]);
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; cap]);
-        let old_slots = std::mem::replace(&mut self.slots, vec![0; cap]);
-        self.mask = cap - 1;
-        self.len = 0;
-        for i in 0..old_edges.len() {
-            if old_edges[i] != 0 {
-                self.insert(old_edges[i] as usize - 1, old_keys[i], old_slots[i]);
-            }
-        }
     }
 }
 

@@ -40,7 +40,7 @@ use congest::tree::BfsTree;
 use congest::{pack2, Ctx, Executor, Message, Program, RunStats, Word};
 use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
-use lightgraph::{EdgeId, NodeId, Weight};
+use lightgraph::{splitmix64, EdgeId, NodeId, Weight};
 use sparse_spanner::baswana_sen::baswana_sen;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -75,14 +75,6 @@ fn enc(m: f64, shift: f64) -> Word {
 
 fn dec(bits: Word, shift: f64) -> f64 {
     f64::from_bits(bits) - shift
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Exponential radii for a set of cluster ids, re-drawn until all are

@@ -38,7 +38,7 @@ use congest::collective;
 use congest::obs;
 use congest::tree::BfsTree;
 use congest::{pack2, unpack2, Ctx, Executor, Message, Program, RunStats, Word};
-use lightgraph::{EdgeId, Graph, NodeId, Weight, INF};
+use lightgraph::{splitmix64, EdgeId, Graph, NodeId, Weight, INF};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 const STATUS_TAIL: u64 = 0;
@@ -84,14 +84,6 @@ impl MstResult {
     pub fn fragment_count(&self) -> usize {
         self.fragments
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One announcement round of the incremental exchange: a vertex with

@@ -38,18 +38,10 @@ use congest::collective;
 use congest::relax::{self, RelaxMsg};
 use congest::tree::BfsTree;
 use congest::{Ctx, Executor, Message, Program, RunStats, Word};
-use lightgraph::{NodeId, Weight};
+use lightgraph::{splitmix64, NodeId, Weight};
 use std::collections::HashMap;
 
 const TAG_LE: u64 = 30;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The computed LE lists.
 #[derive(Debug, Clone)]

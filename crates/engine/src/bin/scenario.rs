@@ -9,7 +9,11 @@
 //! scenario path/to/config.toml        # run a config (see scenarios/)
 //! scenario CONFIG --check BASELINE    # run it and compare with BASELINE
 //! scenario --print-default            # dump the built-in config and exit
+//! scenario --help                     # print the usage line and exit
 //! ```
+//!
+//! `--print-default` and `--help` (or `-h`) are accepted only alone:
+//! next to any other argument they are usage errors (exit 2).
 //!
 //! `--check` is the regression gate: it runs the config, writes no rows
 //! (nor the config's `output` file), and compares the rows with the
@@ -22,7 +26,7 @@
 use engine::config;
 use engine::scenario::{run_sweep, scrub, DEFAULT_CONFIG};
 
-const USAGE: &str = "usage: scenario [CONFIG.toml] [--check BASELINE] [--print-default]";
+const USAGE: &str = "usage: scenario [CONFIG.toml] [--check BASELINE] | --print-default | --help";
 
 /// Prints `msg` and the usage line, then exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -55,13 +59,12 @@ fn check(path: &str, baseline: &str, rows: &str) -> Result<(), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
-        return;
-    }
-    if args.iter().any(|a| a == "--print-default") {
-        print!("{DEFAULT_CONFIG}");
-        return;
+    if let [only] = args.as_slice() {
+        match only.as_str() {
+            "--help" | "-h" => return eprintln!("{USAGE}"),
+            "--print-default" => return print!("{DEFAULT_CONFIG}"),
+            _ => {}
+        }
     }
     // Every argument is validated, and the baseline read, before any
     // cell runs.
@@ -77,6 +80,9 @@ fn main() {
                 },
                 value => usage_error(&format!("--check takes a baseline path, got {value:?}")),
             },
+            flag @ ("--help" | "-h" | "--print-default") => {
+                usage_error(&format!("{flag} takes no other argument"))
+            }
             flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
             config if path.is_none() => path = Some(config),
             extra => usage_error(&format!("unexpected argument {extra}")),

@@ -29,11 +29,15 @@ pub enum Value {
 }
 
 impl Value {
-    /// Integer view (floats with zero fraction coerce).
+    /// Integer view (floats with zero fraction inside `i64`'s range
+    /// coerce; nothing saturates).
     pub fn as_int(&self) -> Option<i64> {
+        // `i64::MIN` is -2^63 exactly, so this range holds exactly the
+        // floats whose integer part fits an `i64`.
+        const RANGE: std::ops::Range<f64> = i64::MIN as f64..-(i64::MIN as f64);
         match *self {
             Value::Int(x) => Some(x),
-            Value::Float(f) if f.fract() == 0.0 => Some(f as i64),
+            Value::Float(f) if f.fract() == 0.0 && RANGE.contains(&f) => Some(f as i64),
             _ => None,
         }
     }
@@ -411,5 +415,10 @@ eps = 0.5
             parse("c = 3.5").unwrap().root.get("c").unwrap().as_int(),
             None
         );
+        // Out-of-range floats are not integers, rather than saturating.
+        assert_eq!(Value::Float(1e30).as_int(), None);
+        assert_eq!(Value::Float(-1e30).as_int(), None);
+        assert_eq!(Value::Float(9_223_372_036_854_775_808.0).as_int(), None);
+        assert_eq!(Value::Float(i64::MIN as f64).as_int(), Some(i64::MIN));
     }
 }

@@ -86,7 +86,7 @@ use congest::exec::{ExecCore, RoundLog};
 use congest::obs::PhaseWall;
 use congest::slab::{EdgeQueue, Slab};
 use congest::{Ctx, Executor, Message, Program, RunStats};
-use lightgraph::{Graph, NodeId};
+use lightgraph::{splitmix64, Graph, NodeId, SPLITMIX_GAMMA};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -167,15 +167,13 @@ fn shard_bounds(graph: &Graph, threads: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// splitmix64 — the engine's only randomness source (stress mode), so
-/// no external RNG dependency is needed and stress runs are replayable
+/// The next draw of the splitmix64 stream at `state` — the engine's
+/// only randomness source (stress mode), so stress runs are replayable
 /// from a single seed.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let draw = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    draw
 }
 
 /// Base seed for `ENGINE_SHARD_STRESS=1` runs, drawn once per process
@@ -206,10 +204,8 @@ fn stress_env_base() -> Option<u64> {
 fn stress_run_seed(explicit: Option<u64>) -> Option<u64> {
     static RUNS: AtomicU64 = AtomicU64::new(0);
     explicit.or_else(|| {
-        stress_env_base().map(|base| {
-            let mut s = base.wrapping_add(RUNS.fetch_add(1, Ordering::Relaxed));
-            splitmix(&mut s)
-        })
+        stress_env_base()
+            .map(|base| splitmix64(base.wrapping_add(RUNS.fetch_add(1, Ordering::Relaxed))))
     })
 }
 

@@ -37,7 +37,7 @@ use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
 use dist_sssp::bellman::bellman_ford;
 use dist_sssp::landmark::{approx_spt, SptConfig};
-use lightgraph::{generators, Graph, Weight};
+use lightgraph::{generators, Graph, Weight, INF};
 use lightnet::nets::net;
 use lightnet::{doubling_spanner, light_spanner, shallow_light_tree_with};
 use std::io::Write;
@@ -125,9 +125,12 @@ pub struct Row {
     pub metric_name: &'static str,
     /// Value of the headline metric.
     pub metric: u64,
-    /// Engine instrumentation, when recorded.
+    /// Most messages delivered in one round, when recorded. Like
+    /// `peak_queue_depth`, it covers only the cell's *last* root
+    /// executor run (`Executor::last_report`): 0 on every `mst` row,
+    /// `breakpoints - 1` on every `slt` row.
     pub peak_round_messages: Option<u64>,
-    /// Engine instrumentation, when recorded.
+    /// Deepest per-edge queue in any round of the last root run.
     pub peak_queue_depth: Option<u64>,
     /// Wall time of the deliver phase (machine-dependent; scrubbed
     /// wherever pinned, like `wall_ms`).
@@ -764,6 +767,15 @@ fn parse_run(run: &Table, base_seed: u64) -> Result<RunSpec, String> {
         }
         h => h.map(|h| h as u64),
     };
+    // A simple path has fewer than 2n edges, even after the grid family
+    // rounds n up to a square, so no path length reaches `INF`.
+    let max_w = positive_int(run, "max_w", 100)? as Weight;
+    let w_bound = INF / (2 * *sizes.iter().max().expect("sizes is non-empty") as u64);
+    if max_w > w_bound {
+        return Err(format!(
+            "`max_w` must be <= {w_bound} for these sizes, got {max_w}"
+        ));
+    }
     Ok(RunSpec {
         family: run.str_or("family", "erdos-renyi")?.to_owned(),
         sizes: sizes.into_iter().map(|n| n as usize).collect(),
@@ -777,7 +789,7 @@ fn parse_run(run: &Table, base_seed: u64) -> Result<RunSpec, String> {
             landmarks,
             hop_bound,
         },
-        max_w: positive_int(run, "max_w", 100)? as Weight,
+        max_w,
     })
 }
 
@@ -795,7 +807,8 @@ fn sweep_run(globals: &Globals, run: &RunSpec, out: &mut dyn Write) -> Result<()
                 // Every run of the cell must match its first run on the
                 // probed columns (the active set is contract-determined,
                 // clause 8 extends that to the observers) and, with
-                // metrics recorded, on the whole per-round series.
+                // metrics recorded, on the per-round series of its last
+                // root executor run (all that `last_report` keeps).
                 let mut first: Option<(Row, Option<RunReport>)> = None;
                 for &(which, threads) in &globals.executors {
                     let (row, report) = run_cell(globals, &g, which, threads, &cell)?;
@@ -866,6 +879,9 @@ mod tests {
         assert!(sweep_err(&cell("max_w = 0")).contains("`max_w`"));
         assert!(sweep_err(&cell("max_w = -7")).contains("`max_w`"));
         assert!(sweep_err(&cell("max_w = \"heavy\"")).contains("`max_w`"));
+        assert!(sweep_err(&cell("max_w = 1e19")).contains("`max_w`"));
+        let mst = cell("max_w = 6917529027641081856").replace("\"bfs\"", "\"mst\"");
+        assert!(sweep_err(&mst).contains("`max_w`"));
         assert!(sweep_err(&cell("eps = \"0.25\"")).contains("`eps`"));
         assert!(sweep_err(&cell("seeds = [1, \"2\", -3]")).contains("`seeds`"));
         assert!(sweep_err(&cell("seeds = [-3]")).contains("`seeds`"));
@@ -909,6 +925,7 @@ mod tests {
         let unknown = sweep_err(&with_root("engine = \"sim\"\nthread = 4"));
         assert!(unknown.contains("unknown key `thread`"), "{unknown}");
         assert!(sweep_err(&with_root("engine = \"sim\"\nseed = -1")).contains("`seed`"));
+        assert!(sweep_err(&with_root("engine = \"sim\"\nseed = 1e30")).contains("`seed`"));
         let bad_record = with_root("engine = \"sim\"\nrecord_metrics = 1");
         assert!(sweep_err(&bad_record).contains("`record_metrics`"));
         assert!(sweep_err(&with_root("engine = 2")).contains("`engine`"));

@@ -5,8 +5,8 @@
 //! zero-alloc data path") promises that once the per-run arenas have
 //! reached their high-water capacity, delivering a message costs no
 //! heap traffic: payloads are inline `[u64; 4]` words, queue storage
-//! comes from recycled slab slots, and combiner lookups hit a
-//! preallocated open-addressed slot map. This test pins that promise
+//! comes from recycled slab slots, and combiner lookups hit a `std`
+//! `HashMap` index that keeps its capacity. This test pins that promise
 //! with a counting `#[global_allocator]` and a *delta* measurement:
 //! run the same workload at two message counts (after warming both so
 //! every arena is at high water) and assert the larger run performs no
@@ -95,8 +95,8 @@ impl Program for Burst {
 /// Keyed combiner churn: node 0 stays non-quiescent for `k` rounds and
 /// each round stages *two* keyed messages with the same key (so the
 /// second merges into the first in place), the key cycling over 8
-/// values. Every message exercises the slot-map insert → merge →
-/// remove cycle; the min-combiner keeps outputs deterministic.
+/// values. Every message exercises the combiner index's insert →
+/// merge → remove cycle; the min-combiner keeps outputs deterministic.
 struct Trickle {
     left: u64,
     best: u64,
@@ -199,8 +199,8 @@ fn run_trickle<'g, E: Executor<'g>>(exec: &mut E, k: usize) {
     assert_eq!(stats.messages_combined, k as u64, "combiner never merged");
 }
 
-/// Warms both workload sizes (so every arena — slab slots, slot-map
-/// tables, touched-edge buckets, staging vectors — is at the high
+/// Warms both workload sizes (so every arena — slab slots, combiner
+/// index tables, touched-edge buckets, staging vectors — is at the high
 /// water of the *larger* size), then asserts the big run allocates no
 /// more than the small one. `SLACK` absorbs incidental one-off events
 /// (e.g. lazy thread-local or OS buffers) without masking real

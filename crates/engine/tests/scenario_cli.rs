@@ -88,11 +88,17 @@ fn check_usage_errors_exit_2_before_any_cell_runs() {
     let config = write(&dir, "traced.toml", &traced);
     let unreadable = dir.join("no-such-baseline.jsonl");
     let unreadable = unreadable.to_str().unwrap();
-    let cases: [&[&str]; 4] = [
+    let empty = write(&dir, "empty.jsonl", "");
+    // `--print-default` and `--help` are accepted only alone: next to
+    // a gate or a stray flag they must not exit 0.
+    let cases: [&[&str]; 7] = [
         &[&config, "--check"],
         &["--check"],
         &[&config, "--check", unreadable],
         &[&config, "--check", "--check", unreadable],
+        &[&config, "--check", &empty, "--print-default"],
+        &["--help", "--bogus"],
+        &["-h", &config],
     ];
     for args in cases {
         let (code, out, err) = scenario(args);

@@ -11,18 +11,10 @@
 //! computable by every vertex.
 
 use congest::{Ctx, Executor, Message, Program, RunStats};
-use lightgraph::{EdgeId, NodeId, Weight};
+use lightgraph::{splitmix64, EdgeId, NodeId, Weight};
 use std::collections::HashMap;
 
 const TAG_CLUSTER: u64 = 40;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Result of the Baswana–Sen construction.
 #[derive(Debug, Clone)]
