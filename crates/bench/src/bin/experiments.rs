@@ -6,6 +6,11 @@
 //! cargo run --release -p lightnet-bench --bin experiments -- e1 e5  # subset
 //! cargo run --release -p lightnet-bench --bin experiments -- quick  # smaller sweeps
 //! ```
+//!
+//! The output is deterministic. `crates/bench/experiments_quick.md` is
+//! the committed output of `-- quick`, and CI fails when a run differs
+//! from it. After an intended change, regenerate it with
+//! `cargo run --release -p lightnet-bench --bin experiments -- quick > crates/bench/experiments_quick.md`.
 
 use lightnet_bench::*;
 

@@ -13,6 +13,8 @@
 //!   pipeline: `O(K + height)` rounds for `K` distinct keys crossing the
 //!   bottleneck edge.
 //! * [`gather`] — convergecast of *distinct* items (a thin wrapper).
+//! * [`sum`] — a fixed-width two-word sum: one message per tree edge,
+//!   no keys and no `DONE` traffic.
 //! * [`converge_merged`] / [`gather_merged`] — the **combiner-aware**
 //!   convergecast: items flow upward *eagerly* (no watermark waiting),
 //!   the per-key merge runs at three levels — inside each node's
@@ -476,8 +478,9 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for EagerConvergePr
 /// may absorb the same original contribution through several
 /// emissions; idempotence is what makes re-absorption a no-op.
 /// Aggregations like sums or counts are **not** lawful here (the root
-/// would double-count) — use the watermark [`converge`], whose
-/// exactly-once key streams only need associativity + commutativity.
+/// would double-count) — use [`sum`] for a single total, or the
+/// watermark [`converge`], whose exactly-once key streams only need
+/// associativity + commutativity.
 /// Idempotence is spot-checked per item in debug builds.
 ///
 /// `set_combiner = false` runs the identical eager program without the
@@ -559,14 +562,68 @@ pub fn converge_max<'g, E: Executor<'g>>(
     converge(sim, tree, items, |_, a, b| if a[0] >= b[0] { a } else { b })
 }
 
-/// Convergecast of keyed sums over the first value word (second word
-/// summed too).
-pub fn converge_sum<'g, E: Executor<'g>>(
+// ---------------------------------------------------------------------
+// Fixed-width sum
+// ---------------------------------------------------------------------
+
+struct SumProgram {
+    parent: Option<NodeId>,
+    pending_children: usize,
+    acc: [Word; 2],
+    sent: bool,
+}
+
+impl SumProgram {
+    fn try_send(&mut self, ctx: &mut Ctx<'_>) {
+        if self.pending_children == 0 && !self.sent {
+            self.sent = true;
+            if let Some(parent) = self.parent {
+                ctx.send(parent, Message::words(&self.acc));
+            }
+        }
+    }
+}
+
+impl Program for SumProgram {
+    type Output = [Word; 2];
+
+    fn init(&mut self, ctx: &mut Ctx<'_>) {
+        self.try_send(ctx);
+    }
+
+    fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
+        for (_, msg) in inbox {
+            self.acc[0] += msg.word(0);
+            self.acc[1] += msg.word(1);
+            self.pending_children -= 1;
+        }
+        self.try_send(ctx);
+    }
+
+    fn finish(self) -> [Word; 2] {
+        self.acc
+    }
+}
+
+/// Sums a two-word value over the whole tree: every vertex contributes
+/// `own(v)`, and once all its children have reported it sends its
+/// subtree's sum to its parent. The root's total is returned.
+///
+/// One two-word message per tree edge and `height` rounds — the fixed
+/// width is what a sum needs, where a keyed [`converge`] pays a key
+/// stream, per-node maps and a `DONE` message per edge.
+pub fn sum<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
-    items: impl Fn(NodeId) -> Vec<Item>,
-) -> (BTreeMap<Word, [Word; 2]>, RunStats) {
-    converge(sim, tree, items, |_, a, b| [a[0] + b[0], a[1] + b[1]])
+    own: impl Fn(NodeId) -> [Word; 2],
+) -> ([Word; 2], RunStats) {
+    let (out, stats) = sim.run(|v, _| SumProgram {
+        parent: tree.parent[v],
+        pending_children: tree.children[v].len(),
+        acc: own(v),
+        sent: false,
+    });
+    (out[tree.root], stats)
 }
 
 #[cfg(test)]
@@ -676,12 +733,15 @@ mod tests {
     }
 
     #[test]
-    fn converge_sum_counts_vertices() {
+    fn sum_counts_vertices() {
         let g = generators::grid(6, 6, 3, 1);
         let mut sim = Simulator::new(&g);
+        sim.set_validate_activation(true);
         let (tree, _) = build_bfs_tree(&mut sim, 0);
-        let (got, _) = converge_sum(&mut sim, &tree, |_| vec![(0, [1, 2])]);
-        assert_eq!(got[&0], [36, 72]);
+        let (got, stats) = sum(&mut sim, &tree, |_| [1, 2]);
+        assert_eq!(got, [36, 72]);
+        assert_eq!(stats.messages, 35, "one message per tree edge");
+        assert_eq!(stats.rounds, tree.height(), "one round per level");
     }
 
     #[test]

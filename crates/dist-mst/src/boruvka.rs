@@ -11,6 +11,18 @@
 //! most `√n`, so phase 1 ends with `O(√n)` base fragments — exactly the
 //! structure §3 consumes.
 //!
+//! Phase 1 pays only for fragments that can still change. Once a
+//! leader's status flood says FROZEN, every member keeps that flag; a
+//! tail that merges into a frozen fragment learns it from the status
+//! word of the ACC reply and passes it down its relabel flood. Frozen
+//! fragments then sit out the MWOE convergecast and the status flood,
+//! and the diameter-bump convergecast runs only in HEAD fragments. This
+//! changes no merge decision: `est` only grows, so a frozen fragment
+//! stays frozen, it only ever accepts suitors, and its `est` is never
+//! read again. The termination census is one fixed-width
+//! `(fragments, active)` sum per τ edge ([`congest::collective::sum`]),
+//! and [`MstResult::phase1_schedule`] records it per iteration.
+//!
 //! Phase 2 finishes the MST globally: per-fragment MWOEs flow up the
 //! BFS tree through the **combiner-aware convergecast**
 //! ([`congest::collective::converge_merged`]) — the lexicographic
@@ -69,6 +81,11 @@ pub struct MstResult {
     pub external_edges: Vec<EdgeId>,
     /// Number of phase-1 (local growth) iterations executed.
     pub phase1_iterations: usize,
+    /// `(fragments, active)` after each phase-1 iteration, as its
+    /// termination census counted them: all fragments, and those that
+    /// are neither frozen nor out of outgoing edges. Phase 1 stops once
+    /// `fragments ≤ ⌈√n⌉`, `active = 0` or the iteration cap is hit.
+    pub phase1_schedule: Vec<(usize, usize)>,
     /// Number of phase-2 (global Borůvka) iterations executed.
     pub phase2_iterations: usize,
     /// Rounds and messages consumed by the whole construction.
@@ -227,17 +244,19 @@ struct Negotiate {
     /// `Some((partner vertex, own frag, own est))` if this vertex is the
     /// acting endpoint of a participating tail fragment.
     request: Option<(NodeId, u64, u64)>,
-    /// This vertex's fragment status (from the status flood).
+    /// This vertex's fragment status: from this iteration's status
+    /// flood, or `STATUS_FROZEN` kept from an earlier one.
     status: u64,
     frag: u64,
     /// Suitors accepted at this vertex: `(tail endpoint, tail est)`.
     accepted: Vec<(NodeId, u64)>,
-    /// Merge decision if this vertex's request was accepted.
-    merge_into: Option<(u64, NodeId)>,
+    /// Merge decision if this vertex's request was accepted: the new
+    /// fragment id, the partner, and whether that fragment is frozen.
+    merge_into: Option<(u64, NodeId, bool)>,
 }
 
 impl Program for Negotiate {
-    type Output = (Vec<(NodeId, u64)>, Option<(u64, NodeId)>);
+    type Output = (Vec<(NodeId, u64)>, Option<(u64, NodeId, bool)>);
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         if let Some((partner, frag, est)) = self.request {
             ctx.send(partner, Message::words(&[TAG_REQ, frag, est]));
@@ -249,13 +268,14 @@ impl Program for Negotiate {
                 TAG_REQ => {
                     if self.status == STATUS_HEAD || self.status == STATUS_FROZEN {
                         self.accepted.push((*from, msg.word(2)));
-                        ctx.send(*from, Message::words(&[TAG_ACC, self.frag]));
+                        ctx.send(*from, Message::words(&[TAG_ACC, self.frag, self.status]));
                     } else {
                         ctx.send(*from, Message::words(&[TAG_REJ]));
                     }
                 }
                 TAG_ACC => {
-                    self.merge_into = Some((msg.word(1), *from));
+                    let frozen = msg.word(2) == STATUS_FROZEN;
+                    self.merge_into = Some((msg.word(1), *from, frozen));
                 }
                 TAG_REJ => {}
                 other => unreachable!("unexpected tag {other}"),
@@ -267,39 +287,42 @@ impl Program for Negotiate {
     }
 }
 
-/// Re-label + re-root flood inside merged tail fragments.
+/// Re-label + re-root flood inside merged tail fragments. It carries
+/// the new fragment's frozen flag, so a tail that joins a frozen
+/// fragment sits out the later growth passes with it.
 struct Relabel<'a> {
-    /// `Some((new frag, partner))` at the acting endpoint.
-    start: Option<(u64, NodeId)>,
+    /// `Some((new frag, partner, frozen))` at the acting endpoint.
+    start: Option<(u64, NodeId, bool)>,
     tree_neighbors: &'a [NodeId],
-    adopted: Option<(u64, Option<NodeId>)>,
+    /// `(new frag, new parent, frozen)` once adopted.
+    adopted: Option<(u64, NodeId, bool)>,
 }
 
 impl Relabel<'_> {
-    fn spread(&mut self, ctx: &mut Ctx<'_>, new_frag: u64, skip: Option<NodeId>) {
+    fn spread(&mut self, ctx: &mut Ctx<'_>, new_frag: u64, frozen: bool, skip: Option<NodeId>) {
         for &u in self.tree_neighbors {
             if Some(u) != skip {
-                ctx.send(u, Message::words(&[TAG_RELABEL, new_frag]));
+                ctx.send(u, Message::words(&[TAG_RELABEL, new_frag, frozen as u64]));
             }
         }
     }
 }
 
 impl Program for Relabel<'_> {
-    type Output = Option<(u64, Option<NodeId>)>;
+    type Output = Option<(u64, NodeId, bool)>;
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((new_frag, partner)) = self.start {
-            self.adopted = Some((new_frag, Some(partner)));
-            self.spread(ctx, new_frag, None);
+        if let Some((new_frag, partner, frozen)) = self.start {
+            self.adopted = Some((new_frag, partner, frozen));
+            self.spread(ctx, new_frag, frozen, None);
         }
     }
     fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         for (from, msg) in inbox {
             debug_assert_eq!(msg.word(0), TAG_RELABEL);
             if self.adopted.is_none() {
-                let new_frag = msg.word(1);
-                self.adopted = Some((new_frag, Some(*from)));
-                self.spread(ctx, new_frag, Some(*from));
+                let (new_frag, frozen) = (msg.word(1), msg.word(2) != 0);
+                self.adopted = Some((new_frag, *from, frozen));
+                self.spread(ctx, new_frag, frozen, Some(*from));
             }
         }
     }
@@ -359,7 +382,13 @@ pub fn distributed_mst<'g>(
     let mut frag: Vec<u64> = (0..n as u64).collect();
     let mut views: Vec<FragView> = vec![FragView::default(); n];
     let mut est: Vec<u64> = vec![0; n]; // meaningful at leaders
+
+    // Sticky per-vertex flag: a frozen fragment never grows again (its
+    // `est` only grows, and it only ever accepts suitors), so it sits
+    // out the MWOE convergecast, the status flood and the bump.
+    let mut frozen: Vec<bool> = vec![false; n];
     let mut phase1_iterations = 0;
+    let mut phase1_schedule = Vec::new();
     // Persistent neighbor-fragment table, shared by both phases.
     let mut nbr_table = NbrTable::new(g);
 
@@ -371,20 +400,22 @@ pub fn distributed_mst<'g>(
                 // (incremental: only re-labeled vertices announce).
                 nbr_table.refresh(sim, &frag);
                 let nbr = &nbr_table.frag_at;
-                // (b) intra-fragment MWOE convergecast.
+                // (b) MWOE convergecast inside the unfrozen fragments.
                 let frag_ref = &frag;
                 let (mwoe, _) = passes::up_pass(
                     sim,
                     &views,
-                    |v| local_mwoe(g, v, frag_ref, &nbr[v]),
+                    |v| (!frozen[v]).then(|| local_mwoe(g, v, frag_ref, &nbr[v])),
                     min_by_weight_edge,
                 );
-                // (c) leaders pick a status and flood it with the MWOE.
+                // (c) their leaders pick a status and flood it with the
+                // MWOE; frozen fragments keep theirs.
                 let est_ref = &est;
                 let phase_salt = splitmix64(seed ^ (phase1_iterations as u64) << 17);
-                let (flood, _) = passes::flood_pass(sim, &views, |v| {
+                let (flood, _) = passes::flood_pass_opt(sim, &views, |v| {
                     // only evaluated at fragment roots
-                    let has_mwoe = mwoe[v][0] < INF;
+                    let mwoe = mwoe[v]?;
+                    let has_mwoe = mwoe[0] < INF;
                     let status = if !has_mwoe || est_ref[v] >= diam_cap {
                         STATUS_FROZEN
                     } else if splitmix64(phase_salt ^ frag_ref[v]) & 1 == 1 {
@@ -393,16 +424,24 @@ pub fn distributed_mst<'g>(
                         STATUS_TAIL
                     };
                     let edge_word = if has_mwoe {
-                        unpack2(mwoe[v][1]).0
+                        unpack2(mwoe[1]).0
                     } else {
                         Word::MAX
                     };
-                    [status, edge_word, est_ref[v]]
+                    Some([status, edge_word, est_ref[v]])
                 });
                 let flood: Vec<Val> = flood
                     .into_iter()
-                    .map(|o| o.expect("flood reaches all"))
+                    .zip(&frozen)
+                    .map(|(val, &was_frozen)| match val {
+                        Some(val) => val,
+                        None if was_frozen => [STATUS_FROZEN, Word::MAX, 0],
+                        None => panic!("status flood reaches every unfrozen vertex"),
+                    })
                     .collect();
+                for v in 0..n {
+                    frozen[v] = flood[v][0] == STATUS_FROZEN;
+                }
                 // (d) negotiate across MWOE edges.
                 let (negotiated, _) = sim.run(|v, _| {
                     let [status, mwoe_edge, fest] = flood[v];
@@ -422,18 +461,22 @@ pub fn distributed_mst<'g>(
                         merge_into: None,
                     }
                 });
-                // (e) diameter-bump convergecast over the (old) head trees.
+                // (e) diameter-bump convergecast over the head trees
+                // (tails reject every request, and a frozen fragment's
+                // `est` is never read again).
                 let (bump, _) = passes::up_pass(
                     sim,
                     &views,
                     |v| {
-                        let b = negotiated[v]
-                            .0
-                            .iter()
-                            .map(|&(_, e)| e + 1)
-                            .max()
-                            .unwrap_or(0);
-                        [b, 0, 0]
+                        (flood[v][0] == STATUS_HEAD).then(|| {
+                            let b = negotiated[v]
+                                .0
+                                .iter()
+                                .map(|&(_, e)| e + 1)
+                                .max()
+                                .unwrap_or(0);
+                            [b, 0, 0]
+                        })
                     },
                     |a, b| [a[0].max(b[0]), 0, 0],
                 );
@@ -450,10 +493,11 @@ pub fn distributed_mst<'g>(
                     }
                 }
                 for v in 0..n {
-                    if let Some((new_frag, new_parent)) = relabels[v] {
+                    if let Some((new_frag, new_parent, joined_frozen)) = relabels[v] {
                         frag[v] = new_frag;
-                        views[v].parent = new_parent;
-                        if let Some((_, partner)) = negotiated[v].1 {
+                        views[v].parent = Some(new_parent);
+                        frozen[v] = joined_frozen;
+                        if let Some((_, partner, _)) = negotiated[v].1 {
                             if !views[v].tree_neighbors.contains(&partner) {
                                 views[v].tree_neighbors.push(partner);
                             }
@@ -461,26 +505,23 @@ pub fn distributed_mst<'g>(
                     }
                 }
                 for v in 0..n {
-                    if views[v].parent.is_none() && bump[v][0] > 0 {
-                        est[v] += 2 * bump[v][0];
+                    if views[v].parent.is_none() {
+                        if let Some([b, _, _]) = bump[v] {
+                            est[v] += 2 * b;
+                        }
                     }
                 }
-                // (h) global termination census (leaders report). Sums
-                // are not idempotent, so this stays on the watermark
-                // convergecast (see `converge_merged`'s merge law).
-                let views_ref = &views;
-                let flood_ref = &flood;
-                let (census, _) = collective::converge_sum(sim, tau, |v| {
-                    if views_ref[v].parent.is_none() {
-                        let active = (flood_ref[v][0] != STATUS_FROZEN
-                            && flood_ref[v][1] != Word::MAX)
-                            as u64;
-                        vec![(0, [1, active])]
+                // (h) global termination census: every leader reports
+                // (1, active), summed over τ in one fixed-width
+                // message per tree edge.
+                let ([fragments, active], _) = collective::sum(sim, tau, |v| {
+                    if views[v].parent.is_none() {
+                        [1, !frozen[v] as u64]
                     } else {
-                        Vec::new()
+                        [0, 0]
                     }
                 });
-                let [fragments, active] = census.get(&0).copied().unwrap_or([0, 0]);
+                phase1_schedule.push((fragments as usize, active as usize));
                 if fragments <= target_frags as u64
                     || active == 0
                     || phase1_iterations >= max_phase1
@@ -622,6 +663,7 @@ pub fn distributed_mst<'g>(
         base_views,
         external_edges,
         phase1_iterations,
+        phase1_schedule,
         phase2_iterations,
         stats,
         fragments,
@@ -705,6 +747,92 @@ mod tests {
         for &e in &r.external_edges {
             let edge = g.edge(e);
             assert_ne!(r.base_fragment_of[edge.u], r.base_fragment_of[edge.v]);
+        }
+    }
+
+    /// FNV-1a over a word stream.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins every phase-1 merge decision: iteration counts, the base
+    /// fragments (an order-sensitive fold over `base_fragment_of` and
+    /// over the `base_views` parents, `None` folded as `u64::MAX`) and
+    /// the phase-2 external edges. Which fragments take part in which
+    /// pass is cost, not structure — these values must not move when it
+    /// changes.
+    #[test]
+    fn phase1_structure_is_pinned() {
+        let cases: [(&str, Graph, [u64; 4], [u64; 3]); 4] = [
+            (
+                "geometric-2000",
+                generators::Family::Geometric.generate(2000, 1),
+                [16, 4, 88, 87],
+                [
+                    0x303d_1ecf_dbb0_5b8f,
+                    0xa2bd_bcf2_c993_a5c6,
+                    0x3618_7d29_09fd_fb67,
+                ],
+            ),
+            (
+                "gnp-300",
+                generators::gnp_sparse(300, 0.05, 100, 2),
+                [12, 3, 17, 16],
+                [
+                    0xd445_da4b_b110_d9b0,
+                    0x8feb_28e0_6872_d2af,
+                    0x2e53_2a75_7528_85d9,
+                ],
+            ),
+            (
+                "path-300",
+                generators::path(300, 1),
+                [11, 2, 27, 26],
+                [
+                    0xb721_5b40_dc77_044d,
+                    0x9fc4_c97f_6e3d_e7b9,
+                    0x8b8c_d923_4831_3763,
+                ],
+            ),
+            (
+                "grid-16x16",
+                generators::grid(16, 16, 100, 4),
+                [12, 3, 18, 17],
+                [
+                    0xfbb3_139f_85e2_d4bb,
+                    0x2cc0_74e4_e6fc_ffc1,
+                    0x2e9b_3b0d_ee27_bf9e,
+                ],
+            ),
+        ];
+        for (name, g, counts, folds) in cases {
+            let mut sim = Simulator::new(&g);
+            let (tau, _) = build_bfs_tree(&mut sim, 0);
+            let r = distributed_mst(&mut sim, &tau, 0, 7);
+            let got_counts = [
+                r.phase1_iterations as u64,
+                r.phase2_iterations as u64,
+                r.fragment_count() as u64,
+                r.external_edges.len() as u64,
+            ];
+            assert_eq!(
+                got_counts, counts,
+                "{name}: phase-1/2 iterations, fragments, external edges"
+            );
+            let got_folds = [
+                fnv(r.external_edges.iter().map(|&e| e as u64)),
+                fnv(r.base_fragment_of.iter().copied()),
+                fnv(r
+                    .base_views
+                    .iter()
+                    .map(|view| view.parent.map_or(u64::MAX, |p| p as u64))),
+            ];
+            assert_eq!(
+                got_folds, folds,
+                "{name}: external edges, base fragments, parents"
+            );
         }
     }
 

@@ -16,7 +16,13 @@
 //!
 //! All passes run in *all fragments in parallel*, exactly as the paper
 //! prescribes ("locally in each fragment, i.e. in all the base fragments
-//! in parallel").
+//! in parallel"). [`up_pass`] and [`flood_pass_opt`] are selective: a
+//! fragment can sit a pass out, and then it spends no message, so a
+//! pass costs the fragments that take part, not `n`. Borůvka's phase 1
+//! runs its growth passes only in the fragments that can still grow.
+//!
+//! The passes allocate nothing per vertex beyond what they return: a
+//! vertex counts and walks its children straight off its [`FragView`].
 
 use congest::{Ctx, Executor, Message, Program, RunStats, Word};
 use lightgraph::NodeId;
@@ -39,12 +45,11 @@ pub struct FragView {
 
 impl FragView {
     /// Children = tree neighbors minus the parent.
-    pub fn children(&self) -> Vec<NodeId> {
+    pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.tree_neighbors
             .iter()
             .copied()
-            .filter(|&v| Some(v) != self.parent)
-            .collect()
+            .filter(move |&v| Some(v) != self.parent)
     }
 }
 
@@ -55,10 +60,13 @@ impl FragView {
 struct UpProgram<C, T> {
     parent: Option<NodeId>,
     pending_children: usize,
-    acc: Val,
+    /// `None` while this vertex's fragment sits the pass out.
+    acc: Option<Val>,
     combine: C,
     outgoing: T,
-    received: Vec<(NodeId, Val)>,
+    /// Each child's value, recorded only for [`up_pass_full`] (`None`
+    /// otherwise).
+    received: Option<Vec<(NodeId, Val)>>,
     sent: bool,
 }
 
@@ -66,8 +74,8 @@ impl<C: Fn(Val, Val) -> Val, T: Fn(Val) -> Val> UpProgram<C, T> {
     fn try_send(&mut self, ctx: &mut Ctx<'_>) {
         if self.pending_children == 0 && !self.sent {
             self.sent = true;
-            if let Some(p) = self.parent {
-                let [a, b, c] = (self.outgoing)(self.acc);
+            if let (Some(p), Some(acc)) = (self.parent, self.acc) {
+                let [a, b, c] = (self.outgoing)(acc);
                 ctx.send(p, Message::words(&[TAG_UP, a, b, c]));
             }
         }
@@ -75,7 +83,7 @@ impl<C: Fn(Val, Val) -> Val, T: Fn(Val) -> Val> UpProgram<C, T> {
 }
 
 impl<C: Fn(Val, Val) -> Val, T: Fn(Val) -> Val> Program for UpProgram<C, T> {
-    type Output = (Val, Vec<(NodeId, Val)>);
+    type Output = Option<(Val, Vec<(NodeId, Val)>)>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         self.try_send(ctx);
@@ -85,83 +93,129 @@ impl<C: Fn(Val, Val) -> Val, T: Fn(Val) -> Val> Program for UpProgram<C, T> {
         for (from, msg) in inbox {
             debug_assert_eq!(msg.word(0), TAG_UP);
             let v = [msg.word(1), msg.word(2), msg.word(3)];
-            self.received.push((*from, v));
-            self.acc = (self.combine)(self.acc, v);
+            if let Some(received) = &mut self.received {
+                received.push((*from, v));
+            }
+            let acc = self.acc.as_mut().expect("only taking-part fragments send");
+            *acc = (self.combine)(*acc, v);
             self.pending_children -= 1;
         }
         self.try_send(ctx);
     }
 
     fn finish(self) -> Self::Output {
-        (self.acc, self.received)
+        debug_assert!(
+            self.acc.is_none() || self.pending_children == 0,
+            "a fragment takes part in a pass as a whole"
+        );
+        self.acc.map(|acc| (acc, self.received.unwrap_or_default()))
     }
 }
 
-/// Bottom-up aggregation over all fragment trees in parallel.
-///
-/// `own(v)` is the vertex's initial value; `combine` must be associative
-/// and commutative. Returns each vertex's aggregate over its fragment
-/// subtree (fragment roots hold the fragment-wide aggregate).
-pub fn up_pass<'g, C>(
+/// Runs one [`UpProgram`] per vertex. A vertex with `own(v) = None` sits
+/// the pass out: it sends nothing and its output is `None`.
+fn run_up<'g, C, T>(
     sim: &mut impl Executor<'g>,
     views: &[FragView],
-    own: impl Fn(NodeId) -> Val,
-    combine: C,
-) -> (Vec<Val>, RunStats)
-where
-    C: Fn(Val, Val) -> Val + Clone + Send,
-{
-    let (out, stats) = up_pass_full(sim, views, own, combine, |_| identity_transform());
-    (out.into_iter().map(|(acc, _)| acc).collect(), stats)
-}
-
-fn identity_transform() -> impl Fn(Val) -> Val {
-    |v| v
-}
-
-/// Full-control bottom-up pass: like [`up_pass`] but the value a vertex
-/// *sends* to its parent is `outgoing(v)(aggregate)` (e.g. "subtree tour
-/// length plus twice the parent edge weight", §3.2), and the result
-/// includes the individual values received from each child.
-pub fn up_pass_full<'g, C, T>(
-    sim: &mut impl Executor<'g>,
-    views: &[FragView],
-    own: impl Fn(NodeId) -> Val,
+    own: impl Fn(NodeId) -> Option<Val>,
     combine: C,
     mut outgoing: impl FnMut(NodeId) -> T,
-) -> (Vec<(Val, Vec<(NodeId, Val)>)>, RunStats)
+    keep_received: bool,
+) -> (Vec<Option<(Val, Vec<(NodeId, Val)>)>>, RunStats)
 where
     C: Fn(Val, Val) -> Val + Clone + Send,
     T: Fn(Val) -> Val + Send,
 {
     sim.run(|v, _| UpProgram {
         parent: views[v].parent,
-        pending_children: views[v].children().len(),
+        pending_children: views[v].children().count(),
         acc: own(v),
         combine: combine.clone(),
         outgoing: outgoing(v),
-        received: Vec::new(),
+        received: keep_received.then(Vec::new),
         sent: false,
     })
+}
+
+/// Bottom-up aggregation over the fragment trees that take part.
+///
+/// `own(v)` is the vertex's initial value, or `None` when `v`'s fragment
+/// sits the pass out; it must be `None` for every vertex of a fragment
+/// or for none of them. `combine` must be associative and commutative.
+/// Returns each taking-part vertex's aggregate over its fragment subtree
+/// (fragment roots hold the fragment-wide aggregate) and `None`
+/// elsewhere. Fragments that sit out spend no messages, so a pass over
+/// `k` small fragments costs their sizes, not `n`.
+pub fn up_pass<'g, C>(
+    sim: &mut impl Executor<'g>,
+    views: &[FragView],
+    own: impl Fn(NodeId) -> Option<Val>,
+    combine: C,
+) -> (Vec<Option<Val>>, RunStats)
+where
+    C: Fn(Val, Val) -> Val + Clone + Send,
+{
+    let (out, stats) = run_up(sim, views, own, combine, |_| identity_transform(), false);
+    (
+        out.into_iter().map(|o| o.map(|(acc, _)| acc)).collect(),
+        stats,
+    )
+}
+
+fn identity_transform() -> impl Fn(Val) -> Val {
+    |v| v
+}
+
+/// Full-control bottom-up pass over every fragment: like [`up_pass`]
+/// but the value a vertex *sends* to its parent is
+/// `outgoing(v)(aggregate)` (e.g. "subtree tour length plus twice the
+/// parent edge weight", §3.2), and the result includes the individual
+/// values received from each child.
+pub fn up_pass_full<'g, C, T>(
+    sim: &mut impl Executor<'g>,
+    views: &[FragView],
+    own: impl Fn(NodeId) -> Val,
+    combine: C,
+    outgoing: impl FnMut(NodeId) -> T,
+) -> (Vec<(Val, Vec<(NodeId, Val)>)>, RunStats)
+where
+    C: Fn(Val, Val) -> Val + Clone + Send,
+    T: Fn(Val) -> Val + Send,
+{
+    let (out, stats) = run_up(sim, views, |v| Some(own(v)), combine, outgoing, true);
+    let out = out
+        .into_iter()
+        .map(|o| o.expect("every vertex takes part"))
+        .collect();
+    (out, stats)
 }
 
 // ---------------------------------------------------------------------
 // Down pass
 // ---------------------------------------------------------------------
 
-type ChildPayloads = Vec<(NodeId, Val)>;
-
 struct DownProgram<F> {
-    is_root: bool,
-    root_val: Val,
+    /// `Some(root value)` at a fragment root that starts the pass.
+    start: Option<Val>,
     derive: F,
-    fired: bool,
-    received: Vec<Val>,
+    /// The first value received (a root's own start value); receiving
+    /// it fires `derive`.
+    first: Option<Val>,
+    /// Values received after the first: recorded, not propagated.
+    later: Vec<Val>,
 }
 
-impl<F: FnMut(NodeId, Val) -> ChildPayloads> DownProgram<F> {
-    fn fire(&mut self, ctx: &mut Ctx<'_>, val: Val) {
-        self.fired = true;
+impl<F, I> DownProgram<F>
+where
+    F: FnMut(NodeId, Val) -> I,
+    I: IntoIterator<Item = (NodeId, Val)>,
+{
+    fn receive(&mut self, ctx: &mut Ctx<'_>, val: Val) {
+        if self.first.is_some() {
+            self.later.push(val);
+            return;
+        }
+        self.first = Some(val);
         let node = ctx.node();
         for (child, [a, b, c]) in (self.derive)(node, val) {
             ctx.send(child, Message::words(&[TAG_DOWN, a, b, c]));
@@ -169,30 +223,28 @@ impl<F: FnMut(NodeId, Val) -> ChildPayloads> DownProgram<F> {
     }
 }
 
-impl<F: FnMut(NodeId, Val) -> ChildPayloads> Program for DownProgram<F> {
-    type Output = Vec<Val>;
+impl<F, I> Program for DownProgram<F>
+where
+    F: FnMut(NodeId, Val) -> I,
+    I: IntoIterator<Item = (NodeId, Val)>,
+{
+    type Output = (Option<Val>, Vec<Val>);
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_root {
-            let val = self.root_val;
-            self.received.push(val);
-            self.fire(ctx, val);
+        if let Some(val) = self.start {
+            self.receive(ctx, val);
         }
     }
 
     fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         for (_, msg) in inbox {
             debug_assert_eq!(msg.word(0), TAG_DOWN);
-            let val = [msg.word(1), msg.word(2), msg.word(3)];
-            self.received.push(val);
-            if !self.fired {
-                self.fire(ctx, val);
-            }
+            self.receive(ctx, [msg.word(1), msg.word(2), msg.word(3)]);
         }
     }
 
-    fn finish(self) -> Vec<Val> {
-        self.received
+    fn finish(self) -> Self::Output {
+        (self.first, self.later)
     }
 }
 
@@ -210,22 +262,27 @@ impl<F: FnMut(NodeId, Val) -> ChildPayloads> Program for DownProgram<F> {
 ///
 /// Returns every value each vertex received, in arrival order; fragment
 /// roots see their own `root_val` first.
-pub fn down_pass<'g, F>(
+pub fn down_pass<'g, F, I>(
     sim: &mut impl Executor<'g>,
     views: &[FragView],
     root_val: impl Fn(NodeId) -> Val,
     mut make_derive: impl FnMut(NodeId) -> F,
 ) -> (Vec<Vec<Val>>, RunStats)
 where
-    F: FnMut(NodeId, Val) -> ChildPayloads + Send,
+    F: FnMut(NodeId, Val) -> I + Send,
+    I: IntoIterator<Item = (NodeId, Val)>,
 {
-    sim.run(|v, _| DownProgram {
-        is_root: views[v].parent.is_none(),
-        root_val: root_val(v),
+    let (out, stats) = sim.run(|v, _| DownProgram {
+        start: views[v].parent.is_none().then(|| root_val(v)),
         derive: make_derive(v),
-        fired: false,
-        received: Vec::new(),
-    })
+        first: None,
+        later: Vec::new(),
+    });
+    let out = out
+        .into_iter()
+        .map(|(first, later)| first.into_iter().chain(later).collect())
+        .collect();
+    (out, stats)
 }
 
 /// Broadcasts the fragment root's value to every vertex of the fragment
@@ -240,31 +297,24 @@ pub fn flood_pass<'g>(
 
 /// Selective [`flood_pass`]: only fragments whose root returns
 /// `Some(val)` flood; the others stay silent and their vertices spend no
-/// messages (and return `None`). Used by the global Borůvka phase to
+/// messages (and return `None`). Used by Borůvka to send phase-1 status
+/// only into fragments that can still grow, and by its global phase to
 /// re-label only the fragments whose component id actually changed.
 pub fn flood_pass_opt<'g>(
     sim: &mut impl Executor<'g>,
     views: &[FragView],
     root_val: impl Fn(NodeId) -> Option<Val>,
 ) -> (Vec<Option<Val>>, RunStats) {
-    let children: Vec<Vec<NodeId>> = views.iter().map(FragView::children).collect();
     let (out, stats) = sim.run(|v, _| {
-        let start = views[v].parent.is_none().then(|| root_val(v)).flatten();
-        let ch = &children[v];
+        let view = &views[v];
         DownProgram {
-            is_root: start.is_some(),
-            root_val: start.unwrap_or_default(),
-            derive: move |_, val| ch.iter().map(|&c| (c, val)).collect::<ChildPayloads>(),
-            fired: false,
-            received: Vec::new(),
+            start: view.parent.is_none().then(|| root_val(v)).flatten(),
+            derive: move |_, val| view.children().map(move |c| (c, val)),
+            first: None,
+            later: Vec::new(),
         }
     });
-    (
-        out.into_iter()
-            .map(|vals| vals.into_iter().next())
-            .collect(),
-        stats,
-    )
+    (out.into_iter().map(|(first, _)| first).collect(), stats)
 }
 
 // ---------------------------------------------------------------------
@@ -375,7 +425,13 @@ mod tests {
         let g = generators::erdos_renyi(40, 0.1, 20, 1);
         let (t, views) = mst_views(&g, 0);
         let mut sim = Simulator::new(&g);
-        let (vals, stats) = up_pass(&mut sim, &views, |_| [1, 0, 0], |a, b| [a[0] + b[0], 0, 0]);
+        let (vals, stats) = up_pass(
+            &mut sim,
+            &views,
+            |_| Some([1, 0, 0]),
+            |a, b| [a[0] + b[0], 0, 0],
+        );
+        let vals: Vec<Val> = vals.into_iter().map(Option::unwrap).collect();
         // root's aggregate = n
         assert_eq!(vals[0][0], 40);
         // every vertex's aggregate = its subtree size
@@ -414,8 +470,12 @@ mod tests {
             &views,
             |_| [100, 0, 0],
             |v| {
-                let ch = views2[v].children();
-                move |_, val: Val| ch.iter().map(|&c| (c, [val[0] + 1, 0, 0])).collect()
+                let ch: Vec<NodeId> = views2[v].children().collect();
+                move |_, val: Val| {
+                    ch.iter()
+                        .map(|&c| (c, [val[0] + 1, 0, 0]))
+                        .collect::<Vec<_>>()
+                }
             },
         );
         for v in 0..6 {
@@ -483,8 +543,26 @@ mod tests {
             };
         }
         let mut sim = Simulator::new(&g);
-        let (vals, _) = up_pass(&mut sim, &views, |_| [1, 0, 0], |a, b| [a[0] + b[0], 0, 0]);
-        assert_eq!(vals[0][0], 4, "fragment A root sees its 4 vertices");
-        assert_eq!(vals[7][0], 4, "fragment B root sees its 4 vertices");
+        let count = |a: Val, b: Val| [a[0] + b[0], 0, 0];
+        let (vals, _) = up_pass(&mut sim, &views, |_| Some([1, 0, 0]), count);
+        assert_eq!(
+            vals[0],
+            Some([4, 0, 0]),
+            "fragment A root sees its 4 vertices"
+        );
+        assert_eq!(
+            vals[7],
+            Some([4, 0, 0]),
+            "fragment B root sees its 4 vertices"
+        );
+        // Fragment B sits out: it spends no message and reads `None`.
+        let (vals, stats) = up_pass(&mut sim, &views, |v| (v < 4).then_some([1, 0, 0]), count);
+        assert_eq!(vals[0], Some([4, 0, 0]));
+        assert!(vals[4..].iter().all(Option::is_none));
+        assert_eq!(stats.messages, 3, "one message per tree edge of fragment A");
+        let (vals, stats) = flood_pass_opt(&mut sim, &views, |v| (v == 7).then_some([9, 0, 0]));
+        assert!(vals[..4].iter().all(Option::is_none));
+        assert!(vals[4..].iter().all(|&val| val == Some([9, 0, 0])));
+        assert_eq!(stats.messages, 3, "one message per tree edge of fragment B");
     }
 }

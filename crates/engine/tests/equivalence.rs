@@ -734,6 +734,33 @@ proptest! {
     }
 }
 
+/// Runs `algorithm` on `g` twice, plainly and under the simulator's
+/// activation validator, and asserts that stats, output and frontier
+/// accounting agree.
+fn assert_validator_agrees(g: &Graph, algorithm: &str) {
+    let params = engine::scenario::AlgoParams::default();
+    let mut plain = Simulator::new(g);
+    let (stats_p, _, metric_p) =
+        engine::scenario::drive(&mut plain, algorithm, &params, 7).expect("runs");
+    let mut validated = Simulator::new(g);
+    validated.set_validate_activation(true);
+    let (stats_v, _, metric_v) =
+        engine::scenario::drive(&mut validated, algorithm, &params, 7).expect("runs");
+    assert_eq!(
+        stats_p, stats_v,
+        "{algorithm}: dense schedule changed stats"
+    );
+    assert_eq!(
+        metric_p, metric_v,
+        "{algorithm}: dense schedule changed output"
+    );
+    assert_eq!(
+        plain.frontier_total(),
+        validated.frontier_total(),
+        "{algorithm}: frontier accounting differs under validation"
+    );
+}
+
 /// The dense-schedule reference, restored as a mode: the simulator's
 /// activation validator ticks every node every round (the pre-frontier
 /// schedule), asserting that would-be-skipped ticks are no-ops. All
@@ -745,28 +772,33 @@ proptest! {
 #[test]
 fn all_algorithms_pass_the_activation_validator() {
     let g = engine::scenario::build_graph("geometric", 64, 100, 7).expect("pinned family");
-    let params = engine::scenario::AlgoParams::default();
     for algorithm in engine::scenario::ALGORITHMS {
-        let mut plain = Simulator::new(&g);
-        let (stats_p, _, metric_p) =
-            engine::scenario::drive(&mut plain, algorithm, &params, 7).expect("runs");
-        let mut validated = Simulator::new(&g);
-        validated.set_validate_activation(true);
-        let (stats_v, _, metric_v) =
-            engine::scenario::drive(&mut validated, algorithm, &params, 7).expect("runs");
-        assert_eq!(
-            stats_p, stats_v,
-            "{algorithm}: dense schedule changed stats"
-        );
-        assert_eq!(
-            metric_p, metric_v,
-            "{algorithm}: dense schedule changed output"
-        );
-        assert_eq!(
-            plain.frontier_total(),
-            validated.frontier_total(),
-            "{algorithm}: frontier accounting differs under validation"
-        );
+        assert_validator_agrees(&g, algorithm);
+    }
+}
+
+/// The MST-based families under the validator on an instance where
+/// Borůvka's phase 1 freezes fragments well before it ends. Frozen
+/// fragments sit out the growth passes, and tails that join one learn
+/// its status from the ACC reply and the relabel flood; those paths
+/// must be activation-correct too.
+#[test]
+fn mst_families_pass_the_activation_validator_while_fragments_freeze() {
+    let g = engine::scenario::build_graph("geometric", 128, 100, 7).expect("pinned family");
+    let mut sim = Simulator::new(&g);
+    let (tau, _) = build_bfs_tree(&mut sim, 0);
+    let schedule = distributed_mst(&mut sim, &tau, 0, 7).phase1_schedule;
+    let (_, before_last) = schedule.split_last().expect("phase 1 runs");
+    assert!(
+        before_last
+            .iter()
+            .filter(|&&(fragments, active)| active < fragments)
+            .count()
+            >= 3,
+        "phase 1 must freeze fragments for several iterations: {schedule:?}"
+    );
+    for algorithm in ["mst", "slt", "spanner", "euler", "doubling"] {
+        assert_validator_agrees(&g, algorithm);
     }
 }
 

@@ -4,6 +4,13 @@
 //! *connected* graph (the algorithms in the paper assume connectivity),
 //! and uses integer weights in `[1, max_w]` (§2: minimum weight 1,
 //! maximum poly(n)).
+//!
+//! On `n` vertices, keep `max_w` (or a constant weight `w`) at most
+//! `INF / n`. [`Graph`] rejects a heavier edge with
+//! [`GraphError::WeightTooLarge`](crate::GraphError::WeightTooLarge),
+//! because a simple path could then reach [`INF`](crate::INF). A
+//! generator that draws such a weight panics at construction, and the
+//! message names the weight.
 
 use crate::union_find::UnionFind;
 use crate::{Graph, NodeId, Weight};
@@ -710,6 +717,15 @@ impl Family {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "WeightTooLarge { u: 0, v: 1, w: ")]
+    fn weights_past_the_inf_bound_fail_at_construction() {
+        // max_w above INF itself: on 16 vertices the first edge drawn
+        // above INF / 16 is rejected while the grid is built, instead of
+        // overflowing path lengths in whatever runs on it.
+        grid(4, 4, 6_917_529_027_641_081_856, 1);
+    }
 
     #[test]
     fn erdos_renyi_is_connected_and_sized() {

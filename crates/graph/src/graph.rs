@@ -49,6 +49,14 @@ pub enum GraphError {
     SelfLoop { vertex: NodeId },
     /// Weights must be at least 1 (§2 of the paper).
     ZeroWeight { u: NodeId, v: NodeId },
+    /// Weights on `n` vertices must be at most `max = INF / n`, so that
+    /// no simple path (at most `n - 1` edges) reaches [`INF`].
+    WeightTooLarge {
+        u: NodeId,
+        v: NodeId,
+        w: Weight,
+        max: Weight,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -64,6 +72,11 @@ impl fmt::Display for GraphError {
             GraphError::ZeroWeight { u, v } => {
                 write!(f, "edge ({u}, {v}) has zero weight; weights must be >= 1")
             }
+            GraphError::WeightTooLarge { u, v, w, max } => write!(
+                f,
+                "edge ({u}, {v}) has weight {w}; weights must be <= INF / n = {max}, \
+                 so that no simple path reaches INF"
+            ),
         }
     }
 }
@@ -99,14 +112,16 @@ impl Graph {
     ///
     /// # Errors
     /// Returns an error if any edge is a self loop, references a vertex
-    /// `>= n`, or has weight 0.
+    /// `>= n`, has weight 0, or has a weight above `INF / n` (at which
+    /// a simple path could reach [`INF`]).
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>,
     ) -> Result<Self, GraphError> {
+        let max_w = Graph::max_weight_on(n);
         let edges: Vec<Edge> = edges
             .into_iter()
-            .map(|(u, v, w)| Graph::check_edge(n, u, v, w).map(|()| Edge { u, v, w }))
+            .map(|(u, v, w)| Graph::check_edge(n, max_w, u, v, w).map(|()| Edge { u, v, w }))
             .collect::<Result<_, _>>()?;
         let mut degree = vec![0usize; n];
         for e in &edges {
@@ -122,8 +137,21 @@ impl Graph {
         Ok(Graph { n, edges, adj })
     }
 
-    /// The validity rules every edge of a graph on `n` vertices obeys.
-    fn check_edge(n: usize, u: NodeId, v: NodeId, w: Weight) -> Result<(), GraphError> {
+    /// The largest legal edge weight on `n` vertices, `INF / n`: a
+    /// simple path has at most `n - 1` edges, so it stays below [`INF`].
+    fn max_weight_on(n: usize) -> Weight {
+        INF / n.max(1) as Weight
+    }
+
+    /// The validity rules every edge of a graph on `n` vertices obeys;
+    /// `max_w` is `max_weight_on(n)`.
+    fn check_edge(
+        n: usize,
+        max_w: Weight,
+        u: NodeId,
+        v: NodeId,
+        w: Weight,
+    ) -> Result<(), GraphError> {
         if u >= n {
             return Err(GraphError::VertexOutOfRange { vertex: u, n });
         }
@@ -136,6 +164,14 @@ impl Graph {
         if w == 0 {
             return Err(GraphError::ZeroWeight { u, v });
         }
+        if w > max_w {
+            return Err(GraphError::WeightTooLarge {
+                u,
+                v,
+                w,
+                max: max_w,
+            });
+        }
         Ok(())
     }
 
@@ -144,7 +180,7 @@ impl Graph {
     /// # Errors
     /// See [`Graph::from_edges`].
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: Weight) -> Result<EdgeId, GraphError> {
-        Graph::check_edge(self.n, u, v, w)?;
+        Graph::check_edge(self.n, Graph::max_weight_on(self.n), u, v, w)?;
         let id = self.edges.len();
         self.edges.push(Edge { u, v, w });
         self.adj[u].push((v, w, id));
@@ -369,6 +405,30 @@ mod tests {
             g.add_edge(0, 1, 0),
             Err(GraphError::ZeroWeight { u: 0, v: 1 })
         );
+    }
+
+    #[test]
+    fn rejects_weights_at_which_a_path_reaches_inf() {
+        // On 3 vertices the bound is INF / 3; the two-edge path at the
+        // bound stays below INF.
+        let max = INF / 3;
+        assert!(2 * max < INF);
+        let too_large = GraphError::WeightTooLarge {
+            u: 0,
+            v: 1,
+            w: max + 1,
+            max,
+        };
+        let mut g = Graph::new(3);
+        assert_eq!(g.add_edge(0, 1, max), Ok(0));
+        assert_eq!(g.add_edge(0, 1, max + 1), Err(too_large.clone()));
+        assert_eq!(g.m(), 1, "a rejected edge is not added");
+        assert!(Graph::from_edges(3, [(1, 2, 1), (0, 1, max)]).is_ok());
+        assert_eq!(
+            Graph::from_edges(3, [(1, 2, 1), (0, 1, max + 1)]).unwrap_err(),
+            too_large
+        );
+        assert!(too_large.to_string().contains(&(max + 1).to_string()));
     }
 
     #[test]
