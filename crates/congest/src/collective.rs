@@ -6,37 +6,31 @@
 //!
 //! * [`broadcast`] — the root pipelines `M` items down the tree:
 //!   `M + height` rounds at cap 1.
-//! * [`converge`] — key-combining convergecast: every vertex contributes
-//!   keyed items, an associative combiner merges duplicates on the way
-//!   up, and the root ends with the combined map. Streams are emitted in
-//!   increasing key order with watermark tracking, so distinct keys
-//!   pipeline: `O(K + height)` rounds for `K` distinct keys crossing the
-//!   bottleneck edge.
-//! * [`gather`] — convergecast of *distinct* items (a thin wrapper).
-//! * [`sum`] — a fixed-width two-word sum: one message per tree edge,
-//!   no keys and no `DONE` traffic.
-//! * [`converge_merged`] / [`gather_merged`] — the **combiner-aware**
-//!   convergecast: items flow upward *eagerly* (no watermark waiting),
-//!   the per-key merge runs at three levels — inside each node's
-//!   partial map, as the contract-clause-7 per-edge message combiner
-//!   while superseded items are still queued in flight, and nothing
-//!   else: no `DONE` control traffic at all. Same root map as
-//!   [`converge`], but a slow subtree never head-of-line-blocks
-//!   settled keys, which is what made the landmark pairwise gather
-//!   round-bound (see `dist_sssp::landmark`).
-//!
-//! * [`downcast`] — the *targeted* inverse of [`gather`]: the root
-//!   unicasts each keyed item down the tree path to one designated
+//! * [`converge_merged`] / [`gather_merged`] — the keyed convergecast:
+//!   every vertex contributes keyed items, items sharing a key merge
+//!   under a *semilattice* merge (a selection such as a min or a max),
+//!   and the root ends with the merged map. Items flow upward *eagerly*:
+//!   the per-key merge runs inside each node's partial map and, as the
+//!   contract-clause-7 per-edge message combiner, while superseded
+//!   items are still queued in flight. There is no `DONE` control
+//!   traffic, and a slow subtree never head-of-line-blocks settled
+//!   keys, which is what keeps the landmark pairwise gather pipelined
+//!   (see `dist_sssp::landmark`).
+//! * [`sum`] — a fixed-width two-word sum: one message per tree edge
+//!   and `height` rounds, no keys and no per-node maps. A census ("is
+//!   any vertex still active?") is a count, so it is a sum.
+//! * [`downcast`] — the *targeted* inverse of [`gather_merged`]: the
+//!   root unicasts each keyed item down the tree path to one designated
 //!   vertex. An item costs `O(depth(target))` deliveries instead of the
 //!   `O(n)` a broadcast pays, which is what makes "convergecast to rt,
 //!   compute locally, return each vertex *its own* answer" affordable
 //!   when the answers differ per vertex (Euler-tour shifts, Borůvka
 //!   relabels, BP₂ membership).
 //!
-//! Together, `gather` + `broadcast` implement the paper's recurring
-//! "convergecast to rt, compute locally, broadcast the answer" pattern;
-//! `gather_merged` + `downcast` is the message-lean variant for
-//! per-vertex answers.
+//! Together, `gather_merged` + `broadcast` implement the paper's
+//! recurring "convergecast to rt, compute locally, broadcast the
+//! answer" pattern; `gather_merged` + `downcast` is the message-lean
+//! variant for per-vertex answers.
 
 use crate::exec::Executor;
 use crate::message::{pack2, unpack2, Message, Word};
@@ -50,7 +44,6 @@ use std::collections::BTreeMap;
 pub type Item = (Word, [Word; 2]);
 
 const TAG_ITEM: u64 = 1;
-const TAG_DONE: u64 = 2;
 const TAG_SEND: u64 = 3;
 
 // ---------------------------------------------------------------------
@@ -223,124 +216,7 @@ pub fn downcast<'g, E: Executor<'g>>(
 }
 
 // ---------------------------------------------------------------------
-// Combining convergecast
-// ---------------------------------------------------------------------
-
-struct ConvergeProgram<C> {
-    parent: Option<NodeId>,
-    /// Frontier per child: smallest key the child may still emit;
-    /// `Word::MAX` once the child reported done.
-    frontier: BTreeMap<NodeId, Word>,
-    merged: BTreeMap<Word, [Word; 2]>,
-    combine: C,
-    sent_done: bool,
-}
-
-impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> ConvergeProgram<C> {
-    fn insert(&mut self, key: Word, val: [Word; 2]) {
-        match self.merged.entry(key) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(val);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let cur = *e.get();
-                e.insert((self.combine)(key, cur, val));
-            }
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        let watermark = self.frontier.values().copied().min().unwrap_or(Word::MAX);
-        if let Some(parent) = self.parent {
-            // Emit every settled key (< watermark) upward, in order.
-            let ready: Vec<Word> = self.merged.range(..watermark).map(|(&k, _)| k).collect();
-            for k in ready {
-                let [a, b] = self.merged.remove(&k).expect("key present");
-                ctx.send(parent, Message::words(&[TAG_ITEM, k, a, b]));
-            }
-            if watermark == Word::MAX && !self.sent_done {
-                self.sent_done = true;
-                ctx.send(parent, Message::words(&[TAG_DONE]));
-            }
-        }
-    }
-}
-
-impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for ConvergeProgram<C> {
-    type Output = BTreeMap<Word, [Word; 2]>;
-
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
-        self.flush(ctx);
-    }
-
-    fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-        for (from, msg) in inbox {
-            match msg.word(0) {
-                TAG_ITEM => {
-                    let key = msg.word(1);
-                    self.insert(key, [msg.word(2), msg.word(3)]);
-                    let f = self.frontier.get_mut(from).expect("sender is a child");
-                    *f = (*f).max(key.saturating_add(1));
-                }
-                TAG_DONE => {
-                    *self.frontier.get_mut(from).expect("sender is a child") = Word::MAX;
-                }
-                other => unreachable!("unexpected tag {other}"),
-            }
-        }
-        self.flush(ctx);
-    }
-
-    fn finish(self) -> BTreeMap<Word, [Word; 2]> {
-        self.merged
-    }
-}
-
-/// Combining convergecast: every vertex `v` contributes `items(v)`;
-/// values sharing a key are merged with the associative, commutative
-/// `combine(key, a, b)`; the root's combined map is returned.
-///
-/// Items are streamed in increasing key order with per-child watermarks,
-/// so `K` distinct keys cost `O(K + height)` rounds at cap 1.
-pub fn converge<'g, E, C>(
-    sim: &mut E,
-    tree: &BfsTree,
-    items: impl Fn(NodeId) -> Vec<Item>,
-    combine: C,
-) -> (BTreeMap<Word, [Word; 2]>, RunStats)
-where
-    E: Executor<'g>,
-    C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2] + Clone + Send,
-{
-    let root = tree.root;
-    let (mut out, stats) = sim.run(|v, _| {
-        let mut p = ConvergeProgram {
-            parent: tree.parent[v],
-            frontier: tree.children[v].iter().map(|&c| (c, 0)).collect(),
-            merged: BTreeMap::new(),
-            combine: combine.clone(),
-            sent_done: false,
-        };
-        for (k, val) in items(v) {
-            p.insert(k, val);
-        }
-        p
-    });
-    (std::mem::take(&mut out[root]), stats)
-}
-
-/// Convergecast of distinct items (duplicate keys keep the smaller
-/// value, which callers with genuinely unique keys never observe).
-pub fn gather<'g, E: Executor<'g>>(
-    sim: &mut E,
-    tree: &BfsTree,
-    items: impl Fn(NodeId) -> Vec<Item>,
-) -> (BTreeMap<Word, [Word; 2]>, RunStats) {
-    converge(sim, tree, items, |_, a, b| a.min(b))
-}
-
-// ---------------------------------------------------------------------
-// Eager combiner-aware convergecast
+// Eager keyed convergecast
 // ---------------------------------------------------------------------
 
 /// The eager convergecast program: holds the per-key merge of
@@ -455,32 +331,31 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for EagerConvergePr
     }
 }
 
-/// Combiner-aware convergecast: every vertex contributes `items(v)`,
-/// values sharing a key merge through `combine(key, a, b)`, the root's
-/// combined map is returned — but items flow upward **eagerly** and
-/// superseded re-emissions are collapsed *in flight* by the clause-7
-/// per-edge message combiner (the same merge). Two consequences:
+/// Keyed convergecast: every vertex contributes `items(v)`, values
+/// sharing a key merge through `combine(key, a, b)`, and the root's
+/// merged map is returned. Items flow upward **eagerly** and superseded
+/// re-emissions are collapsed *in flight* by the clause-7 per-edge
+/// message combiner (the same merge). Two consequences:
 ///
-/// * no watermark waiting: a slow subtree cannot head-of-line-block
-///   keys that are already settled elsewhere, so long pairwise gathers
-///   pipeline at the bandwidth floor instead of the watermark schedule;
+/// * nothing waits for a slower key: a slow subtree cannot
+///   head-of-line-block keys that are already settled elsewhere, so
+///   long pairwise gathers pipeline at the bandwidth floor;
 /// * a key crosses an edge once per *improvement that outlives the
 ///   backlog* — for duplicate-heavy streams (e.g. both endpoints of a
 ///   landmark pair reporting the same distance) the duplicates merge
 ///   either in a node's map or in its parent queue and are never
 ///   delivered twice.
 ///
-/// **The merge obligation is stricter than [`converge`]'s**: `combine`
-/// must be a *semilattice* merge — associative, commutative, **and
-/// idempotent** (`combine(k, a, a) == a`), i.e. a selection such as a
-/// componentwise or lexicographic min/max. The eager program forwards
-/// its *held merged value* on every improvement, so an upstream node
-/// may absorb the same original contribution through several
-/// emissions; idempotence is what makes re-absorption a no-op.
-/// Aggregations like sums or counts are **not** lawful here (the root
-/// would double-count) — use [`sum`] for a single total, or the
-/// watermark [`converge`], whose exactly-once key streams only need
-/// associativity + commutativity.
+/// `combine` must be a *semilattice* merge — associative, commutative,
+/// **and idempotent** (`combine(k, a, a) == a`), i.e. a selection such
+/// as a componentwise or lexicographic min/max. The eager program
+/// forwards its *held merged value* on every improvement, so an
+/// upstream node may absorb the same original contribution through
+/// several emissions; idempotence is what makes re-absorption a no-op,
+/// and the root map is the sequential fold of every vertex's items
+/// under `combine`, whatever the schedule. Aggregations like sums or
+/// counts are **not** lawful here (the root would double-count) — use
+/// [`sum`] for a total or a count.
 /// Idempotence is spot-checked per item in debug builds.
 ///
 /// `set_combiner = false` runs the identical eager program without the
@@ -528,10 +403,11 @@ where
     converge_merged_with(sim, tree, items, combine, true)
 }
 
-/// Combiner-aware [`gather`]: eager convergecast where duplicate keys
-/// keep the lexicographically smaller value — in nodes *and in flight*
-/// (see [`converge_merged`]) — exactly as [`gather`] specializes
-/// [`converge`]. The landmark pairwise gather uses this to collapse
+/// [`converge_merged`] where duplicate keys keep the lexicographically
+/// smaller value, in nodes *and in flight*. With `val = [weight, edge
+/// id]` that is the lightest edge per key, a weight tie going to the
+/// smaller edge id whatever the arrival order (light-spanner Case 1,
+/// Borůvka's MWOE). The landmark pairwise gather uses it to collapse
 /// superseded bounded-distance items (`val = [distance, _]`, so the
 /// smaller genuine path length wins).
 pub fn gather_merged<'g, E: Executor<'g>>(
@@ -540,26 +416,6 @@ pub fn gather_merged<'g, E: Executor<'g>>(
     items: impl Fn(NodeId) -> Vec<Item>,
 ) -> (BTreeMap<Word, [Word; 2]>, RunStats) {
     converge_merged(sim, tree, items, |_, a, b| a.min(b))
-}
-
-/// Convergecast of keyed minima over the first value word; the second
-/// word rides along with its minimum (e.g. `val = [weight, edge-id]`
-/// keeps the lightest edge per key).
-pub fn converge_min<'g, E: Executor<'g>>(
-    sim: &mut E,
-    tree: &BfsTree,
-    items: impl Fn(NodeId) -> Vec<Item>,
-) -> (BTreeMap<Word, [Word; 2]>, RunStats) {
-    converge(sim, tree, items, |_, a, b| if a[0] <= b[0] { a } else { b })
-}
-
-/// Convergecast of keyed maxima over the first value word.
-pub fn converge_max<'g, E: Executor<'g>>(
-    sim: &mut E,
-    tree: &BfsTree,
-    items: impl Fn(NodeId) -> Vec<Item>,
-) -> (BTreeMap<Word, [Word; 2]>, RunStats) {
-    converge(sim, tree, items, |_, a, b| if a[0] >= b[0] { a } else { b })
 }
 
 // ---------------------------------------------------------------------
@@ -610,8 +466,9 @@ impl Program for SumProgram {
 /// subtree's sum to its parent. The root's total is returned.
 ///
 /// One two-word message per tree edge and `height` rounds — the fixed
-/// width is what a sum needs, where a keyed [`converge`] pays a key
-/// stream, per-node maps and a `DONE` message per edge.
+/// width is what a sum needs, where a keyed convergecast pays a key per
+/// item, per-node maps and re-emissions. A census of 0/1 flags is a
+/// count, so "is any flag set?" is `sum(..)[0] != 0`.
 pub fn sum<'g, E: Executor<'g>>(
     sim: &mut E,
     tree: &BfsTree,
@@ -725,7 +582,12 @@ mod tests {
         let mut sim = Simulator::new(&g);
         let (tree, _) = build_bfs_tree(&mut sim, 3);
         // key = v % 4, value = v
-        let (got, _) = converge_max(&mut sim, &tree, |v| vec![((v % 4) as u64, [v as u64, 0])]);
+        let (got, _) = converge_merged(
+            &mut sim,
+            &tree,
+            |v| vec![((v % 4) as u64, [v as u64, 0])],
+            |_, a, b| a.max(b),
+        );
         for k in 0..4u64 {
             let expect = (0..40u64).filter(|v| v % 4 == k).max().unwrap();
             assert_eq!(got[&k][0], expect, "key {k}");
@@ -749,7 +611,7 @@ mod tests {
         let g = generators::path(6, 1);
         let mut sim = Simulator::new(&g);
         let (tree, _) = build_bfs_tree(&mut sim, 0);
-        let (got, _) = converge_min(&mut sim, &tree, |v| vec![(0, [(10 - v) as u64, v as u64])]);
+        let (got, _) = gather_merged(&mut sim, &tree, |v| vec![(0, [(10 - v) as u64, v as u64])]);
         assert_eq!(got[&0], [5, 5]); // v=5 has min first word, payload rides along
     }
 
@@ -758,7 +620,7 @@ mod tests {
         let g = generators::path(16, 1);
         let mut sim = Simulator::new(&g);
         let (tree, _) = build_bfs_tree(&mut sim, 0);
-        let (got, stats) = gather(&mut sim, &tree, |v| vec![(v as u64, [v as u64 * 7, 0])]);
+        let (got, stats) = gather_merged(&mut sim, &tree, |v| vec![(v as u64, [v as u64 * 7, 0])]);
         assert_eq!(got.len(), 16);
         for v in 0..16u64 {
             assert_eq!(got[&v][0], v * 7);
@@ -772,18 +634,56 @@ mod tests {
         );
     }
 
+    /// The sequential reference: every vertex's items folded into one
+    /// map under `merge`, in vertex order.
+    fn fold(
+        n: usize,
+        items: impl Fn(NodeId) -> Vec<Item>,
+        merge: impl Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2],
+    ) -> BTreeMap<Word, [Word; 2]> {
+        let mut map = BTreeMap::new();
+        for (k, val) in (0..n).flat_map(items) {
+            let cur = *map.entry(k).or_insert(val);
+            map.insert(k, merge(k, cur, val));
+        }
+        map
+    }
+
     #[test]
-    fn eager_converge_matches_watermark_output() {
+    fn eager_converge_matches_sequential_fold() {
         let g = generators::erdos_renyi(40, 0.1, 9, 12);
-        let items = |v: NodeId| vec![((v % 6) as u64, [(v * 13 % 17) as u64, v as u64])];
-        let merge = |_: Word, a: [Word; 2], b: [Word; 2]| a.min(b);
-        let mut sim_w = Simulator::new(&g);
-        let (tree_w, _) = build_bfs_tree(&mut sim_w, 2);
-        let (want, _) = converge(&mut sim_w, &tree_w, items, merge);
-        let mut sim_e = Simulator::new(&g);
-        let (tree_e, _) = build_bfs_tree(&mut sim_e, 2);
-        let (got, _) = converge_merged(&mut sim_e, &tree_e, items, merge);
-        assert_eq!(got, want, "eager and watermark roots must agree");
+        // Two items per vertex, with ties on the first value word.
+        let items = |v: NodeId| {
+            vec![
+                ((v % 6) as u64, [(v * 13 % 17) as u64, v as u64]),
+                ((v % 4) as u64 + 10, [(v % 3) as u64, (v * 7 % 11) as u64]),
+            ]
+        };
+        type Merge = fn(Word, [Word; 2], [Word; 2]) -> [Word; 2];
+        let merges: [(&str, Merge); 2] = [
+            ("lexicographic min", |_, a, b| a.min(b)),
+            // Light-spanner Case 1's selection: the larger first word,
+            // then the smaller second.
+            ("max then min", |_, a, b| {
+                if a[0] > b[0] || (a[0] == b[0] && a[1] <= b[1]) {
+                    a
+                } else {
+                    b
+                }
+            }),
+        ];
+        for (name, merge) in merges {
+            for root in [2, 31] {
+                for cap in [1, 3] {
+                    let mut sim = Simulator::new(&g);
+                    sim.set_cap(cap);
+                    let (tree, _) = build_bfs_tree(&mut sim, root);
+                    let (got, _) = converge_merged(&mut sim, &tree, items, merge);
+                    let want = fold(g.n(), items, merge);
+                    assert_eq!(got, want, "{name}, root {root}, cap {cap}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -848,13 +748,18 @@ mod tests {
         let g = generators::grid(4, 4, 2, 2);
         let mut sim = Simulator::new(&g);
         let (tree, _) = build_bfs_tree(&mut sim, 0);
-        let (got, _) = converge_max(&mut sim, &tree, |v| {
-            if v == 9 {
-                vec![(42, [9, 9])]
-            } else {
-                Vec::new()
-            }
-        });
+        let (got, _) = converge_merged(
+            &mut sim,
+            &tree,
+            |v| {
+                if v == 9 {
+                    vec![(42, [9, 9])]
+                } else {
+                    Vec::new()
+                }
+            },
+            |_, a, b| a.max(b),
+        );
         assert_eq!(got.len(), 1);
         assert_eq!(got[&42], [9, 9]);
     }

@@ -30,9 +30,14 @@
 //!    sweeps caps.
 //! 4. A round's inbox at node `v` is ordered by edge id (and, per edge,
 //!    direction `u→v` before `v→u`), exactly matching the sequential
-//!    simulator's delivery loop. *Conformance:*
-//!    `prop_broadcast_and_convergecast_identical` (collectives are
-//!    inbox-order-sensitive).
+//!    simulator's delivery loop. *Conformance* (each fails when every
+//!    inbox is delivered in reverse edge order):
+//!    `prop_chain_relays_identical` and `prop_reactivation_identical`
+//!    (per-node outputs), `prop_combiner_aware_collectives_identical` and
+//!    `prop_broadcast_and_convergecast_identical` (the eager
+//!    convergecast's in-flight merges follow arrival order; a broadcast
+//!    inbox holds one sender, so the broadcast half cannot see it), and
+//!    `prop_euler_tour_identical`.
 //! 5. **Activation scheduling.** A node is *active* in round `r` iff
 //!    its round-`r` inbox is non-empty, or it reported
 //!    `is_quiescent() == false` at its previous activation boundary

@@ -24,14 +24,16 @@
 //!   algorithm,
 //! * [`tree`] — distributed BFS-tree construction (the tree τ of §2),
 //! * [`collective`] — Lemma-1 collectives: pipelined broadcast to all
-//!   vertices in `O(M + D)` rounds and combining convergecast
-//!   (watermark-merged, `O(M + D)` rounds),
+//!   vertices in `O(M + D)` rounds, one eager keyed convergecast whose
+//!   semilattice merge also combines items in flight, a fixed-width sum
+//!   (one message per tree edge), and a targeted downcast,
 //! * [`slab`] — the shared arena-slab queue storage behind every
 //!   per-edge FIFO and the opt-in clause-7 message combiner
 //!   ([`Program::combine_key`]): pooled slots recycled across rounds
-//!   and runs (zero allocations per message in steady state), with
-//!   precomputed key→slot indices so relaxation-style programs collapse
-//!   co-queued superseded updates at the cost of an index load,
+//!   and runs (zero allocations per message in steady state), with a
+//!   `(directed edge, key) → slot` hash map so relaxation-style programs
+//!   collapse co-queued superseded updates at the cost of one hash per
+//!   keyed staging,
 //! * [`relax`] — the keyed-relaxation subsystem: canonical wire codec,
 //!   the lawful componentwise-min combiner, dense per-key distance
 //!   tables, and the ready-made [`relax::RelaxProgram`] every

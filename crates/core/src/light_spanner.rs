@@ -167,6 +167,13 @@ struct BucketContext<'a> {
 
 /// Case 1: EN17b on the cluster graph with global (convergecast +
 /// broadcast) coordination.
+///
+/// Both convergecasts are [`collective::converge_merged`] selections.
+/// The per-cluster maximum keeps the larger `m`, then the smaller `s`.
+/// The edge selection keeps, per (cluster, source) key, the
+/// lexicographically smallest `(weight, edge id)`, so a weight tie goes
+/// to the smaller edge id whatever the arrival order — the rule Case 2
+/// and Borůvka's MWOE use too.
 fn simulate_case1<'g>(
     sim: &mut impl Executor<'g>,
     ctx: &BucketContext<'_>,
@@ -208,7 +215,7 @@ fn simulate_case1<'g>(
         let table_ref = &table;
         let cluster_of = &ctx.cluster_of;
         let bucket_edges = &ctx.bucket_edges;
-        let (maxima, _) = collective::converge(
+        let (maxima, _) = collective::converge_merged(
             sim,
             ctx.tau,
             |v| {
@@ -266,7 +273,7 @@ fn simulate_case1<'g>(
     let table_ref = &table;
     let cluster_of = &ctx.cluster_of;
     let bucket_edges = &ctx.bucket_edges;
-    let (selected, _) = collective::converge_min(sim, ctx.tau, |v| {
+    let (selected, _) = collective::gather_merged(sim, ctx.tau, |v| {
         let a = cluster_of[v];
         let Some(my) = table_ref.get(&a) else {
             return Vec::new();
@@ -739,29 +746,76 @@ mod tests {
         check(&g2, 2, 0.25, 4);
     }
 
-    #[test]
-    fn both_cases_are_exercised() {
-        // Case 1 needs edges with weight comparable to L = 2·w(MST):
-        // a unit-weight path (MST weight n−1) plus chords near L, plus
-        // mid-weight chords for Case 2.
+    const HEAVY_CHORDS: [(NodeId, NodeId); 4] = [(0, 40), (3, 30), (7, 44), (11, 37)];
+    const MID_CHORDS: [(NodeId, NodeId); 4] = [(2, 20), (5, 25), (9, 33), (14, 41)];
+
+    /// Case 1 needs edges with weight comparable to L = 2·w(MST): a
+    /// unit-weight path (MST weight n−1) plus chords near L, plus
+    /// mid-weight chords for Case 2.
+    fn both_cases_graph() -> lightgraph::Graph {
         let n = 48;
         let mut g = generators::path(n, 1);
         let l = 2 * (n as u64 - 1);
-        for (i, (u, v)) in [(0usize, 40usize), (3, 30), (7, 44), (11, 37)]
-            .iter()
-            .enumerate()
-        {
-            g.add_edge(*u, *v, l - 4 - i as u64).unwrap(); // heaviest bucket
+        for (i, &(u, v)) in HEAVY_CHORDS.iter().enumerate() {
+            g.add_edge(u, v, l - 4 - i as u64).unwrap(); // heaviest bucket
         }
-        for (i, (u, v)) in [(2usize, 20usize), (5, 25), (9, 33), (14, 41)]
-            .iter()
-            .enumerate()
-        {
-            g.add_edge(*u, *v, 8 + i as u64).unwrap(); // mid buckets
+        for (i, &(u, v)) in MID_CHORDS.iter().enumerate() {
+            g.add_edge(u, v, 8 + i as u64).unwrap(); // mid buckets
         }
-        let (_, r) = check(&g, 2, 0.25, 5);
+        g
+    }
+
+    #[test]
+    fn both_cases_are_exercised() {
+        let (_, r) = check(&both_cases_graph(), 2, 0.25, 5);
         assert!(r.case1_buckets > 0, "no Case-1 bucket exercised");
         assert!(r.case2_buckets > 0, "no Case-2 bucket exercised");
+    }
+
+    /// FNV-1a over a word stream.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins Case 1's selection: `case1_buckets`, the edge count and an
+    /// FNV-1a fold over the sorted edge ids (root 0, seed 5, Simulator).
+    /// Which convergecast carries the selection is cost, not structure.
+    #[test]
+    fn case1_selection_is_pinned() {
+        let pin = |g: &lightgraph::Graph, k: usize, eps: f64, want: (usize, usize, u64)| {
+            let mut sim = Simulator::new(g);
+            let (tau, _) = build_bfs_tree(&mut sim, 0);
+            let r = light_spanner(&mut sim, &tau, 0, k, eps, 5);
+            let got = (
+                r.case1_buckets,
+                r.edges.len(),
+                fnv(r.edges.iter().map(|&e| e as u64)),
+            );
+            assert_eq!(got, want, "k = {k}, eps = {eps}: buckets, edges, fold");
+        };
+        // Every (k, ε) ∈ {1, 2, 3} × {0.25, 0.5} that reaches Case 1
+        // on `both_cases_graph` ((1, 0.25) does not).
+        let g = both_cases_graph();
+        pin(&g, 1, 0.5, (1, 52, 0xbda4_1cd8_7667_66e9));
+        pin(&g, 2, 0.25, (1, 53, 0xddf5_c9ee_0b45_5c99));
+        pin(&g, 2, 0.5, (1, 52, 0xbda4_1cd8_7667_66e9));
+        pin(&g, 3, 0.25, (1, 53, 0xddf5_c9ee_0b45_5c99));
+        pin(&g, 3, 0.5, (1, 52, 0xbda4_1cd8_7667_66e9));
+        // Tie-heavy: the same eight chords, all of weight L − 4 and
+        // inserted in reverse order, so several candidate edges of one
+        // (cluster, source) key tie on weight. Case 1 keeps the
+        // lexicographically smallest (weight, edge id), whatever the
+        // arrival order — the same rule as Case 2 and Borůvka.
+        let n = 48;
+        let mut g = generators::path(n, 1);
+        let l = 2 * (n as u64 - 1);
+        for &(u, v) in HEAVY_CHORDS.iter().chain(&MID_CHORDS).rev() {
+            g.add_edge(u, v, l - 4).unwrap();
+        }
+        pin(&g, 2, 0.25, (1, 49, 0x360a_5a9d_3b1b_f5f9));
+        pin(&g, 3, 0.25, (1, 49, 0x360a_5a9d_3b1b_f5f9));
     }
 
     #[test]

@@ -101,12 +101,13 @@ pub fn net<'g>(
             }
         }
         points.extend(&new_points);
-        // (5) global termination census: any active vertex left?
+        // (5) global termination census: a count of the vertices still
+        // active, summed over τ (one two-word message per τ edge).
         let active_ref = &active;
         let (census, _) = obs::span(sim, "census", |sim| {
-            collective::converge_max(sim, tau, |v| vec![(0, [active_ref[v] as u64, 0])])
+            collective::sum(sim, tau, |v| [active_ref[v] as u64, 0])
         });
-        if census[&0][0] == 0 {
+        if census[0] == 0 {
             break;
         }
     }
@@ -204,6 +205,27 @@ mod tests {
         let g = generators::path(10, 1);
         let r = check_net(&g, 1000, 0.5, 6);
         assert_eq!(r.points.len(), 1);
+    }
+
+    #[test]
+    fn each_census_costs_one_message_per_tau_edge() {
+        let g = generators::random_geometric(50, 0.3, 3);
+        let mut sim = Simulator::new(&g);
+        let (tau, _) = build_bfs_tree(&mut sim, 0);
+        let (r, spans) = obs::collect_spans(|| net(&mut sim, &tau, 100_000, 0.5, 7));
+        assert!(r.iterations > 1, "the census must run more than once");
+        let census: Vec<_> = spans
+            .flatten()
+            .into_iter()
+            .filter(|(path, _)| path == "census")
+            .map(|(_, span)| span)
+            .collect();
+        assert_eq!(census.len(), r.iterations, "one census per iteration");
+        let iterations = r.iterations as u64;
+        let delivered: u64 = census.iter().map(|span| span.delivered()).sum();
+        let rounds: u64 = census.iter().map(|span| span.stats.rounds).sum();
+        assert_eq!(delivered, iterations * (g.n() as u64 - 1), "delivered");
+        assert_eq!(rounds, iterations * tau.height(), "rounds");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! BFS tree through the **combiner-aware convergecast**
 //! ([`congest::collective::converge_merged`]) — the lexicographic
 //! `(weight, edge)` minimum is a semilattice merge, so candidates merge
-//! *in flight* inside the clause-7 per-edge queues instead of waiting on
-//! watermark schedules — the root resolves the merges once and returns
+//! *in flight* inside the clause-7 per-edge queues and nothing waits for
+//! a slower key — the root resolves the merges once and returns
 //! each re-labeled component id along tree paths
 //! ([`congest::collective::downcast`] to the affected base-fragment
 //! leaders, then a selective intra-fragment flood). Borůvka halving
@@ -551,10 +551,10 @@ pub fn distributed_mst<'g>(
         let frag_ref = &frag;
         // Per-fragment MWOEs merge *in flight* through the eager
         // combiner-aware convergecast: the lexicographic (weight, edge)
-        // min is a lawful semilattice merge, and the root map is
-        // key-for-key identical to the watermark `converge`'s, so the
-        // union-find replay below — and the MST — is bit-identical to
-        // the pre-pipelined construction.
+        // min is a lawful semilattice merge, so the root map is the
+        // per-fragment minimum whatever the schedule, and the
+        // union-find replay below — and the MST — does not depend on
+        // arrival order.
         let (map, _) = collective::converge_merged(
             sim,
             tau,

@@ -183,15 +183,15 @@ pub fn approx_spt<'g>(
 
     if cfg.landmarks.is_none() {
         // (2a) adaptive probe: root-only bounded exploration, then a
-        // charged census of the truncation certificate (convergecast
-        // up, verdict broadcast down — O(D) rounds, one item each way
-        // per vertex).
+        // charged census of the truncation certificate (a count of the
+        // truncated vertices summed up τ, the verdict broadcast down —
+        // O(D) rounds, one message each way per τ edge).
         let (probe, truncated) = obs::span(sim, "probe", |sim| {
             let probe = multi_source_bounded(sim, &[rt], INF, hop_bound);
             let flags: Vec<u64> = probe.tables.iter().map(|t| t.truncated as u64).collect();
             let flags_ref = &flags;
-            let (census, _) = collective::converge_max(sim, tau, |v| vec![(0, [flags_ref[v], 0])]);
-            let truncated = census[&0][0] != 0;
+            let (census, _) = collective::sum(sim, tau, |v| [flags_ref[v], 0]);
+            let truncated = census[0] != 0;
             let (verdict, _) = collective::broadcast(sim, tau, vec![(0, [truncated as u64, 0])]);
             debug_assert!(verdict.iter().all(|r| r.len() == 1));
             (probe, truncated)

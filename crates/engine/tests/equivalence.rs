@@ -281,7 +281,7 @@ proptest! {
         let items: Vec<collective::Item> =
             (0..10).map(|i| (i + seed % 5, [i * 3, i + 1])).collect();
         let (bs, bss) = collective::broadcast(&mut sim, &tau, items.clone());
-        let (cs, css) = collective::converge_min(&mut sim, &tau, |v| {
+        let (cs, css) = collective::gather_merged(&mut sim, &tau, |v| {
             vec![((v % 7) as u64, [(v * 31 % 13) as u64, v as u64])]
         });
         for threads in THREADS {
@@ -291,7 +291,7 @@ proptest! {
             let (be, bse) = collective::broadcast(&mut eng, &tau_e, items.clone());
             prop_assert_eq!(&bs, &be, "broadcast outputs (threads={})", threads);
             prop_assert_eq!(bss, bse, "broadcast stats (threads={})", threads);
-            let (ce, cse) = collective::converge_min(&mut eng, &tau_e, |v| {
+            let (ce, cse) = collective::gather_merged(&mut eng, &tau_e, |v| {
                 vec![((v % 7) as u64, [(v * 31 % 13) as u64, v as u64])]
             });
             prop_assert_eq!(&cs, &ce, "converge outputs (threads={})", threads);
@@ -629,13 +629,14 @@ proptest! {
     }
 
     /// Combiner-aware collectives wall: the eager convergecast
-    /// (`converge_merged`) must (a) reach the same root map as the
-    /// watermark path, (b) be bit-identical to its own *non-combined*
-    /// variant in outputs while never delivering more, (c) be fully
-    /// bit-identical to the non-combined variant — outputs, `RunStats`,
-    /// frontier totals — when the cap does not bind (nothing ever
-    /// co-queues), and (d) be bit-identical across Simulator and
-    /// Engine, combine counters and frontier totals included.
+    /// (`converge_merged`) must (a) reach the sequential fold of every
+    /// vertex's items under the merge, (b) be bit-identical to its own
+    /// *non-combined* variant in outputs while never delivering more,
+    /// (c) be fully bit-identical to the non-combined variant —
+    /// outputs, `RunStats`, frontier totals — when the cap does not
+    /// bind (nothing ever co-queues), and (d) be bit-identical across
+    /// Simulator and Engine, combine counters and frontier totals
+    /// included.
     #[test]
     fn prop_combiner_aware_collectives_identical((g, seed) in arb_graph()) {
         let items = move |v: NodeId| vec![
@@ -651,12 +652,14 @@ proptest! {
                 collective::converge_merged_with(&mut sim, &tau, items, merge, combined);
             (map, stats, sim.frontier_total())
         };
-        // (a) same root map as the watermark convergecast.
-        let mut sim_w = Simulator::new(&g);
-        let (tau_w, _) = build_bfs_tree(&mut sim_w, 0);
-        let (map_w, _) = collective::converge(&mut sim_w, &tau_w, items, merge);
+        // (a) same root map as the sequential fold.
+        let mut fold = std::collections::BTreeMap::new();
+        for (k, val) in (0..g.n()).flat_map(items) {
+            let cur = *fold.entry(k).or_insert(val);
+            fold.insert(k, merge(k, cur, val));
+        }
         let (map_c, stats_c, frontier_c) = run_sim(true, 1);
-        prop_assert_eq!(&map_w, &map_c, "eager vs watermark root map");
+        prop_assert_eq!(&fold, &map_c, "eager root map vs sequential fold");
         // (b) non-combined eager path: same outputs, never fewer merges.
         let (map_u, stats_u, _) = run_sim(false, 1);
         prop_assert_eq!(&map_c, &map_u, "combining changed the root map");

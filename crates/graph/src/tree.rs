@@ -227,16 +227,6 @@ impl EulerTour {
     pub fn total_length(&self) -> Weight {
         *self.times.last().unwrap_or(&0)
     }
-
-    /// Tour distance `d_L(x_i, x_j) = |R_{x_i} - R_{x_j}|`.
-    pub fn tour_distance(&self, i: usize, j: usize) -> Weight {
-        self.times[i].abs_diff(self.times[j])
-    }
-
-    /// First appearance (position) of vertex `v`.
-    pub fn first_appearance(&self, v: NodeId) -> usize {
-        self.appearances[v][0]
-    }
 }
 
 #[cfg(test)]
