@@ -216,7 +216,7 @@ pub fn run_e4(sizes: &[usize], epsilons: &[f64], seed: u64) -> Vec<Row> {
         let g = generators::Family::Geometric.generate(n, seed);
         for &eps in epsilons {
             let (mut sim, tau) = sim_with_tau(&g, 0);
-            let r = doubling_spanner(&mut sim, &tau, 0, eps, seed);
+            let r = doubling_spanner(&mut sim, &tau, eps, seed);
             let h = g.edge_subgraph_dedup(r.edges.iter().copied());
             let q = metrics::spanner_quality(&g, &h);
             rows.push(Row {
@@ -242,7 +242,7 @@ pub fn run_e5(sizes: &[usize], seed: u64) -> Vec<Row> {
     for &n in sizes {
         let g = generators::Family::ErdosRenyi.generate(n, seed);
         let (mut sim, tau) = sim_with_tau(&g, 0);
-        let m = distributed_mst(&mut sim, &tau, 0, seed);
+        let m = distributed_mst(&mut sim, &tau, seed);
         let tour = distributed_euler_tour(&mut sim, &tau, &m, 0);
         assert_eq!(tour.total_length, 2 * m.weight);
         rows.push(Row {

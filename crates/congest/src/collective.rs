@@ -31,9 +31,15 @@
 //! recurring "convergecast to rt, compute locally, broadcast the
 //! answer" pattern; `gather_merged` + `downcast` is the message-lean
 //! variant for per-vertex answers.
+//!
+//! One primitive here needs no tree: [`exchange`], the one-round
+//! neighbour exchange. Each sending vertex stages one fixed-width
+//! payload to a chosen neighbour list, and every vertex returns what it
+//! heard. Borůvka's fragment-id refresh, light-spanner Case 2's state
+//! exchange and every Baswana–Sen phase are this exchange.
 
 use crate::exec::Executor;
-use crate::message::{pack2, unpack2, Message, Word};
+use crate::message::{pack2, unpack2, Message, Word, WORDS_PER_MESSAGE};
 use crate::program::{Ctx, Program, RunStats};
 use crate::tree::BfsTree;
 use lightgraph::NodeId;
@@ -45,6 +51,7 @@ pub type Item = (Word, [Word; 2]);
 
 const TAG_ITEM: u64 = 1;
 const TAG_SEND: u64 = 3;
+const TAG_EXCHANGE: u64 = 4;
 
 // ---------------------------------------------------------------------
 // Broadcast
@@ -483,6 +490,71 @@ pub fn sum<'g, E: Executor<'g>>(
     (out[tree.root], stats)
 }
 
+// ---------------------------------------------------------------------
+// Neighbour exchange
+// ---------------------------------------------------------------------
+
+struct ExchangeProgram<T, const W: usize> {
+    /// `Some((payload, targets))` at a vertex that sends.
+    send: Option<([Word; W], T)>,
+    heard: Vec<(NodeId, [Word; W])>,
+}
+
+impl<T: IntoIterator<Item = NodeId>, const W: usize> Program for ExchangeProgram<T, W> {
+    type Output = Vec<(NodeId, [Word; W])>;
+
+    fn init(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some((payload, targets)) = self.send.take() {
+            let mut words = [TAG_EXCHANGE; WORDS_PER_MESSAGE];
+            words[1..=W].copy_from_slice(&payload);
+            let msg = Message::words(&words[..=W]);
+            for u in targets {
+                ctx.send(u, msg.clone());
+            }
+        }
+    }
+
+    fn round(&mut self, _ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
+        for (from, msg) in inbox {
+            debug_assert_eq!(msg.word(0), TAG_EXCHANGE);
+            let mut payload = [0; W];
+            payload.copy_from_slice(&msg.as_words()[1..]);
+            self.heard.push((*from, payload));
+        }
+    }
+
+    fn finish(self) -> Self::Output {
+        self.heard
+    }
+}
+
+/// One-round neighbour exchange. Each vertex with `send(v) =
+/// Some((payload, targets))` stages `payload` (behind a one-word tag)
+/// to each of `targets`, in order, during `init`. A target listed twice
+/// gets two messages, so listing every neighbour in adjacency order
+/// stages exactly what [`Ctx::send_all`] would, one message per
+/// parallel edge.
+///
+/// Returns, per vertex, the `(sender, payload)` pairs it received, in
+/// inbox order. One round when no target is listed twice: copies to one
+/// target share its edge's queue, so at cap 1 the `k`-th copy arrives in
+/// round `k`. `W` is the caller's payload width, at most three words (a
+/// message holds [`WORDS_PER_MESSAGE`] words, one of them the tag); a
+/// narrow payload keeps the returned records small.
+pub fn exchange<'g, E, T, const W: usize>(
+    sim: &mut E,
+    send: impl Fn(NodeId) -> Option<([Word; W], T)>,
+) -> (Vec<Vec<(NodeId, [Word; W])>>, RunStats)
+where
+    E: Executor<'g>,
+    T: IntoIterator<Item = NodeId> + Send,
+{
+    sim.run(|v, _| ExchangeProgram {
+        send: send(v),
+        heard: Vec::new(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,6 +813,57 @@ mod tests {
         );
         assert_eq!(stats_u.messages_combined, 0);
         assert!(stats_c.messages_delivered() <= stats_u.messages_delivered());
+    }
+
+    #[test]
+    fn exchange_sends_once_per_listed_target() {
+        // Path 0-1-2-3-4 plus an edge parallel to (1, 2) and a chord
+        // (4, 0) inserted with reversed endpoints. Light-spanner Case 2
+        // lists each distinct bucket neighbour once; with both 1-2 edges
+        // and the chord in the bucket that is two neighbour pairs, four
+        // directed.
+        let mut g = generators::path(5, 1);
+        g.add_edge(1, 2, 3).unwrap();
+        g.add_edge(4, 0, 2).unwrap();
+        let targets: [&[NodeId]; 5] = [&[4], &[2], &[1], &[], &[0]];
+        let mut sim = Simulator::new(&g);
+        let (heard, stats) = exchange(&mut sim, |v| {
+            Some(([v as u64, 10 + v as u64, 7], targets[v].iter().copied()))
+        });
+        assert_eq!(stats.messages, 4, "one message per directed pair");
+        assert_eq!(stats.rounds, 1);
+        for (v, senders) in targets.iter().enumerate() {
+            let want: Vec<(NodeId, [Word; 3])> = senders
+                .iter()
+                .map(|&u| (u, [u as u64, 10 + u as u64, 7]))
+                .collect();
+            assert_eq!(heard[v], want, "records heard at {v}");
+        }
+    }
+
+    #[test]
+    fn exchange_to_every_neighbour_crosses_each_parallel_edge() {
+        // Baswana–Sen lists every neighbour in adjacency order, so each
+        // of the parallel 1-2 edges carries a copy. Both copies queue on
+        // the one directed edge the pair routes through, and the second
+        // arrives a round later. Vertex 3 sends nothing.
+        let mut g = generators::path(4, 1);
+        g.add_edge(1, 2, 3).unwrap();
+        let mut sim = Simulator::new(&g);
+        let (heard, stats) = exchange(&mut sim, |v| {
+            (v != 3).then(|| {
+                (
+                    [100 + v as u64, v as u64],
+                    g.neighbors(v).iter().map(|&(u, _, _)| u),
+                )
+            })
+        });
+        assert_eq!(stats.messages, 7, "one message per edge slot of a sender");
+        assert_eq!(stats.rounds, 2, "two copies share one queue at cap 1");
+        assert_eq!(heard[0], vec![(1, [101, 1])]);
+        assert_eq!(heard[1], vec![(0, [100, 0]), (2, [102, 2]), (2, [102, 2])]);
+        assert_eq!(heard[2], vec![(1, [101, 1]), (1, [101, 1])]);
+        assert_eq!(heard[3], vec![(2, [102, 2])]);
     }
 
     #[test]

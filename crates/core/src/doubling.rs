@@ -46,7 +46,6 @@ pub struct DoublingSpanner {
 pub fn doubling_spanner<'g>(
     sim: &mut impl Executor<'g>,
     tau: &BfsTree,
-    rt: NodeId,
     epsilon: f64,
     seed: u64,
 ) -> DoublingSpanner {
@@ -65,7 +64,7 @@ pub fn doubling_spanner<'g>(
     // The MST weight bounds the largest useful scale; the distributed
     // MST also serves as the connectivity backbone of the spanner (the
     // lightness budget always affords it: it costs lightness 1).
-    let mst = obs::span(sim, "mst", |sim| distributed_mst(sim, tau, rt, seed));
+    let mst = obs::span(sim, "mst", |sim| distributed_mst(sim, tau, seed));
     let l_total = mst.weight as f64;
     let w_min = g.min_weight().max(1) as f64;
 
@@ -138,7 +137,7 @@ mod tests {
     ) -> (metrics::SpannerQuality, DoublingSpanner) {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let r = doubling_spanner(&mut sim, &tau, 0, eps, seed);
+        let r = doubling_spanner(&mut sim, &tau, eps, seed);
         let h = g.edge_subgraph_dedup(r.edges.iter().copied());
         let q = metrics::spanner_quality(g, &h);
         assert!(
@@ -189,7 +188,7 @@ mod tests {
         let g = generators::random_geometric(30, 0.35, 6);
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let r = doubling_spanner(&mut sim, &tau, 0, 0.5, 6);
+        let r = doubling_spanner(&mut sim, &tau, 0.5, 6);
         let h = g.edge_subgraph_dedup(r.edges.iter().copied());
         assert!(h.is_connected());
         assert!(r.scales > 0);

@@ -37,14 +37,12 @@ use crate::tour_sweep::{tour_sweep, Direction, TourRouting};
 use congest::collective;
 use congest::obs;
 use congest::tree::BfsTree;
-use congest::{pack2, Ctx, Executor, Message, Program, RunStats, Word};
+use congest::{pack2, Executor, RunStats, Word};
 use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
 use lightgraph::{splitmix64, EdgeId, NodeId, Weight};
 use sparse_spanner::baswana_sen::baswana_sen;
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-const TAG_STATE: u64 = 70;
 
 /// Result of the light-spanner construction.
 #[derive(Debug, Clone)]
@@ -100,38 +98,9 @@ fn cluster_radii(clusters: &[u64], k: usize, seed: u64) -> HashMap<u64, f64> {
     }
 }
 
-/// One-round exchange of `(cluster, m, s)` along the bucket's edges
-/// `E_i`: one message to each distinct `E_i` neighbor. `G_i`'s edges
-/// are `E_i`, so those are the only neighbors whose state the bucket
-/// reads.
-struct StateExchange<'a> {
-    payload: [Word; 3],
-    targets: &'a [NodeId],
-    heard: HashMap<NodeId, [Word; 3]>,
-}
-
-impl Program for StateExchange<'_> {
-    type Output = HashMap<NodeId, [Word; 3]>;
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
-        let [a, b, c] = self.payload;
-        for &u in self.targets {
-            ctx.send(u, Message::words(&[TAG_STATE, a, b, c]));
-        }
-    }
-    fn round(&mut self, _ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-        for (from, msg) in inbox {
-            debug_assert_eq!(msg.word(0), TAG_STATE);
-            self.heard
-                .insert(*from, [msg.word(1), msg.word(2), msg.word(3)]);
-        }
-    }
-    fn finish(self) -> Self::Output {
-        self.heard
-    }
-}
-
 /// Each vertex's distinct `E_i` neighbors, ascending: the targets of
-/// every [`StateExchange`] of the bucket.
+/// every state exchange of the bucket. `G_i`'s edges are `E_i`, so
+/// those are the only neighbors whose state the bucket reads.
 fn bucket_neighbors(bucket_edges: &[Vec<(NodeId, Weight, EdgeId)>]) -> Vec<Vec<NodeId>> {
     bucket_edges
         .iter()
@@ -144,17 +113,11 @@ fn bucket_neighbors(bucket_edges: &[Vec<(NodeId, Weight, EdgeId)>]) -> Vec<Vec<N
         .collect()
 }
 
-fn exchange_states<'g>(
-    sim: &mut impl Executor<'g>,
-    nbrs: &[Vec<NodeId>],
-    payload: impl Fn(NodeId) -> [Word; 3],
-) -> Vec<HashMap<NodeId, [Word; 3]>> {
-    let (out, _) = sim.run(|v, _| StateExchange {
-        payload: payload(v),
-        targets: &nbrs[v],
-        heard: HashMap::new(),
-    });
-    out
+/// The record `u` sent, in a vertex's exchange records sorted by
+/// sender.
+fn heard_from(heard: &[(NodeId, [Word; 3])], u: NodeId) -> Option<[Word; 3]> {
+    let i = heard.binary_search_by_key(&u, |&(from, _)| from).ok()?;
+    Some(heard[i].1)
 }
 
 struct BucketContext<'a> {
@@ -355,6 +318,9 @@ fn simulate_case2<'g>(
     let mut known: Vec<Option<ClusterState>> = (0..n)
         .map(|v| state.get(&ctx.cluster_of[v]).copied())
         .collect();
+    // what each vertex heard from its `E_i` neighbors in the latest
+    // exchange, sorted by sender
+    let mut heard: Vec<Vec<(NodeId, [Word; 3])>> = Vec::new();
 
     for round in 0..=ctx.k {
         // (a) LTR sweep distributing center state through intervals
@@ -378,27 +344,31 @@ fn simulate_case2<'g>(
         for v in 0..n {
             known[v] = state.get(&ctx.cluster_of[v]).copied();
         }
-        if round == ctx.k {
-            break; // final dissemination only
-        }
         // (b) E_i-neighbor exchange of (cluster, m, s); a large uniform
-        // shift keeps the encoded m positive even for absent states
-        let cluster_of = &ctx.cluster_of;
-        let known_ref = &known;
-        let heard = exchange_states(sim, &nbrs, |v| {
-            let st = known_ref[v].unwrap_or(ClusterState {
+        // shift keeps the encoded m positive even for absent states.
+        // The last one, with the final states, feeds the selection.
+        heard.clear(); // free the previous records before the next exchange fills its own
+        (heard, _) = collective::exchange(sim, |v| {
+            let st = known[v].unwrap_or(ClusterState {
                 m: -1.0e9,
                 s: u64::MAX,
             });
-            [cluster_of[v], enc(st.m, 1.0e9), st.s]
+            let own = [ctx.cluster_of[v], enc(st.m, 1.0e9), st.s];
+            Some((own, nbrs[v].iter().copied()))
         });
+        for records in &mut heard {
+            records.sort_unstable_by_key(|&(from, _)| from);
+        }
+        if round == ctx.k {
+            break;
+        }
         // (c) local candidate per vertex
         let cand: Vec<[Word; 2]> = (0..n)
             .map(|v| {
                 let a = ctx.cluster_of[v];
                 let mut best = neutral;
                 for &(u, _, _) in &ctx.bucket_edges[v] {
-                    if let Some(&[bc, mb, s]) = heard[v].get(&u) {
+                    if let Some([bc, mb, s]) = heard_from(&heard[v], u) {
                         if bc != a && s != u64::MAX {
                             let m = dec(mb, 1.0e9) - 1.0;
                             if m > -1.0e8 {
@@ -462,22 +432,13 @@ fn simulate_case2<'g>(
         }
     }
 
-    // Selection: one more exchange with the final states, then the
-    // per-cluster dedup the paper performs by convergecasting candidate
-    // edges through the communication interval ("each vertex receiving
-    // edges from A×B will forward only a single such edge"). The dedup
-    // itself is the same min-reduction as the sweeps above; its round
-    // cost — one interval traversal plus the per-cluster edge count at
-    // the bottleneck — is charged explicitly below.
-    let cluster_of = &ctx.cluster_of;
-    let known_ref = &known;
-    let heard = exchange_states(sim, &nbrs, |v| {
-        let st = known_ref[v].unwrap_or(ClusterState {
-            m: -1.0e9,
-            s: u64::MAX,
-        });
-        [cluster_of[v], enc(st.m, 1.0e9), st.s]
-    });
+    // Selection on the final exchange, then the per-cluster dedup the
+    // paper performs by convergecasting candidate edges through the
+    // communication interval ("each vertex receiving edges from A×B
+    // will forward only a single such edge"). The dedup itself is the
+    // same min-reduction as the sweeps above; its round cost — one
+    // interval traversal plus the per-cluster edge count at the
+    // bottleneck — is charged explicitly below.
     let mut per_cluster_source: HashMap<(u64, u64), (Weight, EdgeId)> = HashMap::new();
     let mut interval_len: HashMap<u64, u64> = HashMap::new();
     for p in 0..routing.len() {
@@ -487,7 +448,7 @@ fn simulate_case2<'g>(
         let a = ctx.cluster_of[v];
         let Some(my) = known[v] else { continue };
         for &(u, w, e) in &ctx.bucket_edges[v] {
-            if let Some(&[bc, mb, s]) = heard[v].get(&u) {
+            if let Some([bc, mb, s]) = heard_from(&heard[v], u) {
                 if bc != a && s != u64::MAX {
                     let m = dec(mb, 1.0e9);
                     if m >= my.m - 1.0 {
@@ -539,7 +500,7 @@ pub fn light_spanner<'g>(
     }
 
     // MST + Euler tour (times R_x per appearance).
-    let mst = distributed_mst(sim, tau, rt, seed);
+    let mst = distributed_mst(sim, tau, seed);
     let tour = distributed_euler_tour(sim, tau, &mst, rt);
     let routing = TourRouting::new(&tour);
     let (seq, times) = tour.assemble();
@@ -697,36 +658,6 @@ mod tests {
             q.lightness
         );
         (q, r)
-    }
-
-    #[test]
-    fn state_exchange_sends_once_per_directed_bucket_neighbor() {
-        // Path 0-1-2-3-4 plus an edge parallel to (1, 2) and a chord
-        // (4, 0) inserted with reversed endpoints. The bucket holds both
-        // 1-2 edges and the chord: two neighbor pairs, four directed.
-        let mut g = generators::path(5, 1);
-        let parallel = g.add_edge(1, 2, 3).unwrap();
-        let chord = g.add_edge(4, 0, 2).unwrap();
-        let mut bucket_edges = vec![Vec::new(); g.n()];
-        for e in [1, parallel, chord] {
-            let edge = g.edge(e);
-            bucket_edges[edge.u].push((edge.v, edge.w, e));
-            bucket_edges[edge.v].push((edge.u, edge.w, e));
-        }
-        let mut sim = Simulator::new(&g);
-        let nbrs = bucket_neighbors(&bucket_edges);
-        let heard = exchange_states(&mut sim, &nbrs, |v| [v as u64, 10 + v as u64, 7]);
-        assert_eq!(sim.total().messages, 4, "one message per directed E_i pair");
-        assert_eq!(sim.total().rounds, 1);
-        let expect: [&[NodeId]; 5] = [&[4], &[2], &[1], &[], &[0]];
-        for (v, want) in expect.iter().enumerate() {
-            let mut from: Vec<NodeId> = heard[v].keys().copied().collect();
-            from.sort_unstable();
-            assert_eq!(&from, want, "senders heard at {v}");
-            for &u in *want {
-                assert_eq!(heard[v][&u], [u as u64, 10 + u as u64, 7]);
-            }
-        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub fn shallow_light_tree_with<'g>(
     }
 
     // (1) MST, Euler tour, approximate SPT.
-    let mst = obs::span(sim, "mst", |sim| distributed_mst(sim, tau, rt, seed));
+    let mst = obs::span(sim, "mst", |sim| distributed_mst(sim, tau, seed));
     let tour = obs::span(sim, "tour", |sim| {
         distributed_euler_tour(sim, tau, &mst, rt)
     });

@@ -188,7 +188,7 @@ mod tests {
     fn routing_for(g: &lightgraph::Graph) -> TourRouting {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let mst = distributed_mst(&mut sim, &tau, 0, 1);
+        let mst = distributed_mst(&mut sim, &tau, 1);
         let tour = distributed_euler_tour(&mut sim, &tau, &mst, 0);
         TourRouting::new(&tour)
     }

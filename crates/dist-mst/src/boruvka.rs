@@ -57,11 +57,9 @@ const STATUS_TAIL: u64 = 0;
 const STATUS_HEAD: u64 = 1;
 const STATUS_FROZEN: u64 = 2;
 
-const TAG_FRAG: u64 = 10;
 const TAG_REQ: u64 = 11;
 const TAG_ACC: u64 = 12;
 const TAG_REJ: u64 = 13;
-const TAG_RELABEL: u64 = 14;
 
 /// Result of the distributed MST construction.
 #[derive(Debug, Clone)]
@@ -100,38 +98,6 @@ impl MstResult {
     /// Number of base fragments.
     pub fn fragment_count(&self) -> usize {
         self.fragments
-    }
-}
-
-/// One announcement round of the incremental exchange: a vertex with
-/// `announce = Some((f, targets))` tells exactly `targets` (in
-/// neighbor-slot order, matching `send_all`'s order) its new fragment
-/// id `f`. Targets are the neighbors whose [`NbrTable`] entry for this
-/// vertex is actually stale — see [`NbrTable::refresh`] for why
-/// same-fragment neighbors need no message.
-struct Announce {
-    announce: Option<(u64, Vec<NodeId>)>,
-    heard: Vec<(NodeId, u64)>,
-}
-
-impl Program for Announce {
-    type Output = Vec<(NodeId, u64)>;
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((f, targets)) = self.announce.take() {
-            let msg = Message::words(&[TAG_FRAG, f]);
-            for u in targets {
-                ctx.send(u, msg.clone());
-            }
-        }
-    }
-    fn round(&mut self, _ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-        for (from, msg) in inbox {
-            debug_assert_eq!(msg.word(0), TAG_FRAG);
-            self.heard.push((*from, msg.word(1)));
-        }
-    }
-    fn finish(self) -> Self::Output {
-        self.heard
     }
 }
 
@@ -191,32 +157,29 @@ impl NbrTable {
     /// each changed vertex rewrites its entries equal to its own old id
     /// (the "rewrite pass" below) instead of receiving a message. Only
     /// neighbors `v` last saw in a *different* fragment hold a stale
-    /// entry no local rule can fix; those are the announce targets.
-    /// Received updates and local rewrites touch disjoint slots (a
-    /// neighbor announces to `v` only when their old ids differ, and
-    /// the rewrite touches only entries equal to `v`'s old id), so
-    /// application order is irrelevant.
+    /// entry no local rule can fix; those are the announce targets, in
+    /// neighbor-slot order, and each hears `v`'s new id through one
+    /// [`collective::exchange`]. Received updates and local rewrites
+    /// touch disjoint slots (a neighbor announces to `v` only when their
+    /// old ids differ, and the rewrite touches only entries equal to
+    /// `v`'s old id), so application order is irrelevant.
     fn refresh<'g>(&mut self, sim: &mut impl Executor<'g>, frag: &[u64]) {
+        let g = sim.graph();
         let last = &self.last_announced;
         let frag_at = &self.frag_at;
         // Targets are computed against the pre-rewrite table: entries
         // still hold what `v` knew at its last announcement.
-        let (heard, _) = sim.run(|v, g| {
-            let announce = (frag[v] != last[v]).then(|| {
-                let old = last[v];
+        let (heard, _) = collective::exchange(sim, |v| {
+            let old = last[v];
+            (frag[v] != old).then(|| {
                 let targets = g
                     .neighbors(v)
                     .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| frag_at[v][i] != old)
-                    .map(|(_, &(u, _, _))| u)
-                    .collect();
-                (frag[v], targets)
-            });
-            Announce {
-                announce,
-                heard: Vec::new(),
-            }
+                    .zip(&frag_at[v])
+                    .filter(move |&(_, &f)| f != old)
+                    .map(|(&(u, _, _), _)| u);
+                ([frag[v]], targets)
+            })
         });
         // Rewrite pass: a changed vertex repairs same-old-fragment
         // entries locally (they all made the same move it did).
@@ -231,7 +194,7 @@ impl NbrTable {
             }
         }
         for (v, updates) in heard.into_iter().enumerate() {
-            for (u, f) in updates {
+            for (u, [f]) in updates {
                 self.frag_at[v][self.slot[v][&u]] = f;
             }
         }
@@ -287,50 +250,6 @@ impl Program for Negotiate {
     }
 }
 
-/// Re-label + re-root flood inside merged tail fragments. It carries
-/// the new fragment's frozen flag, so a tail that joins a frozen
-/// fragment sits out the later growth passes with it.
-struct Relabel<'a> {
-    /// `Some((new frag, partner, frozen))` at the acting endpoint.
-    start: Option<(u64, NodeId, bool)>,
-    tree_neighbors: &'a [NodeId],
-    /// `(new frag, new parent, frozen)` once adopted.
-    adopted: Option<(u64, NodeId, bool)>,
-}
-
-impl Relabel<'_> {
-    fn spread(&mut self, ctx: &mut Ctx<'_>, new_frag: u64, frozen: bool, skip: Option<NodeId>) {
-        for &u in self.tree_neighbors {
-            if Some(u) != skip {
-                ctx.send(u, Message::words(&[TAG_RELABEL, new_frag, frozen as u64]));
-            }
-        }
-    }
-}
-
-impl Program for Relabel<'_> {
-    type Output = Option<(u64, NodeId, bool)>;
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((new_frag, partner, frozen)) = self.start {
-            self.adopted = Some((new_frag, partner, frozen));
-            self.spread(ctx, new_frag, frozen, None);
-        }
-    }
-    fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-        for (from, msg) in inbox {
-            debug_assert_eq!(msg.word(0), TAG_RELABEL);
-            if self.adopted.is_none() {
-                let (new_frag, frozen) = (msg.word(1), msg.word(2) != 0);
-                self.adopted = Some((new_frag, *from, frozen));
-                self.spread(ctx, new_frag, frozen, Some(*from));
-            }
-        }
-    }
-    fn finish(self) -> Self::Output {
-        self.adopted
-    }
-}
-
 /// Per-vertex local minimum outgoing edge, as an up-pass value
 /// `[weight, pack2(edge, partner fragment), 0]` (`[INF, MAX, 0]` if
 /// none). `nbr_frag` is the vertex's slot-aligned [`NbrTable`] row.
@@ -357,7 +276,8 @@ fn min_by_weight_edge(a: Val, b: Val) -> Val {
     }
 }
 
-/// Runs the two-phase distributed MST rooted at `rt`.
+/// Runs the two-phase distributed MST. The MST is unique (ties break
+/// by edge id), and each base fragment is rooted at its leader.
 ///
 /// `tau` is the BFS tree used for global coordination (build it once
 /// with [`congest::tree::build_bfs_tree`]); `seed` feeds the phase-1
@@ -366,12 +286,7 @@ fn min_by_weight_edge(a: Val, b: Val) -> Val {
 ///
 /// # Panics
 /// Panics if the graph is disconnected.
-pub fn distributed_mst<'g>(
-    sim: &mut impl Executor<'g>,
-    tau: &BfsTree,
-    rt: NodeId,
-    seed: u64,
-) -> MstResult {
+pub fn distributed_mst<'g>(sim: &mut impl Executor<'g>, tau: &BfsTree, seed: u64) -> MstResult {
     let g = sim.graph();
     let n = g.n();
     let start_stats = sim.total();
@@ -480,11 +395,12 @@ pub fn distributed_mst<'g>(
                     },
                     |a, b| [a[0].max(b[0]), 0, 0],
                 );
-                // (f) relabel/re-root flood inside merged tails.
-                let (relabels, _) = sim.run(|v, _| Relabel {
-                    start: negotiated[v].1,
-                    tree_neighbors: &views[v].tree_neighbors,
-                    adopted: None,
+                // (f) relabel/re-root flood inside merged tails: the
+                // acting endpoint starts it under its partner, with the
+                // new fragment id and frozen flag as the payload.
+                let (relabels, _) = passes::reroot(sim, &views, |v| {
+                    let (new_frag, partner, frozen) = negotiated[v].1?;
+                    Some(([new_frag, frozen as u64, 0], Some(partner)))
                 });
                 // (g) local state updates (free).
                 for v in 0..n {
@@ -493,10 +409,10 @@ pub fn distributed_mst<'g>(
                     }
                 }
                 for v in 0..n {
-                    if let Some((new_frag, new_parent, joined_frozen)) = relabels[v] {
+                    if let Some(([new_frag, joined_frozen, _], new_parent)) = relabels[v] {
                         frag[v] = new_frag;
-                        views[v].parent = Some(new_parent);
-                        frozen[v] = joined_frozen;
+                        views[v].parent = new_parent;
+                        frozen[v] = joined_frozen != 0;
                         if let Some((_, partner, _)) = negotiated[v].1 {
                             if !views[v].tree_neighbors.contains(&partner) {
                                 views[v].tree_neighbors.push(partner);
@@ -653,7 +569,6 @@ pub fn distributed_mst<'g>(
     );
     let weight = mst_edges.iter().map(|&e| g.edge(e).w).sum();
 
-    let _ = rt;
     let stats = sim.total().since(start_stats);
 
     MstResult {
@@ -680,7 +595,7 @@ mod tests {
     fn check_graph(g: &Graph, seed: u64) -> MstResult {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let result = distributed_mst(&mut sim, &tau, 0, seed);
+        let result = distributed_mst(&mut sim, &tau, seed);
         let reference = kruskal(g);
         assert_eq!(result.weight, reference.weight, "weight mismatch");
         assert_eq!(result.mst_edges, reference.edges, "edge set mismatch");
@@ -716,7 +631,7 @@ mod tests {
         let g = generators::erdos_renyi(100, 0.08, 40, 9);
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let r = distributed_mst(&mut sim, &tau, 0, 9);
+        let r = distributed_mst(&mut sim, &tau, 9);
         let f = r.fragment_count();
         assert_eq!(
             r.external_edges.len(),
@@ -810,7 +725,7 @@ mod tests {
         for (name, g, counts, folds) in cases {
             let mut sim = Simulator::new(&g);
             let (tau, _) = build_bfs_tree(&mut sim, 0);
-            let r = distributed_mst(&mut sim, &tau, 0, 7);
+            let r = distributed_mst(&mut sim, &tau, 7);
             let got_counts = [
                 r.phase1_iterations as u64,
                 r.phase2_iterations as u64,
@@ -842,7 +757,7 @@ mod tests {
         let g = generators::path(100, 3);
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let r = distributed_mst(&mut sim, &tau, 0, 11);
+        let r = distributed_mst(&mut sim, &tau, 11);
         // fragment sizes bound fragment diameter on a path
         let mut sizes: HashMap<u64, usize> = HashMap::new();
         for v in 0..g.n() {

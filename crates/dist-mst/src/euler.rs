@@ -403,10 +403,21 @@ pub fn distributed_euler_tour<'g>(
         .zip(&ft.ids)
         .map(|(&r, &id)| (r, (id, [1, 0])))
         .collect();
-    let (views, _) = obs::span(sim, "reroot", |sim| {
+    let (adopted, _) = obs::span(sim, "reroot", |sim| {
         let (desig, _) = collective::downcast(sim, tau, root_items);
-        passes::reroot(sim, &mst.base_views, |v| !desig[v].is_empty())
+        passes::reroot(sim, &mst.base_views, |v| {
+            (!desig[v].is_empty()).then_some(([0; 3], None))
+        })
     });
+    let views: Vec<FragView> = mst
+        .base_views
+        .iter()
+        .zip(adopted)
+        .map(|(view, adopted)| FragView {
+            parent: adopted.and_then(|(_, parent)| parent),
+            tree_neighbors: view.tree_neighbors.clone(),
+        })
+        .collect();
 
     // (3–8) weighted pass for times, unit pass for indices.
     let weight_of = |a: NodeId, b: NodeId| -> Weight {
@@ -455,7 +466,7 @@ mod tests {
     fn check_tour(g: &Graph, rt: NodeId, seed: u64) -> DistEulerTour {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, rt);
-        let mst = distributed_mst(&mut sim, &tau, rt, seed);
+        let mst = distributed_mst(&mut sim, &tau, seed);
         let tour = distributed_euler_tour(&mut sim, &tau, &mst, rt);
         // sequential reference on the same (unique) MST
         let t = RootedTree::from_edge_ids(g, &mst.mst_edges, rt);
@@ -522,7 +533,7 @@ mod tests {
         let g = generators::random_geometric(200, 0.12, 8);
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let mst = distributed_mst(&mut sim, &tau, 0, 8);
+        let mst = distributed_mst(&mut sim, &tau, 8);
         let f = mst.fragment_count() as u64;
         let tour = distributed_euler_tour(&mut sim, &tau, &mst, 0);
         assert!(f > 2, "test needs a multi-fragment instance, got {f}");

@@ -10,16 +10,20 @@
 //! * [`down_pass`] — top-down distribution: fragment roots start, every
 //!   vertex derives a per-child payload from the payload it received.
 //!   `O(height)` rounds.
-//! * [`reroot`] — re-roots every fragment tree at a designated vertex by
-//!   flooding along tree edges; each vertex's new parent is the flood
-//!   predecessor. `O(height)` rounds.
+//! * [`reroot`] — the adopting flood: start vertices flood a payload
+//!   along tree edges, and every vertex it reaches adopts the flood
+//!   predecessor as its parent and the predecessor's payload.
+//!   `O(height)` rounds. The Euler tour re-roots each base fragment at
+//!   a designated vertex with it, and Borůvka's phase 1 relabels and
+//!   re-roots each merged tail under its partner.
 //!
 //! All passes run in *all fragments in parallel*, exactly as the paper
 //! prescribes ("locally in each fragment, i.e. in all the base fragments
-//! in parallel"). [`up_pass`] and [`flood_pass_opt`] are selective: a
-//! fragment can sit a pass out, and then it spends no message, so a
-//! pass costs the fragments that take part, not `n`. Borůvka's phase 1
-//! runs its growth passes only in the fragments that can still grow.
+//! in parallel"). [`up_pass`], [`flood_pass_opt`] and [`reroot`] are
+//! selective: a fragment can sit a pass out, and then it spends no
+//! message, so a pass costs the fragments that take part, not `n`.
+//! Borůvka's phase 1 runs its growth passes only in the fragments that
+//! can still grow.
 //!
 //! The passes allocate nothing per vertex beyond what they return: a
 //! vertex counts and walks its children straight off its [`FragView`].
@@ -32,7 +36,7 @@ pub type Val = [Word; 3];
 
 const TAG_UP: u64 = 1;
 const TAG_DOWN: u64 = 2;
-const TAG_RESET: u64 = 3;
+const TAG_ADOPT: u64 = 3;
 
 /// Per-vertex fragment-tree view used by the passes.
 #[derive(Debug, Clone, Default)]
@@ -318,79 +322,71 @@ pub fn flood_pass_opt<'g>(
 }
 
 // ---------------------------------------------------------------------
-// Re-rooting flood
+// Adopting flood
 // ---------------------------------------------------------------------
 
-struct RerootProgram<'a> {
-    is_new_root: bool,
+struct AdoptProgram<'a> {
+    /// `(payload, parent)`: a start vertex's own from construction,
+    /// every other vertex's from its first message.
+    adopted: Option<(Val, Option<NodeId>)>,
     tree_neighbors: &'a [NodeId],
-    new_parent: Option<NodeId>,
-    done: bool,
 }
 
-impl RerootProgram<'_> {
-    fn spread(&mut self, ctx: &mut Ctx<'_>, skip: Option<NodeId>) {
+impl AdoptProgram<'_> {
+    fn forward(&self, ctx: &mut Ctx<'_>, [a, b, c]: Val, skip: Option<NodeId>) {
+        let msg = Message::words(&[TAG_ADOPT, a, b, c]);
         for &u in self.tree_neighbors {
             if Some(u) != skip {
-                ctx.send(u, Message::words(&[TAG_RESET]));
+                ctx.send(u, msg.clone());
             }
         }
     }
 }
 
-impl Program for RerootProgram<'_> {
-    type Output = Option<NodeId>;
+impl Program for AdoptProgram<'_> {
+    type Output = Option<(Val, Option<NodeId>)>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_new_root {
-            self.done = true;
-            self.spread(ctx, None);
+        if let Some((val, _)) = self.adopted {
+            self.forward(ctx, val, None);
         }
     }
 
     fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-        for (from, _) in inbox {
-            if !self.done {
-                self.done = true;
-                self.new_parent = Some(*from);
-                self.spread(ctx, Some(*from));
-            }
+        if let (None, Some((from, msg))) = (self.adopted, inbox.first()) {
+            debug_assert_eq!(msg.word(0), TAG_ADOPT);
+            let val = [msg.word(1), msg.word(2), msg.word(3)];
+            self.adopted = Some((val, Some(*from)));
+            self.forward(ctx, val, Some(*from));
         }
     }
 
-    fn finish(self) -> Option<NodeId> {
-        self.new_parent
+    fn finish(self) -> Self::Output {
+        self.adopted
     }
 }
 
-/// Re-roots each fragment tree at its vertex `v` with `is_new_root(v)`.
+/// Re-roots fragment trees by flooding along tree edges from the start
+/// vertices, `start(v) = Some((payload, parent))`.
 ///
-/// Returns updated views (same tree edges, new parent orientation).
-///
-/// # Panics
-/// Panics if some fragment has no designated new root (its vertices
-/// would keep `None` parents *and* miss the flood — detected by the
-/// returned orientation check in debug builds).
+/// A start vertex keeps its own payload and parent: `None` for a new
+/// fragment root, or a vertex outside the fragment (Borůvka's relabel
+/// hangs a merged tail under its partner across the MWOE). Every other
+/// vertex the flood reaches adopts the first sender in its inbox as its
+/// parent, and that sender's payload, then forwards to its other tree
+/// neighbors. One message per tree edge of each flooded fragment, and
+/// `O(height)` rounds. Returns each vertex's `(payload, parent)`;
+/// vertices of fragments without a start vertex send nothing and read
+/// `None`.
 pub fn reroot<'g>(
     sim: &mut impl Executor<'g>,
     views: &[FragView],
-    is_new_root: impl Fn(NodeId) -> bool,
-) -> (Vec<FragView>, RunStats) {
-    let (parents, stats) = sim.run(|v, _| RerootProgram {
-        is_new_root: is_new_root(v),
+    start: impl Fn(NodeId) -> Option<(Val, Option<NodeId>)>,
+) -> (Vec<Option<(Val, Option<NodeId>)>>, RunStats) {
+    sim.run(|v, _| AdoptProgram {
+        adopted: start(v),
         tree_neighbors: &views[v].tree_neighbors,
-        new_parent: None,
-        done: false,
-    });
-    let new_views = views
-        .iter()
-        .zip(parents)
-        .map(|(view, parent)| FragView {
-            parent,
-            tree_neighbors: view.tree_neighbors.clone(),
-        })
-        .collect();
-    (new_views, stats)
+    })
 }
 
 #[cfg(test)]
@@ -489,19 +485,34 @@ mod tests {
         let (_, views) = mst_views(&g, 0);
         let mut sim = Simulator::new(&g);
         let new_root = 17;
-        let (nv, _) = reroot(&mut sim, &views, |v| v == new_root);
-        assert_eq!(nv[new_root].parent, None);
+        let (adopted, stats) = reroot(&mut sim, &views, |v| {
+            (v == new_root).then_some(([5, 6, 7], None))
+        });
+        assert_eq!(
+            stats.messages,
+            g.n() as u64 - 1,
+            "one message per tree edge"
+        );
+        let parent: Vec<Option<NodeId>> = adopted
+            .iter()
+            .map(|a| {
+                let (val, parent) = a.expect("the flood reaches every vertex");
+                assert_eq!(val, [5, 6, 7], "the start's payload spreads");
+                parent
+            })
+            .collect();
+        assert_eq!(parent[new_root], None);
         // every other vertex has a parent among its tree neighbors, and
         // following parents reaches the new root without cycles
         for v in 0..g.n() {
             if v == new_root {
                 continue;
             }
-            let p = nv[v].parent.expect("oriented");
-            assert!(nv[v].tree_neighbors.contains(&p));
+            let p = parent[v].expect("oriented");
+            assert!(views[v].tree_neighbors.contains(&p));
             let mut cur = v;
             let mut steps = 0;
-            while let Some(p) = nv[cur].parent {
+            while let Some(p) = parent[cur] {
                 cur = p;
                 steps += 1;
                 assert!(steps <= g.n(), "cycle after reroot");
@@ -564,5 +575,23 @@ mod tests {
         assert!(vals[..4].iter().all(Option::is_none));
         assert!(vals[4..].iter().all(|&val| val == Some([9, 0, 0])));
         assert_eq!(stats.messages, 3, "one message per tree edge of fragment B");
+        // Borůvka's relabel: fragment A merges into B across edge 3-4,
+        // so its acting endpoint 3 starts under its partner 4, with the
+        // new id 7 and a frozen flag. Fragment B has no start vertex,
+        // so it sends nothing and reads `None`.
+        let (adopted, stats) = reroot(&mut sim, &views, |v| {
+            (v == 3).then_some(([7, 1, 0], Some(4)))
+        });
+        assert_eq!(stats.messages, 3, "one message per tree edge of fragment A");
+        let parents: Vec<Option<NodeId>> = adopted[..4]
+            .iter()
+            .map(|&a| {
+                let (val, parent) = a.expect("fragment A is flooded");
+                assert_eq!(val, [7, 1, 0]);
+                parent
+            })
+            .collect();
+        assert_eq!(parents, [Some(1), Some(2), Some(3), Some(4)]);
+        assert!(adopted[4..].iter().all(Option::is_none));
     }
 }

@@ -400,7 +400,7 @@ pub fn drive<'g, E: Executor<'g>>(
         }
         "mst" => {
             let (tau, _) = build_bfs_tree(exec, 0);
-            let m = distributed_mst(exec, &tau, 0, seed);
+            let m = distributed_mst(exec, &tau, seed);
             (exec.total(), "weight", m.weight)
         }
         "slt" => {
@@ -419,7 +419,7 @@ pub fn drive<'g, E: Executor<'g>>(
         }
         "euler" => {
             let (tau, _) = build_bfs_tree(exec, 0);
-            let m = distributed_mst(exec, &tau, 0, seed);
+            let m = distributed_mst(exec, &tau, seed);
             let tour = distributed_euler_tour(exec, &tau, &m, 0);
             (exec.total(), "tour_length", tour.total_length)
         }
@@ -435,7 +435,7 @@ pub fn drive<'g, E: Executor<'g>>(
         }
         "doubling" => {
             let (tau, _) = build_bfs_tree(exec, 0);
-            let sp = doubling_spanner(exec, &tau, 0, p.eps, seed);
+            let sp = doubling_spanner(exec, &tau, p.eps, seed);
             (exec.total(), "edges", sp.edges.len() as u64)
         }
         "bellman" => {

@@ -303,11 +303,11 @@ proptest! {
     fn prop_mst_identical((g, seed) in arb_graph()) {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let ms = distributed_mst(&mut sim, &tau, 0, seed);
+        let ms = distributed_mst(&mut sim, &tau, seed);
         for threads in THREADS {
             let mut eng = Engine::with_threads(&g, threads);
             let (tau_e, _) = build_bfs_tree(&mut eng, 0);
-            let me = distributed_mst(&mut eng, &tau_e, 0, seed);
+            let me = distributed_mst(&mut eng, &tau_e, seed);
             prop_assert_eq!(ms.weight, me.weight, "weight (threads={})", threads);
             prop_assert_eq!(&ms.mst_edges, &me.mst_edges, "edges (threads={})", threads);
             prop_assert_eq!(ms.stats, me.stats, "stats (threads={})", threads);
@@ -356,7 +356,7 @@ proptest! {
         let mut sim = Simulator::new(&g);
         let (ts, tree_s) = obs::collect_spans(|| {
             let (tau, _) = build_bfs_tree(&mut sim, 0);
-            let mst_s = distributed_mst(&mut sim, &tau, 0, seed);
+            let mst_s = distributed_mst(&mut sim, &tau, seed);
             distributed_euler_tour(&mut sim, &tau, &mst_s, 0)
         });
         // The batched-contraction tour must still equal the sequential
@@ -365,7 +365,7 @@ proptest! {
         {
             let mut ref_sim = Simulator::new(&g);
             let (tau, _) = build_bfs_tree(&mut ref_sim, 0);
-            let mst = distributed_mst(&mut ref_sim, &tau, 0, seed);
+            let mst = distributed_mst(&mut ref_sim, &tau, seed);
             let t = lightgraph::tree::RootedTree::from_edge_ids(&g, &mst.mst_edges, 0);
             let reference = t.euler_tour();
             let (seq, times) = ts.assemble();
@@ -376,7 +376,7 @@ proptest! {
             let mut eng = Engine::with_threads(&g, threads);
             let (te, tree_e) = obs::collect_spans(|| {
                 let (tau_e, _) = build_bfs_tree(&mut eng, 0);
-                let mst_e = distributed_mst(&mut eng, &tau_e, 0, seed);
+                let mst_e = distributed_mst(&mut eng, &tau_e, seed);
                 distributed_euler_tour(&mut eng, &tau_e, &mst_e, 0)
             });
             prop_assert_eq!(&ts.appearances, &te.appearances, "appearances (threads={})", threads);
@@ -428,11 +428,11 @@ proptest! {
     fn prop_doubling_spanner_identical((g, seed) in arb_graph()) {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let ds = doubling_spanner(&mut sim, &tau, 0, 0.5, seed);
+        let ds = doubling_spanner(&mut sim, &tau, 0.5, seed);
         for threads in THREADS_HEAVY {
             let mut eng = Engine::with_threads(&g, threads);
             let (tau_e, _) = build_bfs_tree(&mut eng, 0);
-            let de = doubling_spanner(&mut eng, &tau_e, 0, 0.5, seed);
+            let de = doubling_spanner(&mut eng, &tau_e, 0.5, seed);
             prop_assert_eq!(&ds.edges, &de.edges, "spanner edges (threads={})", threads);
             prop_assert_eq!(ds.scales, de.scales, "scales (threads={})", threads);
             prop_assert_eq!(ds.stats, de.stats, "stats (threads={})", threads);
@@ -542,11 +542,11 @@ proptest! {
     fn prop_mst_frontier_totals_identical((g, seed) in arb_graph()) {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        distributed_mst(&mut sim, &tau, 0, seed);
+        distributed_mst(&mut sim, &tau, seed);
         for threads in [1usize, 4] {
             let mut eng = Engine::with_threads(&g, threads);
             let (tau_e, _) = build_bfs_tree(&mut eng, 0);
-            distributed_mst(&mut eng, &tau_e, 0, seed);
+            distributed_mst(&mut eng, &tau_e, seed);
             prop_assert_eq!(
                 sim.frontier_total(),
                 Executor::frontier_total(&eng),
@@ -790,7 +790,7 @@ fn mst_families_pass_the_activation_validator_while_fragments_freeze() {
     let g = engine::scenario::build_graph("geometric", 128, 100, 7).expect("pinned family");
     let mut sim = Simulator::new(&g);
     let (tau, _) = build_bfs_tree(&mut sim, 0);
-    let schedule = distributed_mst(&mut sim, &tau, 0, 7).phase1_schedule;
+    let schedule = distributed_mst(&mut sim, &tau, 7).phase1_schedule;
     let (_, before_last) = schedule.split_last().expect("phase 1 runs");
     assert!(
         before_last
@@ -966,14 +966,14 @@ proptest! {
         // Baseline: no observers attached.
         let mut plain = Simulator::new(&g);
         let (tau_p, _) = build_bfs_tree(&mut plain, 0);
-        let mp = distributed_mst(&mut plain, &tau_p, 0, seed);
+        let mp = distributed_mst(&mut plain, &tau_p, seed);
 
         // Observed run: per-node counters plus a trace sink.
         let mut sim = Simulator::new(&g);
         sim.set_record_node_stats(true);
         sim.set_trace(Some(TraceSink::shared(Box::new(std::io::sink()))));
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let ms = distributed_mst(&mut sim, &tau, 0, seed);
+        let ms = distributed_mst(&mut sim, &tau, seed);
         prop_assert_eq!(&mp.mst_edges, &ms.mst_edges, "observers changed outputs");
         prop_assert_eq!(mp.stats, ms.stats, "observers changed stats");
         prop_assert_eq!(Executor::total(&plain), Executor::total(&sim));
@@ -991,7 +991,7 @@ proptest! {
             eng.set_record_node_stats(true);
             eng.set_trace(Some(TraceSink::shared(Box::new(std::io::sink()))));
             let (tau_e, _) = build_bfs_tree(&mut eng, 0);
-            let me = distributed_mst(&mut eng, &tau_e, 0, seed);
+            let me = distributed_mst(&mut eng, &tau_e, seed);
             prop_assert_eq!(&ms.mst_edges, &me.mst_edges, "outputs (threads={})", threads);
             prop_assert_eq!(ms.stats, me.stats, "stats (threads={})", threads);
             let ne = Executor::node_stats(&eng).expect("recording enabled");
@@ -1028,7 +1028,7 @@ fn euler_tour_structured_graphs_match_sequential_reference() {
     for (name, g) in cases {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let mst = distributed_mst(&mut sim, &tau, 0, 7);
+        let mst = distributed_mst(&mut sim, &tau, 7);
         let ts = distributed_euler_tour(&mut sim, &tau, &mst, 0);
 
         let t = lightgraph::tree::RootedTree::from_edge_ids(&g, &mst.mst_edges, 0);
@@ -1040,7 +1040,7 @@ fn euler_tour_structured_graphs_match_sequential_reference() {
 
         let mut eng = Engine::with_threads(&g, 4);
         let (tau_e, _) = build_bfs_tree(&mut eng, 0);
-        let mst_e = distributed_mst(&mut eng, &tau_e, 0, 7);
+        let mst_e = distributed_mst(&mut eng, &tau_e, 7);
         let te = distributed_euler_tour(&mut eng, &tau_e, &mst_e, 0);
         assert_eq!(ts.appearances, te.appearances, "[{name}] appearances");
         assert_eq!(ts.stats, te.stats, "[{name}] stats");

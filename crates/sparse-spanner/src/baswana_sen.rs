@@ -10,11 +10,10 @@
 //! so the decision "is cluster c sampled in phase i" is locally
 //! computable by every vertex.
 
-use congest::{Ctx, Executor, Message, Program, RunStats};
-use lightgraph::{splitmix64, EdgeId, NodeId, Weight};
+use congest::collective;
+use congest::{Executor, RunStats};
+use lightgraph::{splitmix64, EdgeId, Weight};
 use std::collections::HashMap;
-
-const TAG_CLUSTER: u64 = 40;
 
 /// Result of the Baswana–Sen construction.
 #[derive(Debug, Clone)]
@@ -23,33 +22,6 @@ pub struct BsSpanner {
     pub edges: Vec<EdgeId>,
     /// Rounds/messages consumed.
     pub stats: RunStats,
-}
-
-/// One-round exchange of `(clustered?, center)` with all neighbors.
-struct ClusterExchange {
-    center: Option<u64>,
-    heard: HashMap<NodeId, Option<u64>>,
-}
-
-impl Program for ClusterExchange {
-    type Output = HashMap<NodeId, Option<u64>>;
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
-        let (flag, c) = match self.center {
-            Some(c) => (1, c),
-            None => (0, 0),
-        };
-        ctx.send_all(Message::words(&[TAG_CLUSTER, flag, c]));
-    }
-    fn round(&mut self, _ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
-        for (from, msg) in inbox {
-            debug_assert_eq!(msg.word(0), TAG_CLUSTER);
-            let center = (msg.word(1) == 1).then(|| msg.word(2));
-            self.heard.insert(*from, center);
-        }
-    }
-    fn finish(self) -> Self::Output {
-        self.heard
-    }
 }
 
 /// Runs distributed Baswana–Sen with parameter `k ≥ 1` on the
@@ -75,12 +47,16 @@ pub fn baswana_sen<'g>(sim: &mut impl Executor<'g>, k: usize, seed: u64) -> BsSp
     let mut chosen: Vec<bool> = vec![false; g.m()];
 
     for phase in 1..=k {
-        // (a) exchange cluster ids.
-        let center_ref = &center;
-        let (nbr, _) = sim.run(|v, _| ClusterExchange {
-            center: center_ref[v],
-            heard: HashMap::new(),
+        // (a) every vertex tells each neighbor, in adjacency order,
+        // `[clustered?, center]`; records are sorted by sender for
+        // lookup.
+        let (mut nbr, _) = collective::exchange(sim, |v| {
+            let own = center[v].map_or([0, 0], |c| [1, c]);
+            Some((own, g.neighbors(v).iter().map(|&(u, _, _)| u)))
         });
+        for records in &mut nbr {
+            records.sort_unstable_by_key(|&(from, _)| from);
+        }
         // (b) sampling decision, locally computable from the seed.
         // The last phase samples nothing, forcing every clustered
         // vertex to connect to all adjacent clusters.
@@ -100,16 +76,21 @@ pub fn baswana_sen<'g>(sim: &mut impl Executor<'g>, k: usize, seed: u64) -> BsSp
                 if !active[v][i] {
                     continue;
                 }
-                if let Some(Some(cu)) = nbr[v].get(&u) {
-                    if *cu == cv {
-                        active[v][i] = false; // intra-cluster
-                        continue;
-                    }
-                    let cand = (w, e, i);
-                    let entry = best.entry(*cu).or_insert(cand);
-                    if (cand.0, cand.1) < (entry.0, entry.1) {
-                        *entry = cand;
-                    }
+                let Ok(j) = nbr[v].binary_search_by_key(&u, |&(from, _)| from) else {
+                    continue;
+                };
+                let [clustered, cu] = nbr[v][j].1;
+                if clustered == 0 {
+                    continue;
+                }
+                if cu == cv {
+                    active[v][i] = false; // intra-cluster
+                    continue;
+                }
+                let cand = (w, e, i);
+                let entry = best.entry(cu).or_insert(cand);
+                if (cand.0, cand.1) < (entry.0, entry.1) {
+                    *entry = cand;
                 }
             }
             // lightest edge into a *sampled* adjacent cluster, if any

@@ -31,7 +31,7 @@ fn main() {
     for &eps in &[1.0, 0.5, 0.25] {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let r = doubling_spanner(&mut sim, &tau, 0, eps, 17);
+        let r = doubling_spanner(&mut sim, &tau, eps, 17);
         let h = g.edge_subgraph_dedup(r.edges.iter().copied());
         let q = metrics::spanner_quality(&g, &h);
         println!(

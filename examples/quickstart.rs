@@ -70,7 +70,7 @@ fn main() {
     let geo = generators::random_geometric(96, 0.2, 7);
     let mut sim = Simulator::new(&geo);
     let (tau, _) = build_bfs_tree(&mut sim, 0);
-    let ds = doubling_spanner(&mut sim, &tau, 0, 0.5, 4);
+    let ds = doubling_spanner(&mut sim, &tau, 0.5, 4);
     let hd = geo.edge_subgraph_dedup(ds.edges.iter().copied());
     let qd = metrics::spanner_quality(&geo, &hd);
     println!(

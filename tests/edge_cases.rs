@@ -15,7 +15,7 @@ fn two_and_three_vertex_graphs() {
     for g in [&g2, &g3] {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let m = distributed_mst(&mut sim, &tau, 0, 1);
+        let m = distributed_mst(&mut sim, &tau, 1);
         assert_eq!(m.weight, mst::kruskal(g).weight);
         let slt = shallow_light_tree(&mut sim, &tau, 0, 0.5, 1);
         assert_eq!(slt.edges.len(), g.n() - 1);
@@ -35,7 +35,7 @@ fn all_equal_weights_resolve_by_edge_id() {
     let g = Graph::from_edges(g.n(), g.edges().iter().map(|e| (e.u, e.v, 5))).unwrap();
     let mut sim = Simulator::new(&g);
     let (tau, _) = build_bfs_tree(&mut sim, 0);
-    let d = distributed_mst(&mut sim, &tau, 0, 3);
+    let d = distributed_mst(&mut sim, &tau, 3);
     let k = mst::kruskal(&g);
     assert_eq!(d.mst_edges, k.edges);
     assert_eq!(d.weight, 23 * 5);
@@ -89,12 +89,12 @@ fn larger_bandwidth_cap_only_speeds_things_up() {
     let g = generators::erdos_renyi(40, 0.15, 30, 4);
     let mut sim1 = Simulator::new(&g);
     let (tau1, _) = build_bfs_tree(&mut sim1, 0);
-    let m1 = distributed_mst(&mut sim1, &tau1, 0, 5);
+    let m1 = distributed_mst(&mut sim1, &tau1, 5);
 
     let mut sim4 = Simulator::new(&g);
     sim4.set_cap(4);
     let (tau4, _) = build_bfs_tree(&mut sim4, 0);
-    let m4 = distributed_mst(&mut sim4, &tau4, 0, 5);
+    let m4 = distributed_mst(&mut sim4, &tau4, 5);
 
     assert_eq!(m1.mst_edges, m4.mst_edges, "cap must not change the result");
     assert!(

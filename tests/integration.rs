@@ -21,7 +21,7 @@ fn full_pipeline_on_every_family() {
         let (tau, _) = build_bfs_tree(&mut sim, rt);
 
         // distributed MST == Kruskal
-        let dmst = distributed_mst(&mut sim, &tau, rt, 7);
+        let dmst = distributed_mst(&mut sim, &tau, 7);
         let reference = mst::kruskal(&g);
         assert_eq!(dmst.weight, reference.weight, "family {}", family.name());
         assert_eq!(dmst.mst_edges, reference.edges, "family {}", family.name());
@@ -121,7 +121,7 @@ fn doubling_spanner_preserves_all_distances() {
     let mut sim = Simulator::new(&g);
     let (tau, _) = build_bfs_tree(&mut sim, 0);
     let eps = 0.25;
-    let ds = doubling_spanner(&mut sim, &tau, 0, eps, 13);
+    let ds = doubling_spanner(&mut sim, &tau, eps, 13);
     let h = g.edge_subgraph_dedup(ds.edges.iter().copied());
     // exhaustive pairwise check (not just edges)
     let ag = dijkstra::all_pairs(&g);

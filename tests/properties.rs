@@ -26,7 +26,7 @@ proptest! {
     fn prop_distributed_mst_equals_kruskal((g, seed) in arb_graph()) {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let d = distributed_mst(&mut sim, &tau, 0, seed);
+        let d = distributed_mst(&mut sim, &tau, seed);
         let r = mst::kruskal(&g);
         prop_assert_eq!(d.weight, r.weight);
         prop_assert_eq!(d.mst_edges, r.edges);
@@ -36,7 +36,7 @@ proptest! {
     fn prop_euler_tour_is_exact((g, seed) in arb_graph()) {
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let m = distributed_mst(&mut sim, &tau, 0, seed);
+        let m = distributed_mst(&mut sim, &tau, seed);
         let tour = distributed_euler_tour(&mut sim, &tau, &m, 0);
         let t = RootedTree::from_edge_ids(&g, &m.mst_edges, 0);
         let reference = t.euler_tour();
