@@ -318,9 +318,11 @@ fn simulate_case2<'g>(
     let mut known: Vec<Option<ClusterState>> = (0..n)
         .map(|v| state.get(&ctx.cluster_of[v]).copied())
         .collect();
-    // what each vertex heard from its `E_i` neighbors in the latest
-    // exchange, sorted by sender
+    // the latest record each vertex heard from each of its `E_i`
+    // neighbors, sorted by sender
     let mut heard: Vec<Vec<(NodeId, [Word; 3])>> = Vec::new();
+    // what each vertex sent at the bucket's previous exchange
+    let mut sent: Vec<[Word; 3]> = Vec::new();
 
     for round in 0..=ctx.k {
         // (a) LTR sweep distributing center state through intervals
@@ -346,18 +348,37 @@ fn simulate_case2<'g>(
         }
         // (b) E_i-neighbor exchange of (cluster, m, s); a large uniform
         // shift keeps the encoded m positive even for absent states.
+        // The bucket's first exchange goes to every neighbor; after it,
+        // a vertex sends only a state that changed since its previous
+        // exchange, and the receiver overwrites that sender's record.
         // The last one, with the final states, feeds the selection.
-        heard.clear(); // free the previous records before the next exchange fills its own
-        (heard, _) = collective::exchange(sim, |v| {
-            let st = known[v].unwrap_or(ClusterState {
-                m: -1.0e9,
-                s: u64::MAX,
-            });
-            let own = [ctx.cluster_of[v], enc(st.m, 1.0e9), st.s];
-            Some((own, nbrs[v].iter().copied()))
+        let own: Vec<[Word; 3]> = (0..n)
+            .map(|v| {
+                let st = known[v].unwrap_or(ClusterState {
+                    m: -1.0e9,
+                    s: u64::MAX,
+                });
+                [ctx.cluster_of[v], enc(st.m, 1.0e9), st.s]
+            })
+            .collect();
+        let (records, _) = collective::exchange(sim, |v| {
+            (round == 0 || own[v] != sent[v]).then(|| (own[v], nbrs[v].iter().copied()))
         });
-        for records in &mut heard {
-            records.sort_unstable_by_key(|&(from, _)| from);
+        sent = own;
+        if round == 0 {
+            heard = records;
+            for records in &mut heard {
+                records.sort_unstable_by_key(|&(from, _)| from);
+            }
+        } else {
+            for (heard, records) in heard.iter_mut().zip(records) {
+                for (from, record) in records {
+                    let i = heard
+                        .binary_search_by_key(&from, |&(u, _)| u)
+                        .expect("the bucket's first exchange heard every sender");
+                    heard[i].1 = record;
+                }
+            }
         }
         if round == ctx.k {
             break;

@@ -31,10 +31,13 @@
 //!    recursion `s_i = s_{parent} + b_i` — the sequential pointer chase
 //!    up `T′` — is contracted in one batched sweep, and each fragment's
 //!    shift returns by downcast to `r_i` plus an intra-fragment flood,
-//! 8. every vertex locally derives all its visit times; a second run of
-//!    passes 3–7 with unit weights yields the tour *indices* (the paper:
-//!    "running the same algorithm that finds visiting times, ignoring
-//!    the weights").
+//! 8. every vertex locally derives all its appearances.
+//!
+//! The paper gets the tour *indices* by "running the same algorithm that
+//! finds visiting times, ignoring the weights". Steps 3–7 run that
+//! second, unit-weight instance in the same messages as the first: every
+//! value carries the weighted quantity in word 0 and the unit-weight one
+//! in word 1, so the indices cost no extra message or round.
 
 use crate::boruvka::MstResult;
 use crate::passes::{self, FragView, Val};
@@ -199,101 +202,111 @@ fn gather_fragment_tree<'g>(
     ft
 }
 
-/// Steps 3–8 for one weight function; returns per-vertex visit "times"
-/// of all appearances, in traversal order.
+/// Steps 3–8, once for both weight functions: word 0 of every pass
+/// value, gather item and downcast item carries the edge-weighted
+/// quantity (visit times), word 1 the unit-weight one (tour indices; the
+/// paper's "same algorithm … ignoring the weights"). Returns each
+/// vertex's appearances `(index, visit time)` in traversal order, which
+/// is index order.
 fn tour_times<'g>(
     sim: &mut impl Executor<'g>,
     tau: &BfsTree,
     views: &[FragView],
     ft: &FragTree,
     frag: &[u64],
-    wf: &dyn Fn(NodeId, NodeId) -> Weight,
-) -> Vec<Vec<Weight>> {
+) -> Vec<Vec<(usize, Weight)>> {
+    let g = sim.graph();
     let n = views.len();
     let f_count = ft.len();
-    let parent_weight = |v: NodeId| -> Weight { views[v].parent.map(|p| wf(v, p)).unwrap_or(0) };
+    let wf = |a: NodeId, b: NodeId| -> Weight {
+        g.neighbors(a)
+            .iter()
+            .find(|&&(u, _, _)| u == b)
+            .map(|&(_, w, _)| w)
+            .expect("tree edge exists")
+    };
+    let add = |a: Val, b: Val| [a[0] + b[0], a[1] + b[1], 0];
+    // a child's value to its parent gains twice the parent edge: its
+    // weight in word 0, one hop in word 1
+    let up_edge = |v: NodeId| {
+        let wp = views[v].parent.map_or(0, |p| 2 * wf(v, p));
+        move |val: Val| [val[0] + wp, val[1] + 2, 0]
+    };
 
     // (3) local tour lengths ℓ(v): child sends ℓ(child) + 2·w(child, v).
-    let (ell, _) = passes::up_pass_full(
-        sim,
-        views,
-        |_| [0, 0, 0],
-        |a, b| [a[0] + b[0], 0, 0],
-        |v| {
-            let wp = 2 * parent_weight(v);
-            move |val: Val| [val[0] + wp, 0, 0]
-        },
-    );
+    let (ell, _) = passes::up_pass_full(sim, views, |_| [0, 0, 0], add, up_edge);
 
     // (4) gather {ℓ(r_i)} to rt (unique fragment-id keys); contract the
     // g-recurrence bottom-up over the dense T′ in one batch, and hand
-    // each attach vertex the (g, root) of the fragments hanging off it.
+    // each attach vertex the g-values and root of the fragments hanging
+    // off it. The index g is at most 2(n − 1), so it packs with the
+    // root into one word.
     let (ltable, _) = collective::gather_merged(sim, tau, |v| {
         if views[v].parent.is_none() {
-            vec![(frag[v], [ell[v].0[0], 0])]
+            vec![(frag[v], [ell[v].0[0], ell[v].0[1]])]
         } else {
             Vec::new()
         }
     });
-    // external-edge weight between a fragment's root and its attach
-    // vertex, under the current weight function
-    let ext_w = |ci: usize| -> Weight { wf(ft.attach_of[ci], ft.root_of[ci]) };
-    let mut g_root: Vec<Weight> = vec![0; f_count];
+    let mut g_root: Vec<[Weight; 2]> = vec![[0, 0]; f_count];
     for fi in (0..f_count).rev() {
-        let mut total = ltable[&ft.ids[fi]][0];
+        let mut total = ltable[&ft.ids[fi]];
         for &ci in &ft.children[fi] {
-            total += g_root[ci] + 2 * ext_w(ci);
+            // the external edge between a fragment's root and its
+            // attach vertex
+            total[0] += g_root[ci][0] + 2 * wf(ft.attach_of[ci], ft.root_of[ci]);
+            total[1] += g_root[ci][1] + 2;
         }
         g_root[fi] = total;
     }
     let g_items: Vec<(NodeId, collective::Item)> = (1..f_count)
         .map(|ci| {
+            let [gw, gi] = g_root[ci];
             (
                 ft.attach_of[ci],
-                (ft.ids[ci], [g_root[ci], ft.root_of[ci] as u64]),
+                (ft.ids[ci], [gw, pack2(gi, ft.root_of[ci] as u64)]),
             )
         })
         .collect();
-    // ext[v]: the external children of v as (child frag id, [g, root]).
+    // ext[v]: the external children of v as (child frag id, [g, (g index,
+    // root)]).
     let (ext, _) = collective::downcast(sim, tau, g_items);
+    // (child root, m = [g + 2w, g index + 2], w) per external child
+    let ext_children = |v: NodeId| {
+        ext[v].iter().map(move |&(_, [gw, packed])| {
+            let (gi, croot) = unpack2(packed);
+            let croot = croot as NodeId;
+            let w = wf(v, croot);
+            (croot, [gw + 2 * w, gi + 2, 0], w)
+        })
+    };
 
     // (5) global tour lengths g(v).
-    let ext_ref = &ext;
     let (gvals, _) = passes::up_pass_full(
         sim,
         views,
-        |v| {
-            let own: Weight = ext_ref[v]
-                .iter()
-                .map(|&(_, [gc, croot])| gc + 2 * wf(v, croot as NodeId))
-                .sum();
-            [own, 0, 0]
-        },
-        |a, b| [a[0] + b[0], 0, 0],
-        |v| {
-            let wp = 2 * parent_weight(v);
-            move |val: Val| [val[0] + wp, 0, 0]
-        },
+        |v| ext_children(v).fold([0, 0, 0], |acc, (_, m, _)| add(acc, m)),
+        add,
+        up_edge,
     );
     for v in 0..n {
         if views[v].parent.is_none() {
             debug_assert_eq!(
-                gvals[v].0[0], g_root[ft.idx_of[frag[v] as usize]],
+                [gvals[v].0[0], gvals[v].0[1]],
+                g_root[ft.idx_of[frag[v] as usize]],
                 "distributed g(r_i) disagrees with the contracted T′ computation"
             );
         }
     }
 
-    // T-children of every vertex in id order with m = g(child) + 2w.
-    let mut t_children: Vec<Vec<(NodeId, Weight, Weight)>> = vec![Vec::new(); n];
+    // T-children of every vertex in id order with m = [g(child) + 2w,
+    // g index(child) + 2] and the edge weight w.
+    let mut t_children: Vec<Vec<(NodeId, Val, Weight)>> = vec![Vec::new(); n];
     for v in 0..n {
-        for &(child, mval) in &gvals[v].1 {
-            t_children[v].push((child, mval[0], wf(v, child)));
+        for &(child, m) in &gvals[v].1 {
+            t_children[v].push((child, m, wf(v, child)));
         }
-        for &(_, [gc, croot]) in &ext[v] {
-            let croot = croot as NodeId;
-            t_children[v].push((croot, gc + 2 * wf(v, croot), wf(v, croot)));
-        }
+        t_children[v].extend(ext_children(v));
         t_children[v].sort_by_key(|&(c, _, _)| c);
     }
 
@@ -306,12 +319,11 @@ fn tour_times<'g>(
         |_| [0, 0, 0],
         |v| {
             let ch = &t_children[v];
-            move |_, val: Val| {
-                let mut acc = val[0];
+            move |_, mut acc: Val| {
                 let mut out = Vec::with_capacity(ch.len());
                 for &(c, m, w) in ch {
-                    out.push((c, [acc + w, 0, 0]));
-                    acc += m;
+                    out.push((c, add(acc, [w, 1, 0])));
+                    acc = add(acc, m);
                 }
                 out
             }
@@ -325,38 +337,39 @@ fn tour_times<'g>(
     // root; an intra-fragment flood spreads it.
     let (btable, _) = collective::gather_merged(sim, tau, |v| {
         if views[v].parent.is_none() && starts[v].len() > 1 {
-            vec![(frag[v], [starts[v][1][0], 0])]
+            vec![(frag[v], [starts[v][1][0], starts[v][1][1]])]
         } else {
             Vec::new()
         }
     });
-    let mut shift: Vec<Weight> = vec![0; f_count];
+    let mut shift: Vec<[Weight; 2]> = vec![[0, 0]; f_count];
     for fi in 1..f_count {
-        shift[fi] = shift[ft.parent[fi].expect("non-root fragment")] + btable[&ft.ids[fi]][0];
+        let [sw, si] = shift[ft.parent[fi].expect("non-root fragment")];
+        let [bw, bi] = btable[&ft.ids[fi]];
+        shift[fi] = [sw + bw, si + bi];
     }
     let shift_items: Vec<(NodeId, collective::Item)> = (0..f_count)
-        .map(|fi| (ft.root_of[fi], (ft.ids[fi], [shift[fi], 0])))
+        .map(|fi| (ft.root_of[fi], (ft.ids[fi], shift[fi])))
         .collect();
     let (shift_recv, _) = collective::downcast(sim, tau, shift_items);
     let shift_recv_ref = &shift_recv;
     let (flooded, _) = passes::flood_pass(sim, views, |v| {
         // only evaluated at fragment roots, each of which received its
         // shift (index-0's rt designation was a free local delivery)
-        let s = shift_recv_ref[v].first().map(|&(_, [s, _])| s).unwrap_or(0);
-        [s, 0, 0]
+        let [sw, si] = shift_recv_ref[v].first().map_or([0, 0], |&(_, s)| s);
+        [sw, si, 0]
     });
 
-    // (8) local visit times: entry, then one appearance after each
-    // child's subtree.
+    // (8) local appearances: entry, then one after each child's
+    // subtree.
     (0..n)
         .map(|v| {
-            let entry = flooded[v].expect("flood reaches all")[0] + starts[v][0][0];
+            let mut t = add(flooded[v].expect("flood reaches all"), starts[v][0]);
             let mut out = Vec::with_capacity(t_children[v].len() + 1);
-            let mut t = entry;
-            out.push(t);
+            out.push((t[1] as usize, t[0]));
             for &(_, m, _) in &t_children[v] {
-                t += m;
-                out.push(t);
+                t = add(t, m);
+                out.push((t[1] as usize, t[0]));
             }
             out
         })
@@ -419,32 +432,14 @@ pub fn distributed_euler_tour<'g>(
         })
         .collect();
 
-    // (3–8) weighted pass for times, unit pass for indices.
-    let weight_of = |a: NodeId, b: NodeId| -> Weight {
-        g.neighbors(a)
-            .iter()
-            .find(|&&(u, _, _)| u == b)
-            .map(|&(_, w, _)| w)
-            .expect("tree edge exists")
-    };
-    let times = obs::span(sim, "times", |sim| {
-        tour_times(sim, tau, &views, &ft, frag, &weight_of)
-    });
-    let unit = |_: NodeId, _: NodeId| 1 as Weight;
-    let indices = obs::span(sim, "indices", |sim| {
-        tour_times(sim, tau, &views, &ft, frag, &unit)
-    });
-
-    let mut appearances: Vec<Vec<(usize, Weight)>> = vec![Vec::new(); n];
-    let mut total_length = 0;
-    for v in 0..n {
-        assert_eq!(times[v].len(), indices[v].len());
-        for (&t, &i) in times[v].iter().zip(&indices[v]) {
-            appearances[v].push((i as usize, t));
-            total_length = total_length.max(t);
-        }
-        appearances[v].sort_unstable();
-    }
+    // (3–8) one pass carries the visit times and the indices together.
+    let appearances = obs::span(sim, "times", |sim| tour_times(sim, tau, &views, &ft, frag));
+    let total_length = appearances
+        .iter()
+        .flatten()
+        .map(|&(_, t)| t)
+        .max()
+        .unwrap_or(0);
 
     let stats = sim.total().since(start);
     DistEulerTour {
@@ -530,12 +525,14 @@ mod tests {
         // The contracted transport must scale like O(n + F·D), not the
         // O(F·n) the broadcast-everything version paid: on a 200-vertex
         // geometric graph the tour must spend well under n per fragment.
+        // Visit times and indices share every message of steps 3–7, so
+        // the tour is three spans and one pass.
         let g = generators::random_geometric(200, 0.12, 8);
         let mut sim = Simulator::new(&g);
         let (tau, _) = build_bfs_tree(&mut sim, 0);
         let mst = distributed_mst(&mut sim, &tau, 8);
         let f = mst.fragment_count() as u64;
-        let tour = distributed_euler_tour(&mut sim, &tau, &mst, 0);
+        let (tour, spans) = obs::collect_spans(|| distributed_euler_tour(&mut sim, &tau, &mst, 0));
         assert!(f > 2, "test needs a multi-fragment instance, got {f}");
         let delivered = tour.stats.messages_delivered();
         let n = g.n() as u64;
@@ -544,5 +541,11 @@ mod tests {
             "tour transport not contracted: {delivered} deliveries ≥ F·n = {}",
             f * n
         );
+        let names: Vec<&str> = spans.roots.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["frag_tree", "reroot", "times"]);
+        assert!(spans.roots.iter().all(|s| s.children.is_empty()));
+        // A separate unit-weight pass for the indices would cost
+        // (246, 2436) here.
+        assert_eq!((tour.stats.rounds, tour.stats.messages), (144, 1412));
     }
 }

@@ -6,7 +6,9 @@
 //! d_G(rt,v)` in `Õ(√n + D)/poly(ε)` rounds. We reproduce the same
 //! interface with the classic landmark (hopset-flavoured) scheme:
 //!
-//! 1. sample `Θ(√n · log n)` landmarks from a broadcast seed,
+//! 1. sample `Θ(√n · log n)` landmarks from a broadcast seed (its own
+//!    broadcast when [`SptConfig::landmarks`] forces the scheme, else
+//!    the second word of the adaptive probe's verdict, below),
 //! 2. run an `O(√n)`-hop bounded multi-source Bellman–Ford from
 //!    `{rt} ∪ landmarks` (per-edge congestion charged by the simulator),
 //! 3. gather the landmark-pairwise bounded distances to `rt` — keyed by
@@ -40,12 +42,13 @@
 //! ([`congest::relax::RelaxTable::truncated`]), the bounded run is —
 //! deterministically, not w.h.p. — identical to unbounded Bellman–Ford,
 //! so its distances are exact and its parents form a genuine SPT.
-//! [`approx_spt`] therefore first runs a root-only probe, convergecasts
-//! the truncation flag (`O(D)` rounds, one item per vertex) and
-//! broadcasts the verdict; only a *truncated* probe pays for the
-//! landmark scheme. An explicit [`SptConfig::landmarks`] skips the
-//! probe and forces the full scheme — the deterministic ablation knob
-//! exposed through `engine::scenario`.
+//! [`approx_spt`] therefore first runs a root-only probe, sums the
+//! truncation flags up τ (`O(D)` rounds, one message per τ edge) and
+//! broadcasts the verdict with the landmark seed beside it; only a
+//! *truncated* probe pays for the landmark scheme, and a certified one
+//! sends no seed of its own. An explicit [`SptConfig::landmarks`] skips
+//! the probe and forces the full scheme, with its own seed broadcast —
+//! the deterministic ablation knob exposed through `engine::scenario`.
 
 use crate::bellman::multi_source_bounded;
 use congest::collective;
@@ -61,7 +64,8 @@ use std::collections::HashMap;
 /// Configuration for [`approx_spt`].
 #[derive(Debug, Clone)]
 pub struct SptConfig {
-    /// Seed for landmark sampling (broadcast once, 1 item).
+    /// Seed for landmark sampling (broadcast once: as its own item when
+    /// `landmarks` forces the scheme, else inside the probe's verdict).
     pub seed: u64,
     /// Upward quantization of the reported estimates: estimates are
     /// multiplied by `(1 + epsilon)` and rounded up. `0.0` reports the
@@ -171,28 +175,32 @@ pub fn approx_spt<'g>(
     let sqrt_n = (n as f64).sqrt().ceil() as usize;
     let hop_bound = cfg.hop_bound.unwrap_or(2 * sqrt_n as u64).max(2);
 
-    // (1) landmark-sampling seed broadcast (1 item, O(D) rounds).
-    let (seed_recv, _) = obs::span(sim, "seed", |sim| {
-        collective::broadcast(sim, tau, vec![(0, [cfg.seed, 0])])
-    });
-    debug_assert!(seed_recv.iter().all(|r| r.len() == 1));
-
     let mut dist = vec![INF; n];
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
     let mut need_landmarks = true;
 
-    if cfg.landmarks.is_none() {
+    if cfg.landmarks.is_some() {
+        // (1) landmark-sampling seed broadcast (1 item, O(D) rounds).
+        let (seed_recv, _) = obs::span(sim, "seed", |sim| {
+            collective::broadcast(sim, tau, vec![(0, [cfg.seed, 0])])
+        });
+        debug_assert!(seed_recv.iter().all(|r| r.len() == 1));
+    } else {
         // (2a) adaptive probe: root-only bounded exploration, then a
         // charged census of the truncation certificate (a count of the
         // truncated vertices summed up τ, the verdict broadcast down —
-        // O(D) rounds, one message each way per τ edge).
+        // O(D) rounds, one message each way per τ edge). The verdict
+        // item carries the landmark-sampling seed in its second word,
+        // so a truncated probe has already handed every vertex the
+        // seed of step (1).
         let (probe, truncated) = obs::span(sim, "probe", |sim| {
             let probe = multi_source_bounded(sim, &[rt], INF, hop_bound);
             let flags: Vec<u64> = probe.tables.iter().map(|t| t.truncated as u64).collect();
             let flags_ref = &flags;
             let (census, _) = collective::sum(sim, tau, |v| [flags_ref[v], 0]);
             let truncated = census[0] != 0;
-            let (verdict, _) = collective::broadcast(sim, tau, vec![(0, [truncated as u64, 0])]);
+            let (verdict, _) =
+                collective::broadcast(sim, tau, vec![(0, [truncated as u64, cfg.seed])]);
             debug_assert!(verdict.iter().all(|r| r.len() == 1));
             (probe, truncated)
         });
@@ -498,7 +506,11 @@ mod tests {
         // shortest path's hop count, so the probe certificate fires and
         // the landmark phase (the message hog) is skipped — visible as
         // far fewer messages than the forced path, with exact output.
+        // The certified run is the probe's relaxation, the census and
+        // the verdict (one message per τ edge each): the seed rides the
+        // verdict, where the forced scheme broadcasts it on its own.
         let g = generators::erdos_renyi(80, 0.15, 20, 3);
+        let tau_edges = g.n() as u64 - 1;
         let run = |landmarks: Option<usize>| {
             let mut sim = Simulator::new(&g);
             let (tau, _) = build_bfs_tree(&mut sim, 0);
@@ -506,21 +518,29 @@ mod tests {
                 landmarks,
                 ..SptConfig::new(3)
             };
-            let spt = approx_spt(&mut sim, &tau, 0, &cfg);
-            (spt.dist.clone(), spt.stats)
+            obs::collect_spans(|| approx_spt(&mut sim, &tau, 0, &cfg))
         };
-        let (dist_adaptive, stats_adaptive) = run(None);
-        let (dist_forced, stats_forced) = run(Some(40));
+        let (adaptive, spans_adaptive) = run(None);
+        let (forced, spans_forced) = run(Some(40));
         let oracle = dijkstra::shortest_paths(&g, 0);
-        assert_eq!(dist_adaptive, oracle.dist, "certificate ⇒ exact");
-        assert_eq!(dist_forced, oracle.dist, "forced scheme exact w.h.p.");
+        assert_eq!(adaptive.dist, oracle.dist, "certificate ⇒ exact");
+        assert_eq!(forced.dist, oracle.dist, "forced scheme exact w.h.p.");
         assert!(
-            stats_adaptive.messages < stats_forced.messages / 2,
+            adaptive.stats.messages < forced.stats.messages / 2,
             "the probe must skip the multi-source exploration \
              ({} vs {} messages)",
-            stats_adaptive.messages,
-            stats_forced.messages
+            adaptive.stats.messages,
+            forced.stats.messages
         );
+        assert!(spans_adaptive.find("seed").is_none(), "no seed broadcast");
+        let relax = spans_adaptive.find("relax").expect("the probe relaxes");
+        assert_eq!(
+            adaptive.stats.messages,
+            relax.stats.messages + 2 * tau_edges,
+            "relaxation + census + verdict"
+        );
+        let seed = spans_forced.find("seed").expect("the forced scheme's seed");
+        assert_eq!(seed.stats.messages, tau_edges);
     }
 
     #[test]

@@ -388,7 +388,7 @@ proptest! {
                 "cumulative totals (threads={})", threads
             );
             // Full span tree (grow/merge under mst; frag_tree/reroot/
-            // times/indices under tour) must be bit-identical in every
+            // times under tour) must be bit-identical in every
             // deterministic column.
             let fs = tree_s.flatten();
             let fe = tree_e.flatten();

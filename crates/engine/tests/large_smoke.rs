@@ -129,7 +129,7 @@ fn geometric_64k_slt_end_to_end() {
     // This size exists because the batched-contraction Euler tour and
     // the pipelined Borůvka merge broke the MST/tour message wall:
     // the old broadcast-everything tour alone would have delivered
-    // >10⁹ messages here. The run lands at 12,445,333 delivered (pinned
+    // >10⁹ messages here. The run lands at 11,659,659 delivered (pinned
     // exactly in BENCH_engine.jsonl); a generous ceiling still catches
     // a regression back toward per-fragment broadcasts.
     let delivered = Executor::total(&eng).messages_delivered();

@@ -47,12 +47,12 @@ pub fn baswana_sen<'g>(sim: &mut impl Executor<'g>, k: usize, seed: u64) -> BsSp
     let mut chosen: Vec<bool> = vec![false; g.m()];
 
     for phase in 1..=k {
-        // (a) every vertex tells each neighbor, in adjacency order,
-        // `[clustered?, center]`; records are sorted by sender for
-        // lookup.
+        // (a) every clustered vertex tells each neighbor, in adjacency
+        // order, its center; records are sorted by sender for lookup.
+        // A retired vertex (`center = None`, which is permanent) sends
+        // nothing, and its neighbors find no record from it.
         let (mut nbr, _) = collective::exchange(sim, |v| {
-            let own = center[v].map_or([0, 0], |c| [1, c]);
-            Some((own, g.neighbors(v).iter().map(|&(u, _, _)| u)))
+            center[v].map(|c| ([c], g.neighbors(v).iter().map(|&(u, _, _)| u)))
         });
         for records in &mut nbr {
             records.sort_unstable_by_key(|&(from, _)| from);
@@ -79,10 +79,7 @@ pub fn baswana_sen<'g>(sim: &mut impl Executor<'g>, k: usize, seed: u64) -> BsSp
                 let Ok(j) = nbr[v].binary_search_by_key(&u, |&(from, _)| from) else {
                     continue;
                 };
-                let [clustered, cu] = nbr[v][j].1;
-                if clustered == 0 {
-                    continue;
-                }
+                let [cu] = nbr[v][j].1;
                 if cu == cv {
                     active[v][i] = false; // intra-cluster
                     continue;
