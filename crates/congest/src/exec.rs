@@ -281,20 +281,26 @@ pub trait Executor<'g> {
     /// Adds externally-accounted rounds to the cumulative counter.
     ///
     /// Purely analytical charges (rounds a phase *would* cost, with no
-    /// programs actually run) have no frontier counterpart — the mean
-    /// active width is defined over executed rounds only. When the
-    /// charge accounts a real sub-executor run, also call
-    /// [`Executor::charge_frontier`] with the sub-executor's
-    /// [`Executor::frontier_total`], so invocation accounting stays
-    /// consistent with the charged rounds.
+    /// programs actually run) have no frontier or per-node counterpart
+    /// — the mean active width is defined over executed rounds only. A
+    /// real sub-executor run is booked with [`Executor::charge_sub`].
     fn charge(&mut self, stats: RunStats) {
         self.core_mut().total.absorb(stats);
     }
 
-    /// Adds a sub-executor's frontier counters to the cumulative
-    /// [`Executor::frontier_total`] (invocations add, peaks max).
-    fn charge_frontier(&mut self, frontier: FrontierStats) {
-        self.core_mut().frontier.absorb(frontier);
+    /// Books a sub-executor's runs into this executor: its
+    /// [`Executor::total`], its [`Executor::frontier_total`]
+    /// (invocations add, peaks max) and, while both record them, its
+    /// [`Executor::node_stats`]. The sub-executor's graph must share
+    /// this executor's node-id space (a subgraph over the same
+    /// vertices), as [`NodeStats::absorb`] requires.
+    fn charge_sub<'h>(&mut self, sub: &impl Executor<'h>) {
+        let core = self.core_mut();
+        core.total.absorb(sub.total());
+        core.frontier.absorb(sub.frontier_total());
+        if let (Some(ns), Some(other)) = (core.node_stats.as_mut(), sub.node_stats()) {
+            ns.absorb(other);
+        }
     }
 
     /// Enables or disables per-node accounting ([`NodeStats`]):
@@ -313,17 +319,6 @@ pub trait Executor<'g> {
     /// [`Executor::set_record_node_stats`] is enabled.
     fn node_stats(&self) -> Option<&NodeStats> {
         self.core().node_stats.as_ref()
-    }
-
-    /// Adds a sub-executor's per-node counters into this executor's
-    /// [`Executor::node_stats`] — the per-node analogue of
-    /// [`Executor::charge`], for sub-runs whose graph shares this
-    /// executor's node-id space (e.g. a subgraph over the same
-    /// vertices). A no-op while recording is off.
-    fn charge_node_stats(&mut self, other: &NodeStats) {
-        if let Some(ns) = self.core_mut().node_stats.as_mut() {
-            ns.absorb(other);
-        }
     }
 
     /// Enables or disables congestion instrumentation: per-round

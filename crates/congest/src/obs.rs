@@ -273,8 +273,7 @@ pub fn collect_spans<R>(f: impl FnOnce() -> R) -> (R, SpanTree) {
 ///
 /// Invariants, per executor, for runs executed *on that executor*
 /// (sub-executor work enters only through an explicit
-/// [`Executor::charge_node_stats`], which requires the same node-id
-/// space): `Σ sent == RunStats::messages`,
+/// [`Executor::charge_sub`], which requires the same node-id space): `Σ sent == RunStats::messages`,
 /// `Σ delivered == RunStats::messages_delivered()`, and
 /// `Σ invocations == FrontierStats::invocations`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

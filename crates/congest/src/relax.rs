@@ -379,10 +379,12 @@ impl RelaxTable {
 pub struct RelaxProgram {
     core: KeyedRelaxation,
     seeds: Vec<u32>,
-    /// Incident edge weights sorted by neighbor id, built lazily on the
-    /// first delivery so unreached nodes allocate nothing: resolving a
-    /// sender's weight is a binary search, not an `O(deg)` scan per
-    /// message on the subsystem's hottest path.
+    /// Incident edge weights sorted by neighbor id, one per neighbor
+    /// (of parallel edges the lightest, the edge
+    /// [`Graph::edge_between`](lightgraph::Graph::edge_between) names),
+    /// built lazily on the first delivery so unreached nodes allocate
+    /// nothing: resolving a sender's weight is a binary search, not an
+    /// `O(deg)` scan per message on the subsystem's hottest path.
     weights: Vec<(NodeId, Weight)>,
 }
 
@@ -412,6 +414,7 @@ impl Program for RelaxProgram {
         if self.weights.is_empty() && !inbox.is_empty() {
             self.weights = ctx.neighbors().iter().map(|&(u, w, _)| (u, w)).collect();
             self.weights.sort_unstable();
+            self.weights.dedup_by_key(|&mut (u, _)| u);
         }
         for (from, msg) in inbox {
             let slot = self

@@ -100,11 +100,8 @@ pub fn doubling_spanner<'g>(
             for u in sources {
                 if let Some(path) = ms.path_from(u, v) {
                     for pair in path.windows(2) {
-                        let e = g
-                            .neighbors(pair[0])
-                            .iter()
-                            .find(|&&(x, _, _)| x == pair[1])
-                            .map(|&(_, _, e)| e)
+                        let (_, e) = g
+                            .edge_between(pair[0], pair[1])
                             .expect("path uses real edges");
                         chosen.insert(e);
                     }

@@ -27,6 +27,15 @@
 //!   neighborhood maximum — plus one exchange along `E_i`. `O(interval)`
 //!   rounds per iteration, independent of the global cluster count.
 //!
+//! Both cases share one bucket setup (`Bucket::new`: the clusters with
+//! a bucket edge, their radii and the starting `(m, s)` table) and one
+//! EN17b order (`ClusterState::beats` on decoded states, `prefer` on
+//! encoded words). Bucket `i`'s radius seed is `seed ^ (i << 32)`: every
+//! vertex holds the run seed, as it does for Borůvka's coins and
+//! Baswana–Sen's sampling, so it derives the radii with no message.
+//! EN17b's `k`-th iteration cannot change a state (`Bucket::iterations`
+//! has the bound), so both cases run `k − 1`.
+//!
 //! One deviation from the letter of the paper, recorded in DESIGN.md:
 //! in Case 2 the final edge-selection dedup is per *vertex* rather than
 //! per cluster (the paper pipelines a per-cluster dedup through the
@@ -40,7 +49,7 @@ use congest::tree::BfsTree;
 use congest::{pack2, Executor, RunStats, Word};
 use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
-use lightgraph::{splitmix64, EdgeId, NodeId, Weight};
+use lightgraph::{splitmix64, EdgeId, Graph, NodeId, Weight};
 use sparse_spanner::baswana_sen::baswana_sen;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -57,12 +66,32 @@ pub struct LightSpannerResult {
     pub stats: RunStats,
 }
 
-/// EN17b cluster state: `m` (stored shifted so it is always positive —
-/// positive IEEE doubles order like their bit patterns) and source `s`.
+/// EN17b cluster state: the value `m` and its source cluster `s`. On
+/// the wire `m` travels shifted (see [`enc`]) so it is always positive
+/// — positive IEEE doubles order like their bit patterns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ClusterState {
     m: f64,
     s: u64,
+}
+
+impl ClusterState {
+    /// EN17b's order on decoded states: the larger `m`, then the
+    /// smaller source. Strict, so an equal state never displaces one.
+    fn beats(&self, other: &ClusterState) -> bool {
+        self.m > other.m || (self.m == other.m && self.s < other.s)
+    }
+}
+
+/// The same order on encoded `[m bits, s]` words, keeping `a` on a
+/// tie: Case 1's per-cluster convergecast merge and Case 2's sweep and
+/// centre fold.
+fn prefer(a: [Word; 2], b: [Word; 2]) -> [Word; 2] {
+    if a[0] > b[0] || (a[0] == b[0] && a[1] <= b[1]) {
+        a
+    } else {
+        b
+    }
 }
 
 fn enc(m: f64, shift: f64) -> Word {
@@ -75,23 +104,30 @@ fn dec(bits: Word, shift: f64) -> f64 {
     f64::from_bits(bits) - shift
 }
 
-/// Exponential radii for a set of cluster ids, re-drawn until all are
-/// `< k` (the EN17b stretch precondition; locally checkable by every
-/// vertex given the broadcast seed).
-fn cluster_radii(clusters: &[u64], k: usize, seed: u64) -> HashMap<u64, f64> {
+/// The starting EN17b table `(r(c), c)` of a set of cluster ids, with
+/// exponential radii re-drawn until all are `< k` (the EN17b stretch
+/// precondition). Each radius is a hash of the bucket seed, the attempt
+/// and the cluster id, so every vertex can evaluate it.
+fn cluster_radii(clusters: &[u64], k: usize, seed: u64) -> BTreeMap<u64, ClusterState> {
     let beta = ((3 * clusters.len().max(2)) as f64).ln() / k as f64;
     let mut attempt = 0u64;
     loop {
-        let radii: HashMap<u64, f64> = clusters
+        let table: BTreeMap<u64, ClusterState> = clusters
             .iter()
             .map(|&c| {
                 let u = ((splitmix64(seed ^ attempt << 40 ^ c) >> 11) as f64 / (1u64 << 53) as f64)
                     .max(f64::EPSILON);
-                (c, -u.ln() / beta)
+                (
+                    c,
+                    ClusterState {
+                        m: -u.ln() / beta,
+                        s: c,
+                    },
+                )
             })
             .collect();
-        if radii.values().all(|&r| r < k as f64) {
-            return radii;
+        if table.values().all(|st| st.m < k as f64) {
+            return table;
         }
         attempt += 1;
         assert!(attempt < 64, "radius sampling failed repeatedly");
@@ -120,12 +156,63 @@ fn heard_from(heard: &[(NodeId, [Word; 3])], u: NodeId) -> Option<[Word; 3]> {
     Some(heard[i].1)
 }
 
-struct BucketContext<'a> {
-    bucket_edges: Vec<Vec<(NodeId, Weight, EdgeId)>>,
+/// One weight bucket's cluster graph `G_i`, set up the same way for
+/// both cases.
+struct Bucket {
+    /// Each vertex's `E_i` edges, `(neighbor, weight, edge id)`.
+    edges: Vec<Vec<(NodeId, Weight, EdgeId)>>,
     cluster_of: Vec<u64>,
-    k: usize,
+    /// The EN17b state of every cluster with a bucket edge, starting
+    /// at `(r(c), c)`.
+    table: BTreeMap<u64, ClusterState>,
+    /// EN17b's update iterations: `k − 1`, since its `k`-th cannot
+    /// change a state. A state changes in iteration `t` only to a value
+    /// that left its source cluster `x` exactly `t + 1` hops earlier (a
+    /// neighbor whose state did not change offers what it offered in
+    /// iteration `t − 1`, which the state already matches), so to
+    /// `r(x) − t − 1 < k − t − 1`; and the new value is at least the
+    /// cluster's own radius, which is positive, so `t < k − 1`. Case 2
+    /// rounds each hop's value to its exchange's `1e9`-shifted grid
+    /// (spacing 2⁻²³), so there this holds up to a rounding error of
+    /// `k·2⁻²⁴`, an artefact EN17b itself does not have.
+    iterations: usize,
+    /// The encoding shift of `m` in sweeps and convergecasts.
     shift: f64,
-    tau: &'a BfsTree,
+}
+
+impl Bucket {
+    /// The bucket's adjacency and its clusters' starting states. `seed`
+    /// is the bucket's radius seed, which every vertex derives from the
+    /// run seed and the bucket index, so nothing is sent.
+    fn new(g: &Graph, bucket: &[EdgeId], cluster_of: Vec<u64>, k: usize, seed: u64) -> Self {
+        let mut edges: Vec<Vec<(NodeId, Weight, EdgeId)>> = vec![Vec::new(); g.n()];
+        for &e in bucket {
+            let edge = g.edge(e);
+            edges[edge.u].push((edge.v, edge.w, e));
+            edges[edge.v].push((edge.u, edge.w, e));
+        }
+        let mut active: Vec<u64> = (0..g.n())
+            .filter(|&v| !edges[v].is_empty())
+            .map(|v| cluster_of[v])
+            .collect();
+        active.sort_unstable();
+        active.dedup();
+        Bucket {
+            table: cluster_radii(&active, k, seed),
+            edges,
+            cluster_of,
+            iterations: k - 1,
+            shift: (k + 2) as f64,
+        }
+    }
+
+    /// The table as broadcast items `(cluster, [m bits, s])`.
+    fn items(&self) -> Vec<collective::Item> {
+        self.table
+            .iter()
+            .map(|(&c, st)| (c, [enc(st.m, self.shift), st.s]))
+            .collect()
+    }
 }
 
 /// Case 1: EN17b on the cluster graph with global (convergecast +
@@ -139,65 +226,33 @@ struct BucketContext<'a> {
 /// and Borůvka's MWOE use too.
 fn simulate_case1<'g>(
     sim: &mut impl Executor<'g>,
-    ctx: &BucketContext<'_>,
-    seed: u64,
+    tau: &BfsTree,
+    mut b: Bucket,
     chosen: &mut HashSet<EdgeId>,
 ) {
-    let n = ctx.cluster_of.len();
-    let shift = ctx.shift;
-    // active clusters = those with bucket edges
-    let mut active: Vec<u64> = (0..n)
-        .filter(|&v| !ctx.bucket_edges[v].is_empty())
-        .map(|v| ctx.cluster_of[v])
-        .collect();
-    active.sort_unstable();
-    active.dedup();
-    if active.is_empty() {
-        return;
-    }
-    let radii = cluster_radii(&active, ctx.k, seed);
-    let mut table: BTreeMap<u64, ClusterState> = active
-        .iter()
-        .map(|&c| (c, ClusterState { m: radii[&c], s: c }))
-        .collect();
-
-    // broadcast the radius seed (1 item) — every vertex derives the
-    // initial table locally.
-    let (r0, _) = collective::broadcast(sim, ctx.tau, vec![(0, [seed, 0])]);
-    debug_assert!(r0.iter().all(|r| r.len() == 1));
-
-    for _round in 0..ctx.k {
-        // broadcast the current table
-        let items: Vec<collective::Item> = table
-            .iter()
-            .map(|(&c, st)| (c, [enc(st.m, shift), st.s]))
-            .collect();
-        let (recv, _) = collective::broadcast(sim, ctx.tau, items);
-        debug_assert!(recv.iter().all(|r| r.len() == table.len()));
-        // local max over neighbor clusters, convergecast per own cluster
-        let table_ref = &table;
-        let cluster_of = &ctx.cluster_of;
-        let bucket_edges = &ctx.bucket_edges;
+    let shift = b.shift;
+    // each iteration: a table broadcast, a local max over neighbor
+    // clusters and a convergecast per own cluster
+    for _ in 0..b.iterations {
+        let (recv, _) = collective::broadcast(sim, tau, b.items());
+        debug_assert!(recv.iter().all(|r| r.len() == b.table.len()));
         let (maxima, _) = collective::converge_merged(
             sim,
-            ctx.tau,
+            tau,
             |v| {
-                let a = cluster_of[v];
+                let a = b.cluster_of[v];
                 let mut best: Option<ClusterState> = None;
-                for &(u, _, _) in &bucket_edges[v] {
-                    let b = cluster_of[u];
-                    if b == a {
+                for &(u, _, _) in &b.edges[v] {
+                    let c = b.cluster_of[u];
+                    if c == a {
                         continue;
                     }
-                    if let Some(st) = table_ref.get(&b) {
+                    if let Some(st) = b.table.get(&c) {
                         let cand = ClusterState {
                             m: st.m - 1.0,
                             s: st.s,
                         };
-                        if best
-                            .map(|cur| cand.m > cur.m || (cand.m == cur.m && cand.s < cur.s))
-                            .unwrap_or(true)
-                        {
+                        if best.is_none_or(|cur| cand.beats(&cur)) {
                             best = Some(cand);
                         }
                     }
@@ -205,49 +260,36 @@ fn simulate_case1<'g>(
                 best.map(|st| vec![(a, [enc(st.m, shift), st.s])])
                     .unwrap_or_default()
             },
-            |_, a, b| {
-                if a[0] > b[0] || (a[0] == b[0] && a[1] <= b[1]) {
-                    a
-                } else {
-                    b
-                }
-            },
+            |_, x, y| prefer(x, y),
         );
-        // rt merges and the next iteration's broadcast distributes it
+        // rt merges and the next broadcast distributes it
         for (&c, &[mb, s]) in &maxima {
             let cand = ClusterState {
                 m: dec(mb, shift),
                 s,
             };
-            let cur = table.get_mut(&c).expect("active cluster");
-            if cand.m > cur.m || (cand.m == cur.m && cand.s < cur.s) {
+            let cur = b.table.get_mut(&c).expect("active cluster");
+            if cand.beats(cur) {
                 *cur = cand;
             }
         }
     }
 
     // final table broadcast + edge selection convergecast
-    let items: Vec<collective::Item> = table
-        .iter()
-        .map(|(&c, st)| (c, [enc(st.m, shift), st.s]))
-        .collect();
-    let (recv, _) = collective::broadcast(sim, ctx.tau, items);
-    debug_assert!(recv.iter().all(|r| r.len() == table.len()));
-    let table_ref = &table;
-    let cluster_of = &ctx.cluster_of;
-    let bucket_edges = &ctx.bucket_edges;
-    let (selected, _) = collective::gather_merged(sim, ctx.tau, |v| {
-        let a = cluster_of[v];
-        let Some(my) = table_ref.get(&a) else {
+    let (recv, _) = collective::broadcast(sim, tau, b.items());
+    debug_assert!(recv.iter().all(|r| r.len() == b.table.len()));
+    let (selected, _) = collective::gather_merged(sim, tau, |v| {
+        let a = b.cluster_of[v];
+        let Some(my) = b.table.get(&a) else {
             return Vec::new();
         };
         let mut items = Vec::new();
-        for &(u, w, e) in &bucket_edges[v] {
-            let b = cluster_of[u];
-            if b == a {
+        for &(u, w, e) in &b.edges[v] {
+            let c = b.cluster_of[u];
+            if c == a {
                 continue;
             }
-            if let Some(st) = table_ref.get(&b) {
+            if let Some(st) = b.table.get(&c) {
                 if st.m >= my.m - 1.0 {
                     items.push((pack2(a, st.s), [w, e as u64]));
                 }
@@ -258,7 +300,7 @@ fn simulate_case1<'g>(
     // rt broadcasts the chosen edges so endpoints learn membership
     let chosen_items: Vec<collective::Item> =
         selected.iter().map(|(&key, &val)| (key, val)).collect();
-    let (recv, _) = collective::broadcast(sim, ctx.tau, chosen_items);
+    let (recv, _) = collective::broadcast(sim, tau, chosen_items);
     debug_assert!(recv.iter().all(|r| r.len() == selected.len()));
     for &[_, e] in selected.values() {
         chosen.insert(e as EdgeId);
@@ -266,18 +308,16 @@ fn simulate_case1<'g>(
 }
 
 /// Case 2: EN17b with interval-local coordination along the Euler tour.
-#[allow(clippy::too_many_arguments)]
 fn simulate_case2<'g>(
     sim: &mut impl Executor<'g>,
-    ctx: &BucketContext<'_>,
+    mut b: Bucket,
     routing: &TourRouting,
     center_of: &[usize],
     first_app: &[usize],
-    seed: u64,
     chosen: &mut HashSet<EdgeId>,
 ) {
-    let n = ctx.cluster_of.len();
-    let shift = ctx.shift;
+    let n = b.cluster_of.len();
+    let shift = b.shift;
     let is_center = {
         let mut v = vec![false; routing.len()];
         for p in 0..routing.len() {
@@ -285,46 +325,21 @@ fn simulate_case2<'g>(
         }
         v
     };
-
-    let mut active: Vec<u64> = (0..n)
-        .filter(|&v| !ctx.bucket_edges[v].is_empty())
-        .map(|v| ctx.cluster_of[v])
-        .collect();
-    active.sort_unstable();
-    active.dedup();
-    if active.is_empty() {
-        return;
-    }
-    let radii = cluster_radii(&active, ctx.k, seed);
-    let nbrs = bucket_neighbors(&ctx.bucket_edges);
-    let mut state: HashMap<u64, ClusterState> = active
-        .iter()
-        .map(|&c| (c, ClusterState { m: radii[&c], s: c }))
-        .collect();
-    let (r0, _) = collective::broadcast(sim, ctx.tau, vec![(0, [seed, 0])]);
-    debug_assert!(r0.iter().all(|r| r.len() == 1));
-
+    let nbrs = bucket_neighbors(&b.edges);
     let neutral: [Word; 2] = [0, u64::MAX];
-    let better = |a: [Word; 2], b: [Word; 2]| -> [Word; 2] {
-        if a[0] > b[0] || (a[0] == b[0] && a[1] <= b[1]) {
-            a
-        } else {
-            b
-        }
-    };
 
     // vertex-level knowledge of its own cluster's state, refreshed by
     // the LTR sweep each iteration
-    let mut known: Vec<Option<ClusterState>> = (0..n)
-        .map(|v| state.get(&ctx.cluster_of[v]).copied())
-        .collect();
+    let mut known: Vec<Option<ClusterState>> = Vec::new();
     // the latest record each vertex heard from each of its `E_i`
     // neighbors, sorted by sender
     let mut heard: Vec<Vec<(NodeId, [Word; 3])>> = Vec::new();
     // what each vertex sent at the bucket's previous exchange
     let mut sent: Vec<[Word; 3]> = Vec::new();
 
-    for round in 0..=ctx.k {
+    // the iterations, then one more distribution and exchange of the
+    // final states for the selection
+    for round in 0..=b.iterations {
         // (a) LTR sweep distributing center state through intervals
         let is_center_ref = &is_center;
         let (_ltr, _) = tour_sweep(
@@ -333,7 +348,7 @@ fn simulate_case2<'g>(
             Direction::LeftToRight,
             |p| is_center_ref[p],
             |p| {
-                state
+                b.table
                     .get(&(p as u64))
                     .map(|st| [enc(st.m, shift), st.s])
                     .unwrap_or(neutral)
@@ -343,9 +358,9 @@ fn simulate_case2<'g>(
         // each vertex refreshes its own-cluster knowledge: its first
         // appearance lies in its cluster's interval (free: the value it
         // just received there / the orchestrator mirror)
-        for v in 0..n {
-            known[v] = state.get(&ctx.cluster_of[v]).copied();
-        }
+        known = (0..n)
+            .map(|v| b.table.get(&b.cluster_of[v]).copied())
+            .collect();
         // (b) E_i-neighbor exchange of (cluster, m, s); a large uniform
         // shift keeps the encoded m positive even for absent states.
         // The bucket's first exchange goes to every neighbor; after it,
@@ -358,7 +373,7 @@ fn simulate_case2<'g>(
                     m: -1.0e9,
                     s: u64::MAX,
                 });
-                [ctx.cluster_of[v], enc(st.m, 1.0e9), st.s]
+                [b.cluster_of[v], enc(st.m, 1.0e9), st.s]
             })
             .collect();
         let (records, _) = collective::exchange(sim, |v| {
@@ -380,20 +395,20 @@ fn simulate_case2<'g>(
                 }
             }
         }
-        if round == ctx.k {
+        if round == b.iterations {
             break;
         }
         // (c) local candidate per vertex
         let cand: Vec<[Word; 2]> = (0..n)
             .map(|v| {
-                let a = ctx.cluster_of[v];
+                let a = b.cluster_of[v];
                 let mut best = neutral;
-                for &(u, _, _) in &ctx.bucket_edges[v] {
+                for &(u, _, _) in &b.edges[v] {
                     if let Some([bc, mb, s]) = heard_from(&heard[v], u) {
                         if bc != a && s != u64::MAX {
                             let m = dec(mb, 1.0e9) - 1.0;
                             if m > -1.0e8 {
-                                best = better(best, [enc(m, shift), s]);
+                                best = prefer(best, [enc(m, shift), s]);
                             }
                         }
                     }
@@ -405,7 +420,7 @@ fn simulate_case2<'g>(
         // every position folds its owner's contribution into the token
         let contribution = |p: usize| -> [Word; 2] {
             let v = routing.owner[p];
-            if first_app[v] == p && ctx.cluster_of[v] == center_of[p] as u64 {
+            if first_app[v] == p && b.cluster_of[v] == center_of[p] as u64 {
                 cand[v]
             } else {
                 neutral
@@ -417,7 +432,7 @@ fn simulate_case2<'g>(
             Direction::RightToLeft,
             |p| is_center_ref[p],
             contribution,
-            |_| move |p: usize, t: [u64; 2]| better(contribution(p), t),
+            |_| move |p: usize, t: [u64; 2]| prefer(contribution(p), t),
         );
         // (e) centers merge: incoming token at center position +
         // the center owner's own contribution
@@ -426,7 +441,7 @@ fn simulate_case2<'g>(
             for &(p, t) in recs {
                 if is_center[p] {
                     let e = best_at.entry(p as u64).or_insert(neutral);
-                    *e = better(*e, t);
+                    *e = prefer(*e, t);
                 }
             }
         }
@@ -434,19 +449,19 @@ fn simulate_case2<'g>(
             if is_center[p] {
                 let c = contribution(p);
                 let e = best_at.entry(p as u64).or_insert(neutral);
-                *e = better(*e, c);
+                *e = prefer(*e, c);
             }
         }
         for (&c, &[mb, s]) in &best_at {
             if s == u64::MAX {
                 continue;
             }
-            if let Some(cur) = state.get_mut(&c) {
+            if let Some(cur) = b.table.get_mut(&c) {
                 let cand = ClusterState {
                     m: dec(mb, shift),
                     s,
                 };
-                if cand.m > cur.m || (cand.m == cur.m && cand.s < cur.s) {
+                if cand.beats(cur) {
                     *cur = cand;
                 }
             }
@@ -466,9 +481,9 @@ fn simulate_case2<'g>(
         *interval_len.entry(center_of[p] as u64).or_insert(0) += 1;
     }
     for v in 0..n {
-        let a = ctx.cluster_of[v];
+        let a = b.cluster_of[v];
         let Some(my) = known[v] else { continue };
-        for &(u, w, e) in &ctx.bucket_edges[v] {
+        for &(u, w, e) in &b.edges[v] {
             if let Some([bc, mb, s]) = heard_from(&heard[v], u) {
                 if bc != a && s != u64::MAX {
                     let m = dec(mb, 1.0e9);
@@ -542,10 +557,7 @@ pub fn light_spanner<'g>(
             let (sub, map) = g.edge_subgraph_with_map(light_ids.iter().copied());
             let mut sub_sim = sim.sub(&sub);
             let bs = baswana_sen(&mut sub_sim, k, seed ^ 0xb5);
-            let sub_total = sub_sim.total();
-            let sub_frontier = sub_sim.frontier_total();
-            sim.charge(sub_total);
-            sim.charge_frontier(sub_frontier);
+            sim.charge_sub(&sub_sim);
             chosen.extend(bs.edges.iter().map(|&e| map[e]));
         }
     });
@@ -573,14 +585,8 @@ pub fn light_spanner<'g>(
             }
             let wi = (l_total as f64) / (1.0 + epsilon).powi(i as i32);
             let cluster_width = (epsilon * wi).max(1.0);
-            // per-vertex bucket adjacency
-            let mut bucket_edges: Vec<Vec<(NodeId, Weight, EdgeId)>> = vec![Vec::new(); n];
-            for &e in bucket {
-                let edge = g.edge(e);
-                bucket_edges[edge.u].push((edge.v, edge.w, e));
-                bucket_edges[edge.v].push((edge.u, edge.w, e));
-            }
-            let shift = (k + 2) as f64;
+            // the radius seed of bucket i, derived from the run seed
+            let bucket_seed = seed ^ (i as u64) << 32;
             let few_clusters = (1.0 + epsilon).powi(i as i32) / epsilon <= case_threshold;
             if few_clusters {
                 case1_buckets += 1;
@@ -588,14 +594,8 @@ pub fn light_spanner<'g>(
                 let cluster_of: Vec<u64> = (0..n)
                     .map(|v| (times[first_app[v]] as f64 / cluster_width).ceil() as u64)
                     .collect();
-                let bctx = BucketContext {
-                    bucket_edges,
-                    cluster_of,
-                    k,
-                    shift,
-                    tau,
-                };
-                simulate_case1(sim, &bctx, seed ^ (i as u64) << 32, &mut chosen);
+                let b = Bucket::new(g, bucket, cluster_of, k, bucket_seed);
+                simulate_case1(sim, tau, b, &mut chosen);
             } else {
                 case2_buckets += 1;
                 // centers: tour-length cuts and index cuts
@@ -616,22 +616,8 @@ pub fn light_spanner<'g>(
                     center_of[p] = last_center;
                 }
                 let cluster_of: Vec<u64> = (0..n).map(|v| center_of[first_app[v]] as u64).collect();
-                let bctx = BucketContext {
-                    bucket_edges,
-                    cluster_of,
-                    k,
-                    shift,
-                    tau,
-                };
-                simulate_case2(
-                    sim,
-                    &bctx,
-                    &routing,
-                    &center_of,
-                    &first_app,
-                    seed ^ (i as u64) << 32,
-                    &mut chosen,
-                );
+                let b = Bucket::new(g, bucket, cluster_of, k, bucket_seed);
+                simulate_case2(sim, b, &routing, &center_of, &first_app, &mut chosen);
             }
         }
     });
@@ -768,6 +754,28 @@ mod tests {
         }
         pin(&g, 2, 0.25, (1, 49, 0x360a_5a9d_3b1b_f5f9));
         pin(&g, 3, 0.25, (1, 49, 0x360a_5a9d_3b1b_f5f9));
+    }
+
+    #[test]
+    fn light_phase_books_its_node_stats() {
+        // Baswana–Sen runs on a sub-executor over the light edges; its
+        // per-node counters are booked with its totals, so the node
+        // invocations sum to the frontier invocations.
+        let g = generators::complete(40, 3, 6);
+        let l = 2 * lightgraph::mst::kruskal(&g).weight;
+        assert!(
+            g.edges().iter().any(|e| e.w <= l / g.n() as u64),
+            "a light edge"
+        );
+        let mut sim = Simulator::new(&g);
+        sim.set_record_node_stats(true);
+        let (tau, _) = build_bfs_tree(&mut sim, 0);
+        light_spanner(&mut sim, &tau, 0, 2, 0.25, 6);
+        let ns = sim.node_stats().expect("recording");
+        assert_eq!(
+            ns.invocations.iter().sum::<u64>(),
+            sim.frontier_total().invocations
+        );
     }
 
     #[test]

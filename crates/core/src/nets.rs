@@ -4,7 +4,8 @@
 //! `α`) and `β`-separated (net points are pairwise more than `β`
 //! apart). The algorithm is the MIS-flavoured iteration of §6:
 //!
-//! 1. sample a permutation π (a broadcast seed),
+//! 1. sample a permutation π (every vertex hashes its rank from the
+//!    run seed and the iteration, so nothing is sent),
 //! 2. compute LE lists of the active vertices w.r.t. an auxiliary
 //!    `(1+δ)`-approximation `H` (\[FL16\] substitute, see `dist-sssp`),
 //! 3. every active vertex that is first in π within its `∆`-ball
@@ -76,7 +77,6 @@ pub fn net<'g>(
         let le = obs::span(sim, "le_lists", |sim| {
             le_lists(
                 sim,
-                tau,
                 &active,
                 big_delta,
                 delta,

@@ -239,12 +239,7 @@ pub fn shallow_light_tree_with<'g>(
     for v in 0..n {
         if v != rt && marked[v] {
             if let Some(p) = spt.parent[v] {
-                let e = g
-                    .neighbors(v)
-                    .iter()
-                    .find(|&&(u, _, _)| u == p)
-                    .map(|&(_, _, e)| e)
-                    .expect("SPT edge exists");
+                let (_, e) = g.edge_between(v, p).expect("SPT edge exists");
                 h_edges.push(e);
             }
         }
@@ -260,13 +255,7 @@ pub fn shallow_light_tree_with<'g>(
         let (h_tau, _) = build_bfs_tree(h_sim, rt);
         approx_spt(h_sim, &h_tau, rt, &spt_cfg(seed ^ 0x7e57))
     });
-    let h_total = h_sim.total();
-    let h_frontier = h_sim.frontier_total();
-    sim.charge(h_total);
-    sim.charge_frontier(h_frontier);
-    if let Some(ns) = h_sim.node_stats() {
-        sim.charge_node_stats(ns);
-    }
+    sim.charge_sub(&h_sim);
     let mut edges: Vec<EdgeId> = final_spt
         .tree_edges(&h_graph)
         .into_iter()

@@ -113,6 +113,8 @@ impl MstResult {
 struct NbrTable {
     /// Neighbor id → slot, built once at construction (off the per-phase
     /// hot path; lookups during a refresh are one hash per *update*).
+    /// A vertex with parallel edges has fewer entries than slots, and
+    /// an update from `u` then rewrites every slot of `u`.
     slot: Vec<HashMap<NodeId, usize>>,
     frag_at: Vec<Vec<u64>>,
     last_announced: Vec<u64>,
@@ -194,8 +196,17 @@ impl NbrTable {
             }
         }
         for (v, updates) in heard.into_iter().enumerate() {
+            let simple = self.slot[v].len() == self.frag_at[v].len();
             for (u, [f]) in updates {
-                self.frag_at[v][self.slot[v][&u]] = f;
+                if simple {
+                    self.frag_at[v][self.slot[v][&u]] = f;
+                } else {
+                    for (i, &(x, _, _)) in g.neighbors(v).iter().enumerate() {
+                        if x == u {
+                            self.frag_at[v][i] = f;
+                        }
+                    }
+                }
             }
         }
         self.last_announced.copy_from_slice(frag);
@@ -550,11 +561,8 @@ pub fn distributed_mst<'g>(sim: &mut impl Executor<'g>, tau: &BfsTree, seed: u64
     let mut mst_edges: Vec<EdgeId> = Vec::with_capacity(n.saturating_sub(1));
     for v in 0..n {
         if let Some(p) = base_views[v].parent {
-            let e = g
-                .neighbors(v)
-                .iter()
-                .find(|&&(u, _, _)| u == p)
-                .map(|&(_, _, e)| e)
+            let (_, e) = g
+                .edge_between(v, p)
                 .expect("fragment tree edge exists in graph");
             mst_edges.push(e);
         }

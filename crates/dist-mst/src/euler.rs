@@ -218,13 +218,7 @@ fn tour_times<'g>(
     let g = sim.graph();
     let n = views.len();
     let f_count = ft.len();
-    let wf = |a: NodeId, b: NodeId| -> Weight {
-        g.neighbors(a)
-            .iter()
-            .find(|&&(u, _, _)| u == b)
-            .map(|&(_, w, _)| w)
-            .expect("tree edge exists")
-    };
+    let wf = |a: NodeId, b: NodeId| -> Weight { g.edge_between(a, b).expect("tree edge exists").0 };
     let add = |a: Val, b: Val| [a[0] + b[0], a[1] + b[1], 0];
     // a child's value to its parent gains twice the parent edge: its
     // weight in word 0, one hop in word 1

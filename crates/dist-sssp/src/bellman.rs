@@ -251,12 +251,7 @@ mod tests {
                 continue;
             }
             let p = r.parent[v].expect("connected");
-            let w = g
-                .neighbors(v)
-                .iter()
-                .find(|&&(u, _, _)| u == p)
-                .map(|&(_, w, _)| w)
-                .unwrap();
+            let (w, _) = g.edge_between(v, p).unwrap();
             assert_eq!(r.dist[v], r.dist[p] + w, "tight tree edge at {v}");
         }
     }
@@ -333,13 +328,10 @@ mod tests {
             // consecutive path vertices are adjacent; total = dist
             let mut total = 0;
             for pair in path.windows(2) {
-                let w = g
-                    .neighbors(pair[0])
-                    .iter()
-                    .find(|&&(u, _, _)| u == pair[1])
-                    .map(|&(_, w, _)| w)
-                    .expect("path uses real edges");
-                total += w;
+                total += g
+                    .edge_between(pair[0], pair[1])
+                    .expect("path uses real edges")
+                    .0;
             }
             assert_eq!(total, oracle.dist[v]);
         }

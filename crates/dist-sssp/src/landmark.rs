@@ -6,9 +6,8 @@
 //! d_G(rt,v)` in `Õ(√n + D)/poly(ε)` rounds. We reproduce the same
 //! interface with the classic landmark (hopset-flavoured) scheme:
 //!
-//! 1. sample `Θ(√n · log n)` landmarks from a broadcast seed (its own
-//!    broadcast when [`SptConfig::landmarks`] forces the scheme, else
-//!    the second word of the adaptive probe's verdict, below),
+//! 1. sample `Θ(√n · log n)` landmarks from [`SptConfig::seed`], which
+//!    every vertex holds, so the sample costs no message,
 //! 2. run an `O(√n)`-hop bounded multi-source Bellman–Ford from
 //!    `{rt} ∪ landmarks` (per-edge congestion charged by the simulator),
 //! 3. gather the landmark-pairwise bounded distances to `rt` — keyed by
@@ -44,11 +43,10 @@
 //! so its distances are exact and its parents form a genuine SPT.
 //! [`approx_spt`] therefore first runs a root-only probe, sums the
 //! truncation flags up τ (`O(D)` rounds, one message per τ edge) and
-//! broadcasts the verdict with the landmark seed beside it; only a
-//! *truncated* probe pays for the landmark scheme, and a certified one
-//! sends no seed of its own. An explicit [`SptConfig::landmarks`] skips
-//! the probe and forces the full scheme, with its own seed broadcast —
-//! the deterministic ablation knob exposed through `engine::scenario`.
+//! broadcasts the verdict; only a *truncated* probe pays for the
+//! landmark scheme. An explicit [`SptConfig::landmarks`] skips the
+//! probe and forces the full scheme — the deterministic ablation knob
+//! exposed through `engine::scenario`.
 
 use crate::bellman::multi_source_bounded;
 use congest::collective;
@@ -64,8 +62,7 @@ use std::collections::HashMap;
 /// Configuration for [`approx_spt`].
 #[derive(Debug, Clone)]
 pub struct SptConfig {
-    /// Seed for landmark sampling (broadcast once: as its own item when
-    /// `landmarks` forces the scheme, else inside the probe's verdict).
+    /// Seed for landmark sampling; every vertex holds it, like `n`.
     pub seed: u64,
     /// Upward quantization of the reported estimates: estimates are
     /// multiplied by `(1 + epsilon)` and rounded up. `0.0` reports the
@@ -134,16 +131,12 @@ impl ApproxSpt {
         crate::max_finite(&self.dist)
     }
 
-    /// Edge ids of the tree (looked up in `g`), for building subgraphs.
+    /// Edge ids of the tree (looked up in `g` by
+    /// [`Graph::edge_between`](lightgraph::Graph::edge_between)), for
+    /// building subgraphs.
     pub fn tree_edges(&self, g: &lightgraph::Graph) -> Vec<lightgraph::EdgeId> {
         (0..self.dist.len())
-            .filter_map(|v| {
-                let p = self.parent[v]?;
-                g.neighbors(v)
-                    .iter()
-                    .find(|&&(u, _, _)| u == p)
-                    .map(|&(_, _, e)| e)
-            })
+            .filter_map(|v| Some(g.edge_between(v, self.parent[v]?)?.1))
             .collect()
     }
 }
@@ -179,28 +172,18 @@ pub fn approx_spt<'g>(
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
     let mut need_landmarks = true;
 
-    if cfg.landmarks.is_some() {
-        // (1) landmark-sampling seed broadcast (1 item, O(D) rounds).
-        let (seed_recv, _) = obs::span(sim, "seed", |sim| {
-            collective::broadcast(sim, tau, vec![(0, [cfg.seed, 0])])
-        });
-        debug_assert!(seed_recv.iter().all(|r| r.len() == 1));
-    } else {
+    if cfg.landmarks.is_none() {
         // (2a) adaptive probe: root-only bounded exploration, then a
         // charged census of the truncation certificate (a count of the
         // truncated vertices summed up τ, the verdict broadcast down —
-        // O(D) rounds, one message each way per τ edge). The verdict
-        // item carries the landmark-sampling seed in its second word,
-        // so a truncated probe has already handed every vertex the
-        // seed of step (1).
+        // O(D) rounds, one message each way per τ edge).
         let (probe, truncated) = obs::span(sim, "probe", |sim| {
             let probe = multi_source_bounded(sim, &[rt], INF, hop_bound);
             let flags: Vec<u64> = probe.tables.iter().map(|t| t.truncated as u64).collect();
             let flags_ref = &flags;
             let (census, _) = collective::sum(sim, tau, |v| [flags_ref[v], 0]);
             let truncated = census[0] != 0;
-            let (verdict, _) =
-                collective::broadcast(sim, tau, vec![(0, [truncated as u64, cfg.seed])]);
+            let (verdict, _) = collective::broadcast(sim, tau, vec![(0, [truncated as u64, 0])]);
             debug_assert!(verdict.iter().all(|r| r.len() == 1));
             (probe, truncated)
         });
@@ -223,6 +206,8 @@ pub fn approx_spt<'g>(
             .unwrap_or_else(|| ((sqrt_n as f64) * (n.max(2) as f64).ln() / 2.0).ceil() as usize)
             .min(n);
 
+        // (1) the landmark sample, which every vertex draws from the
+        // seed it holds (free).
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut pool: Vec<NodeId> = (0..n).filter(|&v| v != rt).collect();
         pool.shuffle(&mut rng);
@@ -380,12 +365,7 @@ pub fn approx_spt<'g>(
         }
         if dist[v] >= INF {
             let p = parent[v].expect("set above");
-            let w = g
-                .neighbors(v)
-                .iter()
-                .find(|&&(u, _, _)| u == p)
-                .map(|&(_, w, _)| w)
-                .unwrap_or(INF);
+            let w = g.edge_between(v, p).map_or(INF, |(w, _)| w);
             dist[v] = dist[p].saturating_add(w);
         }
     }
@@ -413,13 +393,7 @@ mod tests {
     fn tree_path_weight(g: &Graph, spt: &ApproxSpt, v: NodeId) -> Weight {
         let path = spt.path_from_root(v);
         path.windows(2)
-            .map(|p| {
-                g.neighbors(p[0])
-                    .iter()
-                    .find(|&&(u, _, _)| u == p[1])
-                    .map(|&(_, w, _)| w)
-                    .expect("tree uses real edges")
-            })
+            .map(|p| g.edge_between(p[0], p[1]).expect("tree uses real edges").0)
             .sum()
     }
 
@@ -507,8 +481,8 @@ mod tests {
         // the landmark phase (the message hog) is skipped — visible as
         // far fewer messages than the forced path, with exact output.
         // The certified run is the probe's relaxation, the census and
-        // the verdict (one message per τ edge each): the seed rides the
-        // verdict, where the forced scheme broadcasts it on its own.
+        // the verdict (one message per τ edge each); neither path sends
+        // the landmark seed, which every vertex holds.
         let g = generators::erdos_renyi(80, 0.15, 20, 3);
         let tau_edges = g.n() as u64 - 1;
         let run = |landmarks: Option<usize>| {
@@ -539,8 +513,7 @@ mod tests {
             relax.stats.messages + 2 * tau_edges,
             "relaxation + census + verdict"
         );
-        let seed = spans_forced.find("seed").expect("the forced scheme's seed");
-        assert_eq!(seed.stats.messages, tau_edges);
+        assert!(spans_forced.find("seed").is_none(), "no seed broadcast");
     }
 
     #[test]

@@ -34,9 +34,7 @@
 //! Θ(n) per node and defeat the lists' point. The domination list
 //! stays; everything message-shaped is the subsystem's.
 
-use congest::collective;
 use congest::relax::{self, RelaxMsg};
-use congest::tree::BfsTree;
 use congest::{Ctx, Executor, Message, Program, RunStats, Word};
 use lightgraph::{splitmix64, NodeId, Weight};
 use std::collections::HashMap;
@@ -82,7 +80,8 @@ struct LeProgram {
     active: bool,
     rank: u64,
     bound: Weight,
-    /// H-weights of incident edges, by neighbor.
+    /// H-weight of the edge to each neighbor: the edge
+    /// [`Graph::edge_between`](lightgraph::Graph::edge_between) names.
     weights: HashMap<NodeId, Weight>,
     /// Non-dominated entries.
     list: Vec<Entry>,
@@ -179,14 +178,13 @@ impl Program for LeProgram {
 
 /// Computes LE lists for the `active` vertices, up to distance `bound`.
 ///
-/// A permutation seed is broadcast from the root of `tau` (`O(D)`), then
-/// every vertex derives its rank locally; relaxation proceeds until
+/// Every vertex derives its rank from `seed`, which it holds like `n`,
+/// so nothing is sent before the relaxation, which proceeds until
 /// quiescence. `delta` stretches each edge weight by a hash-random
 /// factor in `[1, 1+delta]`, realizing the auxiliary graph `H` of
 /// \[FL16\] with `d_G ≤ d_H ≤ (1+δ)·d_G`.
 pub fn le_lists<'g>(
     sim: &mut impl Executor<'g>,
-    tau: &BfsTree,
     active: &[bool],
     bound: Weight,
     delta: f64,
@@ -196,9 +194,6 @@ pub fn le_lists<'g>(
     let g = sim.graph();
     let n = g.n();
     assert_eq!(active.len(), n);
-
-    let (seed_recv, _) = collective::broadcast(sim, tau, vec![(0, [seed, 0])]);
-    debug_assert!(seed_recv.iter().all(|r| r.len() == 1));
 
     // Rank = (hash, id) flattened into one word: hash in the high bits,
     // id in the low bits, so ranks never collide.
@@ -215,16 +210,19 @@ pub fn le_lists<'g>(
         }
     };
 
-    let (lists, _) = sim.run(|v, graph| LeProgram {
-        active: active[v],
-        rank: rank[v],
-        bound,
-        weights: graph
-            .neighbors(v)
-            .iter()
-            .map(|&(u, w, e)| (u, h_weight(e, w)))
-            .collect(),
-        list: Vec::new(),
+    let (lists, _) = sim.run(|v, graph| {
+        // sorted, the first edge to each neighbor is the lightest, ties
+        // to the smaller id
+        let mut adj = graph.neighbors(v).to_vec();
+        adj.sort_unstable();
+        adj.dedup_by_key(|&mut (u, _, _)| u);
+        LeProgram {
+            active: active[v],
+            rank: rank[v],
+            bound,
+            weights: adj.iter().map(|&(u, w, e)| (u, h_weight(e, w))).collect(),
+            list: Vec::new(),
+        }
     });
 
     let stats = sim.total().since(start);
@@ -241,7 +239,6 @@ pub fn le_lists<'g>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest::tree::build_bfs_tree;
     use congest::Simulator;
     use lightgraph::{dijkstra, generators, INF};
 
@@ -278,8 +275,7 @@ mod tests {
             let g = generators::erdos_renyi(30, 0.15, 20, seed);
             let active = vec![true; g.n()];
             let mut sim = Simulator::new(&g);
-            let (tau, _) = build_bfs_tree(&mut sim, 0);
-            let le = le_lists(&mut sim, &tau, &active, INF, 0.0, seed);
+            let le = le_lists(&mut sim, &active, INF, 0.0, seed);
             let oracle = oracle_lists(&g, &active, &le.rank, INF);
             assert_eq!(le.lists, oracle, "seed {seed}");
         }
@@ -293,9 +289,8 @@ mod tests {
         active[6] = true;
         active[11] = true;
         let mut sim = Simulator::new(&g);
-        let (tau, _) = build_bfs_tree(&mut sim, 0);
         let bound = 20; // 4 hops
-        let le = le_lists(&mut sim, &tau, &active, bound, 0.0, 7);
+        let le = le_lists(&mut sim, &active, bound, 0.0, 7);
         let oracle = oracle_lists(&g, &active, &le.rank, bound);
         assert_eq!(le.lists, oracle);
         // vertex 3 sees only 0 and 6 (both within 20), vertex 11 sees
@@ -312,8 +307,7 @@ mod tests {
         let g = generators::erdos_renyi(120, 0.05, 50, 9);
         let active = vec![true; g.n()];
         let mut sim = Simulator::new(&g);
-        let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let le = le_lists(&mut sim, &tau, &active, INF, 0.0, 9);
+        let le = le_lists(&mut sim, &active, INF, 0.0, 9);
         let max_len = le.lists.iter().map(Vec::len).max().unwrap();
         // O(log n) w.h.p.; allow a generous constant
         assert!(max_len <= 4 * 7, "LE list too long: {max_len}");
@@ -324,8 +318,7 @@ mod tests {
         let g = generators::erdos_renyi(40, 0.12, 25, 11);
         let active = vec![true; g.n()];
         let mut sim = Simulator::new(&g);
-        let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let le = le_lists(&mut sim, &tau, &active, INF, 0.0, 11);
+        let le = le_lists(&mut sim, &active, INF, 0.0, 11);
         let ap = dijkstra::all_pairs(&g);
         let r = 30;
         for v in 0..g.n() {
@@ -342,9 +335,8 @@ mod tests {
         let g = generators::erdos_renyi(30, 0.2, 20, 13);
         let active = vec![true; g.n()];
         let mut sim = Simulator::new(&g);
-        let (tau, _) = build_bfs_tree(&mut sim, 0);
         let delta = 0.5;
-        let le = le_lists(&mut sim, &tau, &active, INF, delta, 13);
+        let le = le_lists(&mut sim, &active, INF, delta, 13);
         let ap = dijkstra::all_pairs(&g);
         for v in 0..g.n() {
             for &(u, d) in &le.lists[v] {

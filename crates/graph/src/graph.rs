@@ -87,8 +87,9 @@ impl std::error::Error for GraphError {}
 ///
 /// Edges are stored once in an edge list; the adjacency structure keeps,
 /// per vertex, `(neighbor, weight, edge id)` triples. Parallel edges are
-/// permitted (the generators never produce them, but nothing below relies
-/// on their absence).
+/// permitted (the generators never produce them); where a computation
+/// needs *the* edge between two vertices, [`Graph::edge_between`] picks
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     n: usize,
@@ -214,6 +215,20 @@ impl Graph {
     /// `(neighbor, weight, edge id)` triples incident on `u`.
     pub fn neighbors(&self, u: NodeId) -> &[(NodeId, Weight, EdgeId)] {
         &self.adj[u]
+    }
+
+    /// The edge between `v` and `u` as `(weight, edge id)`, `None` if
+    /// they are not adjacent. Of parallel edges it is the lightest, ties
+    /// to the smaller id: Kruskal's order, so the copy a minimum spanning
+    /// tree or a shortest path uses. Every lookup of "the edge between
+    /// two vertices" goes through this rule, so parallel edges cannot
+    /// make two phases of one construction disagree.
+    pub fn edge_between(&self, v: NodeId, u: NodeId) -> Option<(Weight, EdgeId)> {
+        self.adj[v]
+            .iter()
+            .filter(|&&(x, _, _)| x == u)
+            .map(|&(_, w, e)| (w, e))
+            .min()
     }
 
     /// Degree of `u`.
@@ -444,6 +459,18 @@ mod tests {
                 .iter()
                 .any(|&(v, w, _)| v == e.u && w == e.w));
         }
+    }
+
+    #[test]
+    fn edge_between_takes_the_lightest_parallel_edge() {
+        // In both insertion orders, ties going to the smaller id.
+        let g = Graph::from_edges(3, [(0, 1, 5), (1, 0, 1), (0, 1, 1), (1, 2, 4)]).unwrap();
+        assert_eq!(g.edge_between(0, 1), Some((1, 1)));
+        assert_eq!(g.edge_between(1, 0), Some((1, 1)));
+        let g = Graph::from_edges(3, [(0, 1, 1), (0, 1, 5), (1, 2, 4)]).unwrap();
+        assert_eq!(g.edge_between(1, 0), Some((1, 0)));
+        assert_eq!(g.edge_between(2, 1), Some((4, 2)));
+        assert_eq!(g.edge_between(0, 2), None);
     }
 
     #[test]

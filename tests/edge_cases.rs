@@ -137,3 +137,42 @@ fn net_on_star_with_huge_hub_distance() {
     let r2 = net(&mut sim, &tau, 4000, 0.5, 3);
     assert_eq!(r2.points.len(), 1, "one point covers the whole star");
 }
+
+#[test]
+fn parallel_edges_resolve_to_the_lightest() {
+    // Two parallel edges between 0 and 1, in both insertion orders: every
+    // construction must use the lightest (Kruskal's edge), whichever id
+    // it has.
+    use light_networks::dist_sssp::bellman::bellman_ford;
+    use light_networks::dist_sssp::landmark::{approx_spt, SptConfig};
+    use light_networks::dist_sssp::le_lists::le_lists;
+    use light_networks::lightgraph::{dijkstra, INF};
+    for edges in [
+        [(0, 1, 5), (0, 1, 1), (1, 2, 1)],
+        [(0, 1, 1), (0, 1, 5), (1, 2, 1)],
+    ] {
+        let g = Graph::from_edges(3, edges).unwrap();
+        let oracle = dijkstra::shortest_paths(&g, 0);
+        assert_eq!(oracle.dist, vec![0, 1, 2]);
+        let mut sim = Simulator::new(&g);
+        assert_eq!(bellman_ford(&mut sim, 0).dist, oracle.dist, "{edges:?}");
+        let (tau, _) = build_bfs_tree(&mut sim, 0);
+        let spt = approx_spt(&mut sim, &tau, 0, &SptConfig::new(1));
+        assert_eq!(spt.dist, oracle.dist, "{edges:?}");
+        let light = g.edge_between(0, 1).unwrap().1;
+        let mut want = vec![light, 2];
+        want.sort_unstable();
+        assert_eq!(
+            spt.tree_edges(&g).iter().filter(|&&e| e == light).count(),
+            1
+        );
+        let m = distributed_mst(&mut sim, &tau, 1);
+        assert_eq!((m.mst_edges, m.weight), (want, 2), "{edges:?}");
+        let le = le_lists(&mut sim, &[true; 3], INF, 0.0, 1);
+        for v in 0..3 {
+            for &(u, d) in &le.lists[v] {
+                assert_eq!(d, dijkstra::shortest_paths(&g, v).dist[u], "{edges:?}");
+            }
+        }
+    }
+}

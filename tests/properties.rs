@@ -98,8 +98,7 @@ proptest! {
         use light_networks::lightgraph::{dijkstra, INF};
         let active = vec![true; g.n()];
         let mut sim = Simulator::new(&g);
-        let (tau, _) = build_bfs_tree(&mut sim, 0);
-        let le = le_lists(&mut sim, &tau, &active, INF, 0.0, seed);
+        let le = le_lists(&mut sim, &active, INF, 0.0, seed);
         let ap = dijkstra::all_pairs(&g);
         // spot-check the defining property on every vertex: each list
         // entry is undominated, and the closest active vertex of any
