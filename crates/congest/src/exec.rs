@@ -6,9 +6,9 @@
 //! sharded engine in `crates/engine`. The trait pins down the exact
 //! observable contract an engine must honor so that algorithms (and the
 //! paper's round-count experiments) behave identically on both. Both
-//! embed one [`ExecCore`] — configuration, cumulative totals and the
-//! per-run [`RoundLog`] — so the bookkeeping around the contract is
-//! written once.
+//! embed one [`ExecCore`] — configuration, cumulative totals and
+//! congestion peaks, and the per-run [`RoundLog`] — so the bookkeeping
+//! around the contract is written once.
 //!
 //! **Determinism contract.** Each clause names its conformance tests
 //! inline (`prop_*` live in `crates/engine/tests/equivalence.rs`,
@@ -90,10 +90,11 @@
 //!    themselves are pinned by the unit tests in
 //!    `crates/congest/src/slab.rs`.
 //! 8. **Observer neutrality.** Observability (the [`crate::obs`]
-//!    subsystem: phase spans, per-node [`NodeStats`] recording, trace
-//!    sinks, metrics reports) is read-only: with observers attached or
-//!    detached, per-node outputs, [`RunStats`], [`FrontierStats`], and
-//!    every other deterministic quantity (per-round series, per-node
+//!    subsystem: phase spans, per-node [`NodeStats`] recording, phase
+//!    timing, trace sinks) is read-only: with observers attached or
+//!    detached, per-node outputs, [`RunStats`], [`FrontierStats`],
+//!    [`Peaks`], and every other deterministic quantity (the trace's
+//!    per-round `round`/`delivered`/`active` fields, per-node
 //!    histograms, span-tree statistics) are bit-identical — across
 //!    runs *and* across conforming engines. Only wall-clock fields
 //!    (`wall_ms`-like values, `*_ns` phase times) may differ between
@@ -102,9 +103,11 @@
 //!    message, and never change the active set. Observers are
 //!    configuration, so [`Executor::sub`] executors inherit them.
 //!    *Conformance:* `prop_node_histograms_sum_and_observers_are_neutral`;
-//!    per-round series and span trees across thread counts by
+//!    the trace's per-round series across engines and thread counts by
 //!    `report_series_identical_across_threads`
-//!    (`crates/engine/src/engine.rs`) and
+//!    (`crates/engine/src/engine.rs`); peaks over runs and
+//!    sub-executors by `peaks_cover_every_run_and_sub_executor`
+//!    (`crates/engine/src/engine.rs`); span trees by
 //!    `chain_slt_span_tree_identical_across_threads`;
 //!    inheritance is pinned on both engines by
 //!    `sub_executors_inherit_configuration`
@@ -163,7 +166,7 @@
 //!   the executor totals, because clause 5 covers every intermediate
 //!   `run` invocation of a composite algorithm, not just the last.
 
-use crate::obs::{NodeStats, PhaseWall, RoundTrace, RunReport, SharedTraceSink};
+use crate::obs::{NodeStats, Peaks, PhaseWall, RoundTrace, SharedTraceSink};
 use crate::program::{FrontierStats, Program, RunStats};
 use lightgraph::{Graph, NodeId};
 use std::time::Instant;
@@ -270,12 +273,21 @@ pub trait Executor<'g> {
         self.core().frontier
     }
 
-    /// Resets the cumulative statistics (both [`Executor::total`] and
-    /// [`Executor::frontier_total`]).
+    /// Congestion peaks over every run so far and every sub-executor
+    /// booked with [`Executor::charge_sub`]: the most messages delivered
+    /// in one round, and the longest any directed-edge queue grew.
+    /// Engine-identical for conforming engines.
+    fn peaks(&self) -> Peaks {
+        self.core().peaks
+    }
+
+    /// Resets the cumulative statistics ([`Executor::total`],
+    /// [`Executor::frontier_total`] and [`Executor::peaks`]).
     fn reset_total(&mut self) {
         let core = self.core_mut();
         core.total = RunStats::default();
         core.frontier = FrontierStats::default();
+        core.peaks = Peaks::default();
     }
 
     /// Adds externally-accounted rounds to the cumulative counter.
@@ -290,14 +302,16 @@ pub trait Executor<'g> {
 
     /// Books a sub-executor's runs into this executor: its
     /// [`Executor::total`], its [`Executor::frontier_total`]
-    /// (invocations add, peaks max) and, while both record them, its
-    /// [`Executor::node_stats`]. The sub-executor's graph must share
-    /// this executor's node-id space (a subgraph over the same
-    /// vertices), as [`NodeStats::absorb`] requires.
+    /// (invocations add, peaks max), its [`Executor::peaks`] (maxima)
+    /// and, while both record them, its [`Executor::node_stats`]. The
+    /// sub-executor's graph must share this executor's node-id space (a
+    /// subgraph over the same vertices), as [`NodeStats::absorb`]
+    /// requires.
     fn charge_sub<'h>(&mut self, sub: &impl Executor<'h>) {
         let core = self.core_mut();
         core.total.absorb(sub.total());
         core.frontier.absorb(sub.frontier_total());
+        core.peaks.absorb(sub.peaks());
         if let (Some(ns), Some(other)) = (core.node_stats.as_mut(), sub.node_stats()) {
             ns.absorb(other);
         }
@@ -321,22 +335,12 @@ pub trait Executor<'g> {
         self.core().node_stats.as_ref()
     }
 
-    /// Enables or disables congestion instrumentation: per-round
-    /// message, queue-depth and active-node histograms, hot edges and
-    /// the per-phase wall breakdown, reported by
-    /// [`Executor::last_report`]. Off by default; the depth histogram
-    /// costs a backlog scan per round. Inherited by sub-executors;
-    /// observer-neutral (contract clause 8).
-    fn set_record_metrics(&mut self, record: bool) {
-        self.core_mut().record_metrics = record;
-    }
-
-    /// Enables per-phase wall sampling on its own — the cheap slice of
-    /// metrics recording (a few clock reads per round, no histogram
-    /// scans), enough to populate [`Executor::wall_total`] and the
-    /// process-wide breakdown accumulators in [`crate::plan`]. Implied
-    /// by metrics recording and tracing; inherited by sub-executors;
-    /// observer-neutral (contract clause 8).
+    /// Enables or disables per-phase wall sampling: a few clock reads
+    /// per round, summed into the process-wide accumulator
+    /// [`crate::obs::phase_wall_ns`], which a caller reads as deltas
+    /// around a workload — sub-executor runs included. Implied by
+    /// tracing; inherited by sub-executors; observer-neutral (contract
+    /// clause 8).
     fn set_time_phases(&mut self, time: bool) {
         self.core_mut().time_phases = time;
     }
@@ -347,29 +351,13 @@ pub trait Executor<'g> {
     fn set_trace(&mut self, sink: Option<SharedTraceSink>) {
         self.core_mut().trace = sink;
     }
-
-    /// Instrumentation from the most recent run, if
-    /// [`Executor::set_record_metrics`] was enabled. The deterministic
-    /// fields are bit-identical across conforming engines.
-    fn last_report(&self) -> Option<&RunReport> {
-        self.core().last_report.as_ref()
-    }
-
-    /// Cumulative per-phase wall time over every timed `run` driven
-    /// directly on this executor (sub-executors accumulate their own);
-    /// see [`PhaseWall`] for how the parallel engine aggregates its
-    /// workers. Zero unless metrics recording, phase timing or tracing
-    /// was enabled.
-    fn wall_total(&self) -> PhaseWall {
-        self.core().wall_total
-    }
 }
 
 /// The configuration and cumulative accounting every [`Executor`]
 /// shares, embedded by both engines: the bandwidth cap and livelock
-/// guard, the observer switches (metrics, phase timing, trace sink,
-/// per-node stats), and the totals over every run so far (`RunStats`,
-/// `FrontierStats`, `PhaseWall`, the last [`RunReport`]).
+/// guard, the observer switches (phase timing, trace sink, per-node
+/// stats), and the totals over every run so far (`RunStats`,
+/// `FrontierStats`, [`Peaks`]).
 ///
 /// A run brackets its rounds with [`ExecCore::begin_run`] and
 /// [`ExecCore::end_run`]; in between it books every executed round
@@ -378,14 +366,12 @@ pub trait Executor<'g> {
 pub struct ExecCore {
     cap: usize,
     max_rounds: u64,
-    record_metrics: bool,
     time_phases: bool,
     trace: Option<SharedTraceSink>,
     node_stats: Option<NodeStats>,
     total: RunStats,
     frontier: FrontierStats,
-    wall_total: PhaseWall,
-    last_report: Option<RunReport>,
+    peaks: Peaks,
 }
 
 impl Default for ExecCore {
@@ -394,28 +380,25 @@ impl Default for ExecCore {
         ExecCore {
             cap: 1,
             max_rounds: 50_000_000,
-            record_metrics: false,
             time_phases: false,
             trace: None,
             node_stats: None,
             total: RunStats::default(),
             frontier: FrontierStats::default(),
-            wall_total: PhaseWall::default(),
-            last_report: None,
+            peaks: Peaks::default(),
         }
     }
 }
 
 impl ExecCore {
     /// The core of a sub-executor over an `n`-node graph: inherits the
-    /// cap, the round guard, metrics recording, phase timing, the trace
-    /// sink and node-stats recording (zeroed, in the sub-graph's
-    /// node-id space); every total starts at zero.
+    /// cap, the round guard, phase timing, the trace sink and node-stats
+    /// recording (zeroed, in the sub-graph's node-id space); every total
+    /// starts at zero.
     pub fn sub(&self, n: usize) -> ExecCore {
         ExecCore {
             cap: self.cap,
             max_rounds: self.max_rounds,
-            record_metrics: self.record_metrics,
             time_phases: self.time_phases,
             trace: self.trace.clone(),
             node_stats: self.node_stats.as_ref().map(|_| NodeStats::new(n)),
@@ -441,32 +424,21 @@ impl ExecCore {
             .map(|s| (s.clone(), s.lock().expect("trace sink").begin_run(engine)));
         let log = RoundLog {
             start,
-            record: self.record_metrics,
-            timed: self.record_metrics || trace.is_some() || self.time_phases,
+            timed: trace.is_some() || self.time_phases,
             trace,
             frontier: FrontierStats::default(),
+            peaks: Peaks::default(),
             delivered: 0,
-            messages: Vec::new(),
-            depth: Vec::new(),
-            active: Vec::new(),
             wall: PhaseWall::default(),
         };
         (log, self.node_stats.take())
     }
 
     /// Closes a quiesced run's books: absorbs its statistics, frontier
-    /// and wall into the totals, hands the per-node counters back and —
-    /// when recording — assembles [`Executor::last_report`], ranking hot
-    /// edges from `per_directed` (messages delivered per directed queue
-    /// `2 * edge_id + dir`).
-    pub fn end_run(
-        &mut self,
-        log: RoundLog,
-        node_stats: Option<NodeStats>,
-        stats: RunStats,
-        per_directed: &[u64],
-        threads: usize,
-    ) {
+    /// and peaks into the totals, adds its phase wall to the
+    /// process-wide accumulator when timed, and hands the per-node
+    /// counters back.
+    pub fn end_run(&mut self, log: RoundLog, node_stats: Option<NodeStats>, stats: RunStats) {
         debug_assert_eq!(
             log.frontier.rounds, stats.rounds,
             "one booked round per round"
@@ -478,25 +450,10 @@ impl ExecCore {
         );
         self.total.absorb(stats);
         self.frontier.absorb(log.frontier);
+        self.peaks.absorb(log.peaks);
         self.node_stats = node_stats;
-        self.wall_total.absorb(log.wall);
         if log.timed {
-            let w = log.wall;
-            crate::plan::add_phase_wall_ns(w.deliver_ns, w.compute_ns, w.barrier_ns);
-        }
-        if log.record {
-            self.last_report = Some(RunReport {
-                rounds: stats.rounds,
-                total_messages: stats.messages,
-                messages_delivered: stats.messages_delivered(),
-                messages_combined: stats.messages_combined,
-                messages_per_round: log.messages,
-                max_queue_depth_per_round: log.depth,
-                active_per_round: log.active,
-                hot_edges: RunReport::rank_hot_edges(per_directed),
-                threads,
-                wall: log.wall,
-            });
+            crate::obs::add_phase_wall_ns(log.wall);
         }
     }
 
@@ -511,31 +468,21 @@ impl ExecCore {
 
 /// One run's per-round books, opened by [`ExecCore::begin_run`]. Each
 /// executed round is booked once, by [`RoundLog::round`]: that derives
-/// the run's [`FrontierStats`], appends the metrics histograms (only
-/// while recording — the log allocates nothing otherwise), pushes the
-/// [`RoundTrace`] record when a sink is attached, and sums the phase
-/// wall.
+/// the run's [`FrontierStats`] and [`Peaks`], pushes the [`RoundTrace`]
+/// record when a sink is attached, and sums the phase wall. The log
+/// allocates nothing.
 #[derive(Debug)]
 pub struct RoundLog {
     start: Instant,
-    record: bool,
     timed: bool,
     trace: Option<(SharedTraceSink, u64)>,
     frontier: FrontierStats,
+    peaks: Peaks,
     delivered: u64,
-    messages: Vec<u64>,
-    depth: Vec<u64>,
-    active: Vec<u64>,
     wall: PhaseWall,
 }
 
 impl RoundLog {
-    /// Whether metrics recording is on: only then does the run track
-    /// queue depths and per-directed-edge deliveries.
-    pub fn recording(&self) -> bool {
-        self.record
-    }
-
     /// Whether the run samples phase wall time.
     pub fn timed(&self) -> bool {
         self.timed
@@ -548,25 +495,24 @@ impl RoundLog {
 
     /// Ends the per-run setup interval (run entry to the first `init`)
     /// and adds it to the process-wide setup wall
-    /// ([`crate::plan::setup_wall_ns`]).
+    /// ([`crate::obs::setup_wall_ns`]).
     pub fn setup_done(&self) {
-        crate::plan::add_setup_ns(self.start.elapsed().as_nanos() as u64);
+        crate::obs::add_setup_ns(self.start.elapsed().as_nanos() as u64);
     }
 
     /// Books the next round: `delivered` messages, `active` invoked
-    /// nodes, the largest queue `depth` after its sends (read only
-    /// while recording), and its phase `wall`.
-    pub fn round(&mut self, delivered: u64, active: u64, depth: u64, wall: PhaseWall) {
+    /// nodes, the longest `queue` its delivery visited (read before
+    /// popping), and its phase `wall`.
+    pub fn round(&mut self, delivered: u64, active: u64, queue: u64, wall: PhaseWall) {
         let f = &mut self.frontier;
         f.rounds += 1;
         f.invocations += active;
         f.peak_active = f.peak_active.max(active);
+        self.peaks.absorb(Peaks {
+            round_messages: delivered,
+            queue_depth: queue,
+        });
         self.delivered += delivered;
-        if self.record {
-            self.messages.push(delivered);
-            self.depth.push(depth);
-            self.active.push(active);
-        }
         if let Some((sink, run)) = &self.trace {
             sink.lock().expect("trace sink").push_round(
                 *run,

@@ -39,10 +39,12 @@
 //!   tables, and the ready-made [`relax::RelaxProgram`] every
 //!   Bellman–Ford-style program in the workspace is built on,
 //! * [`obs`] — observability: phase spans ([`obs::span`]), per-node
-//!   message histograms ([`NodeStats`]), the shared [`RunReport`], and
-//!   the JSONL profiling [`TraceSink`] — all observer-neutral
-//!   (contract clause 8): attached or detached, deterministic outputs
-//!   and statistics are bit-identical.
+//!   message histograms ([`NodeStats`]), and the JSONL profiling
+//!   [`TraceSink`] — all observer-neutral (contract clause 8): attached
+//!   or detached, deterministic outputs and statistics are
+//!   bit-identical — plus the congestion [`Peaks`] every executor
+//!   books, the process-wide wall accumulators and the topology
+//!   fingerprint (re-exported as [`plan`]).
 //!
 //! # Example: flooding a token
 //!
@@ -89,6 +91,6 @@ mod sim;
 
 pub use exec::{for_each_active, Executor};
 pub use message::{pack2, unpack2, Message, Word, WORDS_PER_MESSAGE};
-pub use obs::{NodeStats, NodeSummary, RunReport, SharedTraceSink, SpanTree, TraceSink};
+pub use obs::{NodeStats, NodeSummary, Peaks, SharedTraceSink, SpanTree, TraceSink};
 pub use program::{Ctx, FrontierStats, Program, RunStats};
 pub use sim::Simulator;

@@ -1,5 +1,5 @@
-//! Observability: phase spans, per-node message accounting, and
-//! profiling sinks — zero-cost when off.
+//! Observability: phase spans, per-node message accounting, congestion
+//! peaks and profiling sinks — zero-cost when off.
 //!
 //! Run-level [`RunStats`] totals answer *how much* a composite
 //! algorithm cost, but not *where*: which phase spent the message
@@ -26,22 +26,35 @@
 //!    across conforming engines.
 //! 3. **Profiling hooks.** Engines with a [`TraceSink`] attached emit
 //!    one [`RoundTrace`] record per round (delivered volume, active
-//!    width, and per-phase wall time), buffered and flushed as JSONL.
-//!    The per-phase wall breakdown also lands in [`RunReport::wall`]
-//!    when metrics recording is on.
+//!    width, and per-phase wall time), buffered and flushed as JSONL —
+//!    the only per-round record the executors keep.
 //!
-//! [`RunReport`] is shared by both executors — assembled once, by
-//! [`ExecCore::end_run`](crate::exec::ExecCore::end_run) — so the
-//! sequential [`Simulator`](crate::Simulator) reports the same
-//! per-round series as the parallel engine, which is what lets
-//! `engine = "both"` scenario sweeps cross-check the series, not just
-//! the totals.
+//! Two quantities need no switch. Every executor books its congestion
+//! [`Peaks`] — the busiest round and the longest edge queue — over
+//! every run, in the shared round log, so the sequential
+//! [`Simulator`](crate::Simulator) and the parallel engine report the
+//! same peaks. And every executor, root or sub, adds its setup wall
+//! and (when timed) its per-phase wall to process-wide accumulators
+//! ([`setup_wall_ns`], [`phase_wall_ns`]), so a caller reports the walls
+//! of a composite workload from deltas around it, without reaching into
+//! the sub-executors it spawns. [`topo_key`] is the weight-blind
+//! fingerprint the scenario runner and the benchmark stamp on their
+//! output to show that two runs built the same instance.
+//!
+//! # Fingerprint collisions
+//!
+//! Keys are `(n, m, fp₁, fp₂)` with two independent 64-bit
+//! splitmix-fold streams over the endpoint list — 128 fingerprint bits.
+//! A collision would require two distinct topologies with equal `n`,
+//! `m`, and both streams, with probability on the order of 2⁻¹²⁸ per
+//! pair.
 
 use crate::exec::Executor;
 use crate::program::RunStats;
-use lightgraph::{EdgeId, NodeId};
+use lightgraph::{splitmix64, Graph, NodeId};
 use std::cell::RefCell;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -147,7 +160,7 @@ thread_local! {
 }
 
 /// Whether a [`collect_spans`] scope is active on this thread.
-pub fn spans_active() -> bool {
+fn spans_active() -> bool {
     COLLECTOR.with(|c| c.borrow().is_some())
 }
 
@@ -373,11 +386,32 @@ pub struct NodeSummary {
 }
 
 // ---------------------------------------------------------------------------
-// Run reports (shared by both engines)
+// Congestion peaks and walls (shared by both engines)
 // ---------------------------------------------------------------------------
 
-/// Number of hot edges retained in [`RunReport::hot_edges`].
-pub const HOT_EDGE_TOP_K: usize = 16;
+/// The two congestion peaks of an executor's runs, booked by every run
+/// and folded over every run and every sub-executor booked with
+/// [`Executor::charge_sub`]. Deterministic and engine-identical, like
+/// [`FrontierStats`](crate::FrontierStats), but kept apart from it:
+/// per-edge combining (contract clause 7) lowers both peaks, while
+/// `FrontierStats` must not move under a slack cap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Peaks {
+    /// Most messages delivered in one round.
+    pub round_messages: u64,
+    /// Longest any directed-edge queue grew, read at delivery, before
+    /// popping — so an init burst of `k` messages on one edge reads
+    /// `k`.
+    pub queue_depth: u64,
+}
+
+impl Peaks {
+    /// Takes the maxima with another run's peaks.
+    pub fn absorb(&mut self, other: Peaks) {
+        self.round_messages = self.round_messages.max(other.round_messages);
+        self.queue_depth = self.queue_depth.max(other.queue_depth);
+    }
+}
 
 /// Wall-clock nanoseconds per engine phase, summed over the run.
 /// Machine-dependent (scrub wherever pinned); the sequential simulator
@@ -410,77 +444,62 @@ impl PhaseWall {
     }
 }
 
-/// Congestion instrumentation for one run, collected when metrics
-/// recording is enabled on the executor. Everything except
-/// [`RunReport::threads`] and [`RunReport::wall`] is deterministic and
-/// engine-identical, which is what lets `engine = "both"` sweeps
-/// cross-check the per-round series.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Rounds executed (same value as the run's `RunStats::rounds`).
-    pub rounds: u64,
-    /// Logical messages sent (same value as the run's
-    /// `RunStats::messages`).
-    pub total_messages: u64,
-    /// Messages physically delivered to inboxes; equals
-    /// `total_messages` unless a per-edge combiner merged some away
-    /// (contract clause 7).
-    pub messages_delivered: u64,
-    /// Messages absorbed by per-edge combining (same value as the run's
-    /// `RunStats::messages_combined`).
-    pub messages_combined: u64,
-    /// Messages delivered in each round — the per-round message
-    /// histogram; index 0 is round 1. Sums to `messages_delivered`.
-    pub messages_per_round: Vec<u64>,
-    /// Largest backlog across all directed-edge queues *after* each
-    /// round's sends; a proxy for congestion pressure.
-    pub max_queue_depth_per_round: Vec<u64>,
-    /// Active nodes (nodes whose `Program::round` ran) in each round —
-    /// the frontier-size histogram; index 0 is round 1. Sums to the
-    /// run's `FrontierStats::invocations`.
-    pub active_per_round: Vec<u64>,
-    /// The `HOT_EDGE_TOP_K` undirected edges carrying the most traffic,
-    /// as `(edge id, delivered messages)`, heaviest first.
-    pub hot_edges: Vec<(EdgeId, u64)>,
-    /// Worker threads the run used (1 for the simulator).
-    pub threads: usize,
-    /// Per-phase wall-time breakdown (machine-dependent).
-    pub wall: PhaseWall,
+/// Process-wide setup wall accumulator: every executor (`Simulator`
+/// and the parallel engine, root and sub alike) adds its per-run setup
+/// wall — a stressed run's plan cut, arena checkout and program
+/// construction — here (the scenario runner's `setup_ms` column reads
+/// the delta around each cell). Wall-clock only — never part of any
+/// deterministic quantity (contract clause 8).
+static SETUP_WALL_NS: AtomicU64 = AtomicU64::new(0);
+
+/// Adds one run's setup wall (see [`setup_wall_ns`]).
+pub(crate) fn add_setup_ns(ns: u64) {
+    SETUP_WALL_NS.fetch_add(ns, Ordering::Relaxed);
 }
 
-impl RunReport {
-    /// Peak per-round message volume.
-    pub fn peak_round_messages(&self) -> u64 {
-        self.messages_per_round.iter().copied().max().unwrap_or(0)
-    }
+/// Cumulative process-wide executor setup wall, in nanoseconds.
+pub fn setup_wall_ns() -> u64 {
+    SETUP_WALL_NS.load(Ordering::Relaxed)
+}
 
-    /// Peak queue depth over the whole run.
-    pub fn peak_queue_depth(&self) -> u64 {
-        self.max_queue_depth_per_round
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
+/// Process-wide per-phase wall accumulators (deliver, compute,
+/// barrier), fed by every *timed* run (phase timing or tracing enabled)
+/// of every executor.
+static PHASE_WALL_NS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
-    /// Peak per-round active-node count (frontier width).
-    pub fn peak_active(&self) -> u64 {
-        self.active_per_round.iter().copied().max().unwrap_or(0)
-    }
+/// Adds one timed run's phase walls (see [`phase_wall_ns`]).
+pub(crate) fn add_phase_wall_ns(w: PhaseWall) {
+    PHASE_WALL_NS[0].fetch_add(w.deliver_ns, Ordering::Relaxed);
+    PHASE_WALL_NS[1].fetch_add(w.compute_ns, Ordering::Relaxed);
+    PHASE_WALL_NS[2].fetch_add(w.barrier_ns, Ordering::Relaxed);
+}
 
-    /// Builds the top-K hot-edge list from per-directed-edge delivery
-    /// counts (queue index = `2 * edge_id + dir`, both engines'
-    /// convention).
-    pub fn rank_hot_edges(per_directed: &[u64]) -> Vec<(EdgeId, u64)> {
-        let m = per_directed.len() / 2;
-        let mut per_edge: Vec<(EdgeId, u64)> = (0..m)
-            .map(|e| (e, per_directed[2 * e] + per_directed[2 * e + 1]))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        per_edge.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        per_edge.truncate(HOT_EDGE_TOP_K);
-        per_edge
+/// Cumulative process-wide `(deliver_ns, compute_ns, barrier_ns)`.
+pub fn phase_wall_ns() -> (u64, u64, u64) {
+    (
+        PHASE_WALL_NS[0].load(Ordering::Relaxed),
+        PHASE_WALL_NS[1].load(Ordering::Relaxed),
+        PHASE_WALL_NS[2].load(Ordering::Relaxed),
+    )
+}
+
+/// `(n, m, fp₁, fp₂)` — see the module docs on collision odds.
+pub type TopoKey = (usize, usize, u64, u64);
+
+/// The fingerprint of `graph`: a pure function of the topology (ordered
+/// endpoint list), independent of edge weights.
+pub fn topo_key(graph: &Graph) -> TopoKey {
+    let mut s1: u64 = 0x243F_6A88_85A3_08D3; // pi digits; any fixed seeds do
+    let mut s2: u64 = 0x1319_8A2E_0370_7344;
+    let (mut fp1, mut fp2) = (0u64, 0u64);
+    for e in graph.edges() {
+        let word = ((e.u as u64) << 32) | e.v as u64;
+        fp1 = fp1.wrapping_add(splitmix64(s1 ^ word)).rotate_left(7);
+        fp2 = fp2.wrapping_add(splitmix64(s2 ^ word)).rotate_left(11);
+        s1 = s1.wrapping_add(1);
+        s2 = s2.wrapping_add(3);
     }
+    (graph.n(), graph.m(), fp1, fp2)
 }
 
 // ---------------------------------------------------------------------------
@@ -812,14 +831,23 @@ mod tests {
     }
 
     #[test]
-    fn run_report_peaks_and_hot_edges() {
-        let per_directed = vec![3, 1, 0, 0, 2, 9];
-        let hot = RunReport::rank_hot_edges(&per_directed);
-        assert_eq!(hot, vec![(2, 11), (0, 4)]);
-        let r = RunReport::default();
-        assert_eq!(r.peak_round_messages(), 0);
-        assert_eq!(r.peak_queue_depth(), 0);
-        assert_eq!(r.peak_active(), 0);
+    fn peaks_take_maxima_and_phase_walls_add() {
+        let mut p = Peaks::default();
+        p.absorb(Peaks {
+            round_messages: 5,
+            queue_depth: 1,
+        });
+        p.absorb(Peaks {
+            round_messages: 2,
+            queue_depth: 4,
+        });
+        assert_eq!(
+            p,
+            Peaks {
+                round_messages: 5,
+                queue_depth: 4
+            }
+        );
         let mut w = PhaseWall::default();
         w.absorb(PhaseWall {
             deliver_ns: 1,

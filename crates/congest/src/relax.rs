@@ -342,11 +342,6 @@ impl RelaxTable {
         self.get(key).and_then(Slot::parent)
     }
 
-    /// Number of reached keys.
-    pub fn reached_len(&self) -> usize {
-        self.slots.iter().filter(|s| s.reached()).count()
-    }
-
     /// Iterates the reached keys in ascending key order as
     /// `(key, dist, parent)`.
     pub fn iter_reached(&self) -> impl Iterator<Item = (usize, Weight, Option<NodeId>)> + '_ {
@@ -567,7 +562,7 @@ mod tests {
         assert_eq!(out[1].nearest(), Some((0, 10)));
         assert_eq!(out[1].parent(0), Some(0));
         assert_eq!(out[0].parent(0), None, "seeds have no parent");
-        assert_eq!(out[2].reached_len(), 0, "middle unreached");
+        assert_eq!(out[2].iter_reached().count(), 0, "middle unreached");
         assert_eq!(
             out[4].iter_reached().collect::<Vec<_>>(),
             vec![(1, 0, None)],

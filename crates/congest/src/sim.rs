@@ -124,9 +124,6 @@ struct SimScratch {
     still_charged: Vec<usize>,
     next_carry: Vec<NodeId>,
     active_scratch: Vec<NodeId>,
-    /// Record-mode per-directed-edge delivery counters (zero-filled at
-    /// the start of each recording run).
-    per_directed: Vec<u64>,
 }
 
 /// The CONGEST network simulator.
@@ -270,7 +267,6 @@ impl<'g> Simulator<'g> {
             mut still_charged,
             mut next_carry,
             mut active_scratch,
-            mut per_directed,
         } = std::mem::take(&mut self.scratch);
         staged.clear();
         charged_list.clear();
@@ -301,12 +297,7 @@ impl<'g> Simulator<'g> {
         let mut charged = std::mem::take(&mut self.charged);
         let mut charged_dirty = false;
 
-        let record = log.recording();
         let timed = log.timed();
-        if record {
-            per_directed.clear();
-            per_directed.resize(2 * self.graph.m(), 0);
-        }
         log.setup_done();
 
         // init
@@ -356,11 +347,15 @@ impl<'g> Simulator<'g> {
             delivered.clear();
             still_charged.clear();
             let mut round_delivered: u64 = 0;
+            let mut round_queue: u64 = 0;
             for &qi in &charged_list {
                 let target = receivers[qi];
                 if delivered.last().map(|&(v, ())| v) != Some(target) {
                     delivered.push((target, ()));
                 }
+                // Every non-empty queue is charged, so this max, read
+                // before popping, covers all 2m queues.
+                round_queue = round_queue.max(heads[qi].len() as u64);
                 let mut popped: u64 = 0;
                 for _ in 0..cap {
                     match slab.pop(&mut heads[qi], qi) {
@@ -375,9 +370,6 @@ impl<'g> Simulator<'g> {
                     }
                 }
                 round_delivered += popped;
-                if record && popped > 0 {
-                    per_directed[qi] += popped;
-                }
                 if let Some(ns) = node_stats.as_mut() {
                     ns.delivered[target] += popped;
                 }
@@ -461,22 +453,12 @@ impl<'g> Simulator<'g> {
                 inboxes[v].clear();
             }
             let compute_ns = t_compute.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            // At a round boundary every non-empty queue is in
-            // `charged_list` (the invariant above), so the max over it
-            // is the max over all 2m queues — the engine's "depth after
-            // this round's sends".
-            let depth = if record {
-                let depths = charged_list.iter().map(|&qi| heads[qi].len() as u64);
-                depths.max().unwrap_or(0)
-            } else {
-                0
-            };
             let wall = PhaseWall {
                 deliver_ns,
                 compute_ns,
                 barrier_ns: 0,
             };
-            log.round(round_delivered, active_count, depth, wall);
+            log.round(round_delivered, active_count, round_queue, wall);
         }
 
         // Quiescence drained every queue; hand the arena (entry pool,
@@ -494,10 +476,8 @@ impl<'g> Simulator<'g> {
             still_charged,
             next_carry,
             active_scratch,
-            per_directed,
         };
-        let per_directed = &self.scratch.per_directed;
-        self.core.end_run(log, node_stats, stats, per_directed, 1);
+        self.core.end_run(log, node_stats, stats);
         (programs.into_iter().map(Program::finish).collect(), stats)
     }
 }

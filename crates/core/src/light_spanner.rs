@@ -37,10 +37,14 @@
 //! has the bound), so both cases run `k − 1`.
 //!
 //! One deviation from the letter of the paper, recorded in DESIGN.md:
-//! in Case 2 the final edge-selection dedup is per *vertex* rather than
-//! per cluster (the paper pipelines a per-cluster dedup through the
-//! interval; we bound duplicates empirically instead — stretch is
-//! unaffected, size grows only marginally on our instances).
+//! Case 2's final edge selection runs no program. After the last
+//! exchange, `simulate_case2` itself reads every vertex's `heard`
+//! table and keeps, per `(cluster, source)` pair, the lightest
+//! candidate edge — the per-cluster dedup the paper pipelines through
+//! the communication interval. Its cost is booked through `Executor::charge`:
+//! `max_interval + max_selected` rounds (one interval traversal plus
+//! the largest per-cluster edge count) and one message per selected
+//! pair. Stretch is unaffected.
 
 use crate::tour_sweep::{tour_sweep, Direction, TourRouting};
 use congest::collective;

@@ -132,7 +132,7 @@ pub struct MultiSourceResult {
 
 impl MultiSourceResult {
     /// The key index of `src`, if it was a source.
-    pub fn source_index(&self, src: NodeId) -> Option<usize> {
+    fn source_index(&self, src: NodeId) -> Option<usize> {
         self.sources.binary_search(&src).ok()
     }
 

@@ -21,10 +21,7 @@
 //!    tree in `G` with `d_T(rt,v) ≤ est(v)`.
 //!
 //! Because every `≥ √n`-hop shortest path contains a landmark in each
-//! `√n`-hop window w.h.p., the estimates are *exact* w.h.p.; the
-//! optional `epsilon` knob quantizes the reported estimates upward to
-//! emulate the (1+ε) slack of \[BKKL17\] and exercise downstream
-//! tolerance (the tree itself stays consistent).
+//! `√n`-hop window w.h.p., the estimates are *exact* w.h.p.
 //!
 //! # The adaptive landmark cutoff
 //!
@@ -64,10 +61,6 @@ use std::collections::HashMap;
 pub struct SptConfig {
     /// Seed for landmark sampling; every vertex holds it, like `n`.
     pub seed: u64,
-    /// Upward quantization of the reported estimates: estimates are
-    /// multiplied by `(1 + epsilon)` and rounded up. `0.0` reports the
-    /// raw (w.h.p. exact) values.
-    pub epsilon: f64,
     /// Number of landmarks. `None` (the default) is **adaptive**: a
     /// root-only probe first checks whether the hop budget truncates
     /// anything at all, and the landmark scheme runs only if it does —
@@ -85,7 +78,6 @@ impl SptConfig {
     pub fn new(seed: u64) -> Self {
         SptConfig {
             seed,
-            epsilon: 0.0,
             landmarks: None,
             hop_bound: None,
         }
@@ -97,31 +89,18 @@ impl SptConfig {
 pub struct ApproxSpt {
     /// The root.
     pub root: NodeId,
-    /// Distance estimates: `d_G(rt,v) ≤ dist[v]`, and w.h.p.
-    /// `dist[v] ≤ (1+ε)·d_G(rt,v)` (exact — deterministically — when
-    /// the adaptive probe certified the hop budget slack; see the
-    /// module docs).
+    /// Distance estimates: `d_G(rt,v) ≤ dist[v]`, with equality w.h.p.
+    /// — and deterministically when the adaptive probe certified the
+    /// hop budget slack (see the module docs).
     pub dist: Vec<Weight>,
     /// Parent towards the root over real graph edges; the tree path
-    /// from `v` has weight at most `dist[v]` (before quantization).
+    /// from `v` has weight at most `dist[v]`.
     pub parent: Vec<Option<NodeId>>,
     /// Rounds/messages of the construction.
     pub stats: RunStats,
 }
 
 impl ApproxSpt {
-    /// The tree path `[rt, …, v]`.
-    pub fn path_from_root(&self, v: NodeId) -> Vec<NodeId> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        path
-    }
-
     /// Largest finite distance estimate — the (approximate) weighted
     /// eccentricity of the root. Headline metric for the `scenario`
     /// runner's `landmark` sweeps. See [`congest::relax::max_finite`]
@@ -138,14 +117,6 @@ impl ApproxSpt {
         (0..self.dist.len())
             .filter_map(|v| Some(g.edge_between(v, self.parent[v]?)?.1))
             .collect()
-    }
-}
-
-fn quantize(d: Weight, epsilon: f64) -> Weight {
-    if epsilon <= 0.0 || d == 0 || d >= INF {
-        d
-    } else {
-        ((d as f64) * (1.0 + epsilon)).ceil() as Weight
     }
 }
 
@@ -370,10 +341,6 @@ pub fn approx_spt<'g>(
         }
     }
 
-    for d in &mut dist {
-        *d = quantize(*d, cfg.epsilon);
-    }
-
     let stats = sim.total().since(start);
     ApproxSpt {
         root: rt,
@@ -390,30 +357,29 @@ mod tests {
     use congest::Simulator;
     use lightgraph::{dijkstra, generators, Graph};
 
+    /// Weight of the tree path from `v` up to the root.
     fn tree_path_weight(g: &Graph, spt: &ApproxSpt, v: NodeId) -> Weight {
-        let path = spt.path_from_root(v);
-        path.windows(2)
-            .map(|p| g.edge_between(p[0], p[1]).expect("tree uses real edges").0)
-            .sum()
+        let mut weight = 0;
+        let mut cur = v;
+        while let Some(p) = spt.parent[cur] {
+            weight += g.edge_between(cur, p).expect("tree uses real edges").0;
+            cur = p;
+        }
+        weight
     }
 
-    fn check(g: &Graph, rt: NodeId, seed: u64, eps: f64) {
+    fn check(g: &Graph, rt: NodeId, seed: u64) {
         let mut sim = Simulator::new(g);
         let (tau, _) = build_bfs_tree(&mut sim, rt);
-        let cfg = SptConfig {
-            epsilon: eps,
-            ..SptConfig::new(seed)
-        };
-        let spt = approx_spt(&mut sim, &tau, rt, &cfg);
+        let spt = approx_spt(&mut sim, &tau, rt, &SptConfig::new(seed));
         let oracle = dijkstra::shortest_paths(g, rt);
         for v in 0..g.n() {
             assert!(
                 spt.dist[v] >= oracle.dist[v],
                 "estimate below true distance at {v}"
             );
-            let slack = (1.0 + eps) * 1.0001;
             assert!(
-                (spt.dist[v] as f64) <= (oracle.dist[v] as f64) * slack + 1.0,
+                (spt.dist[v] as f64) <= (oracle.dist[v] as f64) * 1.0001 + 1.0,
                 "estimate too large at {v}: {} vs {}",
                 spt.dist[v],
                 oracle.dist[v]
@@ -434,23 +400,16 @@ mod tests {
     fn exact_on_random_graphs() {
         for seed in 0..3 {
             let g = generators::erdos_renyi(60, 0.1, 40, seed);
-            check(&g, 0, seed, 0.0);
+            check(&g, 0, seed);
         }
     }
 
     #[test]
     fn exact_on_structured_graphs() {
-        check(&generators::path(50, 7), 0, 1, 0.0);
-        check(&generators::grid(7, 7, 12, 2), 3, 2, 0.0);
-        check(&generators::random_geometric(50, 0.3, 3), 5, 3, 0.0);
-        check(&generators::caterpillar(12, 2, 4), 0, 4, 0.0);
-    }
-
-    #[test]
-    fn quantized_estimates_respect_slack() {
-        let g = generators::erdos_renyi(50, 0.12, 30, 5);
-        check(&g, 0, 5, 0.25);
-        check(&g, 0, 5, 1.0);
+        check(&generators::path(50, 7), 0, 1);
+        check(&generators::grid(7, 7, 12, 2), 3, 2);
+        check(&generators::random_geometric(50, 0.3, 3), 5, 3);
+        check(&generators::caterpillar(12, 2, 4), 0, 4);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Value {
     }
 
     /// Float view (integers coerce).
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match *self {
             Value::Int(x) => Some(x as f64),
             Value::Float(f) => Some(f),
@@ -52,7 +52,7 @@ impl Value {
     }
 
     /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
+    fn as_bool(&self) -> Option<bool> {
         match *self {
             Value::Bool(b) => Some(b),
             _ => None,
@@ -68,7 +68,7 @@ impl Value {
     }
 
     /// Array view.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(xs) => Some(xs),
             _ => None,

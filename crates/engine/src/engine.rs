@@ -287,8 +287,6 @@ struct ShardState {
     /// Inbox arena + per-node ranges for the current round.
     arena: Vec<(NodeId, Message)>,
     inbox_ranges: Vec<(NodeId, (usize, usize))>,
-    /// Record-mode: own out-queues that may be non-empty.
-    out_backlog: Vec<DirectedId>,
     /// Scratch for `Ctx` staging.
     staged: Vec<(NodeId, Message)>,
 }
@@ -315,20 +313,12 @@ struct RunArena {
     /// Per-shard claim epochs (reset to 0 between runs — `O(nshards)`,
     /// not `O(n)`).
     claims: Vec<AtomicU64>,
-    /// Record-mode per-directed-edge delivery counters and backlog
-    /// membership flags; kept across runs and fill-reset so recording
-    /// composite workloads stays allocation-free too.
-    per_directed: Vec<u64>,
-    in_backlog: Vec<bool>,
 }
 
 impl RunArena {
     /// Readies the arena for a run over `directed` queues and `nshards`
-    /// shards: resized on a geometry change, claim epochs reset, and —
-    /// when `record`ing — the per-directed delivery counters and the
-    /// backlog flags (which let the per-round depth histogram scan each
-    /// sender's backlog instead of all `2m` queues) fill-reset.
-    fn checkout(&mut self, directed: usize, nshards: usize, record: bool) {
+    /// shards: resized on a geometry change, claim epochs reset.
+    fn checkout(&mut self, directed: usize, nshards: usize) {
         if self.heads.len() != directed {
             self.heads = vec![EdgeQueue::EMPTY; directed];
             self.charged = vec![false; directed];
@@ -345,12 +335,6 @@ impl RunArena {
             }
         }
         debug_assert!(self.heads.iter().all(EdgeQueue::is_empty));
-        if record {
-            self.per_directed.clear();
-            self.per_directed.resize(directed, 0);
-            self.in_backlog.clear();
-            self.in_backlog.resize(directed, false);
-        }
     }
 }
 
@@ -477,7 +461,7 @@ impl<'g> Engine<'g> {
         // clause 7), so the merge semantics are the simulator's by
         // construction.
         let mut arena = std::mem::take(&mut self.arena);
-        arena.checkout(topo.csr.directed_len(), plan.shards.len(), log.recording());
+        arena.checkout(topo.csr.directed_len(), plan.shards.len());
         let track_nodes = node_stats.is_some();
         let mut node_stats = node_stats.unwrap_or_default();
         // Everything up to here — a stressed plan cut, arena checkout,
@@ -493,7 +477,6 @@ impl<'g> Engine<'g> {
                 nshards: plan.shards.len(),
                 cap: self.cap() as u64,
                 max_rounds: self.core.max_rounds(),
-                record: log.recording(),
                 timed: log.timed(),
                 track_nodes,
                 programs: SharedSlice::new(&mut programs),
@@ -502,8 +485,6 @@ impl<'g> Engine<'g> {
                 charged: SharedSlice::new(&mut arena.charged),
                 touched: SharedSlice::new(&mut arena.touched),
                 states: SharedSlice::new(&mut arena.states),
-                per_directed: SharedSlice::new(&mut arena.per_directed),
-                in_backlog: SharedSlice::new(&mut arena.in_backlog),
                 ns_sent: SharedSlice::new(&mut node_stats.sent),
                 ns_delivered: SharedSlice::new(&mut node_stats.delivered),
                 ns_invocations: SharedSlice::new(&mut node_stats.invocations),
@@ -538,9 +519,7 @@ impl<'g> Engine<'g> {
         // drop it instead — their queues may be non-empty.
         self.arena = arena;
         let node_stats = track_nodes.then_some(node_stats);
-        let per_directed = &self.arena.per_directed;
-        self.core
-            .end_run(log, node_stats, stats, per_directed, threads);
+        self.core.end_run(log, node_stats, stats);
         (programs.into_iter().map(Program::finish).collect(), stats)
     }
 }
@@ -571,11 +550,11 @@ struct Counters {
     /// delivered + combined.
     sent: AtomicU64,
     combined: AtomicU64,
-    /// The current round's deliveries, invocations and (record mode)
-    /// largest queue after its sends.
+    /// The current round's deliveries, invocations and longest queue
+    /// that delivery visited (read before popping).
     round_delivered: AtomicU64,
     round_active: AtomicU64,
-    round_depth: AtomicU64,
+    round_queue: AtomicU64,
     /// Worker 0's broadcast decision, one of the `CTRL_*` codes; stored
     /// before barrier #1, loaded after.
     ctrl_code: AtomicU64,
@@ -609,7 +588,6 @@ struct RunCtx<'a, P> {
     nshards: usize,
     cap: u64,
     max_rounds: u64,
-    record: bool,
     timed: bool,
     track_nodes: bool,
     programs: SharedSlice<'a, P>,
@@ -625,8 +603,6 @@ struct RunCtx<'a, P> {
     /// shard `s` toward receiver shard `r`.
     touched: SharedSlice<'a, Vec<DirectedId>>,
     states: SharedSlice<'a, ShardState>,
-    per_directed: SharedSlice<'a, u64>,
-    in_backlog: SharedSlice<'a, bool>,
     /// Per-node counters (empty unless `track_nodes`): `sent` and
     /// `invocations` indexed by owned nodes, `delivered` by owned
     /// receivers — the same sharding as programs and queues.
@@ -737,7 +713,7 @@ impl<P: Program> RunCtx<'_, P> {
             log.round(
                 c.round_delivered.swap(0, Ordering::SeqCst),
                 c.round_active.swap(0, Ordering::SeqCst),
-                c.round_depth.swap(0, Ordering::SeqCst),
+                c.round_queue.swap(0, Ordering::SeqCst),
                 wall,
             );
         }
@@ -786,7 +762,7 @@ impl<P: Program> RunCtx<'_, P> {
                 &mut st.staged,
             );
             p.init(&mut ctx);
-            self.stage(s, v, p, &mut st.staged, &mut st.out_backlog, &mut t);
+            self.stage(s, v, p, &mut st.staged, &mut t);
             if !p.is_quiescent() {
                 st.carry_nodes.push(v);
             }
@@ -798,16 +774,14 @@ impl<P: Program> RunCtx<'_, P> {
     /// outgoing queues: the one staging path of init and compute. A
     /// message either merges into a co-queued one per the sender's
     /// combiner (clause 7, through the shared slab; that queue was
-    /// non-empty, so it is already charged and backlogged) or is
-    /// appended, charging an idle queue into bucket
-    /// `(s, receiver shard)` and, in record mode, `s`'s backlog list.
+    /// non-empty, so it is already charged) or is appended, charging an
+    /// idle queue into bucket `(s, receiver shard)`.
     fn stage(
         &self,
         s: usize,
         v: NodeId,
         p: &P,
         staged: &mut Vec<(NodeId, Message)>,
-        backlog: &mut Vec<DirectedId>,
         t: &mut Tally,
     ) {
         debug_assert_eq!(self.shard_of(v), s, "sender {v} outside its shard");
@@ -841,13 +815,6 @@ impl<P: Program> RunCtx<'_, P> {
                     *ch = true;
                     self.touched.get_mut(ci).push(d);
                 }
-                if self.record {
-                    let ib = self.in_backlog.get_mut(d);
-                    if !*ib {
-                        *ib = true;
-                        backlog.push(d);
-                    }
-                }
             }
         }
     }
@@ -856,7 +823,8 @@ impl<P: Program> RunCtx<'_, P> {
     /// in column `s` to the still-charged carryover, then pops up to
     /// `cap` messages per charged queue into the shard's inbox arena in
     /// `(receiver, directed id)` order, the simulator's per-node inbox
-    /// order, and publishes the deliveries.
+    /// order, and publishes the deliveries and the longest queue it
+    /// visited.
     fn deliver(&self, s: usize) {
         // SAFETY: deliver phase; this worker claimed shard `s`.
         let ShardState {
@@ -881,7 +849,7 @@ impl<P: Program> RunCtx<'_, P> {
         if fresh {
             carry_edges.sort_unstable_by_key(|&d| (receivers[d], d));
         }
-        let mut delivered = 0u64;
+        let (mut delivered, mut longest) = (0u64, 0u64);
         next_edges.clear();
         for &d in carry_edges.iter() {
             let v = receivers[d];
@@ -898,6 +866,7 @@ impl<P: Program> RunCtx<'_, P> {
             // counter and the column-`s` cell are this shard's alone.
             unsafe {
                 let (cell, q) = (self.slabs.get_mut(ci), self.heads.get_mut(d));
+                longest = longest.max(q.len() as u64);
                 let mut popped = 0u64;
                 while popped < self.cap {
                     match cell.pop(q, d) {
@@ -909,9 +878,6 @@ impl<P: Program> RunCtx<'_, P> {
                     }
                 }
                 delivered += popped;
-                if self.record && popped > 0 {
-                    *self.per_directed.get_mut(d) += popped;
-                }
                 if self.track_nodes && popped > 0 {
                     *self.ns_delivered.get_mut(v) += popped;
                 }
@@ -928,15 +894,13 @@ impl<P: Program> RunCtx<'_, P> {
         self.c
             .round_delivered
             .fetch_add(delivered, Ordering::SeqCst);
+        self.c.round_queue.fetch_max(longest, Ordering::SeqCst);
     }
 
     /// Claimed shard `s`'s compute at logical round `round`: runs its
     /// active programs (deliveries ∪ non-quiescent carryover — clause 5
     /// via the shared merge), stages their sends, rotates the
-    /// carryover, and publishes the invocations and, in record mode,
-    /// the largest queue among the shard's backlogged out-queues —
-    /// queues outside the backlog are empty, so this matches a full
-    /// `2m`-queue sweep at frontier-proportional cost.
+    /// carryover, and publishes the invocations.
     fn compute(&self, s: usize, round: u64) {
         // SAFETY: compute phase; this worker claimed shard `s`.
         let ShardState {
@@ -944,7 +908,6 @@ impl<P: Program> RunCtx<'_, P> {
             next_nodes,
             arena,
             inbox_ranges,
-            out_backlog,
             staged,
             ..
         } = unsafe { self.states.get_mut(s) };
@@ -971,7 +934,7 @@ impl<P: Program> RunCtx<'_, P> {
                 &mut *staged,
             );
             p.round(&mut ctx, &arena[lo..hi]);
-            self.stage(s, v, p, &mut *staged, &mut *out_backlog, &mut t);
+            self.stage(s, v, p, &mut *staged, &mut t);
             if !p.is_quiescent() {
                 next_nodes.push(v);
             }
@@ -979,31 +942,6 @@ impl<P: Program> RunCtx<'_, P> {
         std::mem::swap(carry_nodes, next_nodes);
         self.publish(&t, carry_nodes.len() as i64 - carried);
         self.c.round_active.fetch_add(active, Ordering::SeqCst);
-        if self.record {
-            let mut depth = 0;
-            out_backlog.retain(|&d| {
-                let sender = self.topo.senders[d];
-                debug_assert_eq!(
-                    self.shard_of(sender),
-                    s,
-                    "sender {sender} outside its shard"
-                );
-                // SAFETY: compute phase of the claimed shard `s`, the
-                // unique sender on its backlogged queue `d`; `d`'s
-                // receiver pops it only in a later deliver phase.
-                let len = unsafe { self.heads.get_mut(d) }.len() as u64;
-                if len == 0 {
-                    // SAFETY: as above; only the sender shard keeps
-                    // `d`'s backlog flag.
-                    *unsafe { self.in_backlog.get_mut(d) } = false;
-                    false
-                } else {
-                    depth = depth.max(len);
-                    true
-                }
-            });
-            self.c.round_depth.fetch_max(depth, Ordering::SeqCst);
-        }
     }
 
     fn shard_of(&self, v: NodeId) -> usize {
@@ -1334,88 +1272,91 @@ mod tests {
         }
     }
 
+    /// Runs Burst k = 4 then k = 2 on `root` (a path over nodes 0..3),
+    /// then a deeper burst and a flood on a sub-executor over a
+    /// triangle on the same nodes, booked with `charge_sub`: the
+    /// root's peaks cover both of its runs, the init burst included,
+    /// and rise with the sub-executor's.
+    fn check_peaks<'g, E: Executor<'g>>(mut root: E, name: &str) {
+        root.run(|_, _| Burst { k: 4, received: 0 });
+        root.run(|_, _| Burst { k: 2, received: 0 });
+        let after_bursts = congest::Peaks {
+            round_messages: 1,
+            queue_depth: 4,
+        };
+        assert_eq!(root.peaks(), after_bursts, "{name}: the k = 4 run counts");
+
+        let h = lightgraph::Graph::from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]).unwrap();
+        let mut sub = root.sub(&h);
+        assert_eq!(sub.peaks(), congest::Peaks::default(), "{name}: zero peaks");
+        sub.run(|_, _| Burst { k: 6, received: 0 });
+        sub.run(|_, _| Flood { have: false });
+        assert_eq!(root.peaks(), after_bursts, "{name}: not booked yet");
+        root.charge_sub(&sub);
+        let booked = congest::Peaks {
+            round_messages: 4,
+            queue_depth: 6,
+        };
+        assert_eq!(
+            root.peaks(),
+            booked,
+            "{name}: the sub's peaks raise the root's"
+        );
+        root.reset_total();
+        assert_eq!(root.peaks(), congest::Peaks::default(), "{name}: reset");
+    }
+
     #[test]
-    fn report_collects_histograms_and_hot_edges() {
+    fn peaks_cover_every_run_and_sub_executor() {
         let g = lightgraph::Graph::from_edges(3, [(0, 1, 1), (1, 2, 1)]).unwrap();
-        let mut eng = Engine::with_threads(&g, 2);
-        eng.set_record_metrics(true);
-        let (_, stats) = eng.run(|_, _| Burst { k: 4, received: 0 });
-        let report = eng.last_report().expect("recording enabled");
-        assert_eq!(report.rounds, stats.rounds);
-        assert_eq!(report.total_messages, stats.messages);
-        assert_eq!(report.messages_delivered, stats.messages_delivered());
-        assert_eq!(report.messages_combined, stats.messages_combined);
-        assert_eq!(
-            report.messages_per_round.iter().sum::<u64>(),
-            report.messages_delivered
-        );
-        assert_eq!(
-            report.active_per_round.iter().sum::<u64>(),
-            Executor::frontier_total(&eng).invocations,
-            "active histogram sums to the invocation count"
-        );
-        assert_eq!(
-            report.peak_active(),
-            Executor::frontier_total(&eng).peak_active
-        );
-        assert_eq!(report.hot_edges[0].0, 0, "edge 0 carries the burst");
-        assert_eq!(
-            report.peak_queue_depth(),
-            3,
-            "k-1 messages remain after round 1"
-        );
-        assert_eq!(report.threads, 2);
+        check_peaks(Simulator::new(&g), "sim");
+        for threads in [1, 2] {
+            let name = format!("engine({threads})");
+            check_peaks(Engine::with_threads(&g, threads), &name);
+        }
+    }
+
+    /// The deterministic fields `(round, delivered, active)` of every
+    /// round record `exec` writes to a trace while flooding from node 0.
+    fn traced_rounds<'g, E: Executor<'g>>(mut exec: E) -> Vec<(u64, u64, u64)> {
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let sink = congest::TraceSink::shared(Box::new(SharedBuf(written.clone())));
+        exec.set_trace(Some(sink.clone()));
+        exec.run(|_, _| Flood { have: false });
+        sink.lock().unwrap().flush().unwrap();
+        let trace = String::from_utf8(written.lock().unwrap().clone()).unwrap();
+        let field = |line: &str, key: &str| -> u64 {
+            let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let end = line[at..].find([',', '}']).expect("field ends") + at;
+            line[at..end].parse().expect("integer field")
+        };
+        trace
+            .lines()
+            .filter(|l| l.contains("\"type\":\"round\""))
+            .map(|l| (field(l, "round"), field(l, "delivered"), field(l, "active")))
+            .collect()
     }
 
     #[test]
     fn report_series_identical_across_threads() {
-        // One shard at threads=1, stolen overshards beyond: every
-        // per-round histogram column must match bit for bit, whichever
-        // worker ran which shard in which round.
+        // One shard at threads=1, stolen overshards beyond: the trace's
+        // per-round series must match the simulator's bit for bit,
+        // whichever worker ran which shard in which round.
         let g = generators::path(24, 1);
-        let mut sim = Simulator::new(&g);
-        let (os, ss) = sim.run(|_, _| Flood { have: false });
-        let mut reference: Option<congest::RunReport> = None;
+        let reference = traced_rounds(Simulator::new(&g));
+        assert_eq!(reference.len(), 24, "23 hops, then the far end's echo");
+        assert_eq!(reference[0], (1, 1, 1));
         for threads in [1, 2, 4] {
-            let mut eng = Engine::with_threads(&g, threads);
-            eng.set_record_metrics(true);
-            let (oe, se) = eng.run(|_, _| Flood { have: false });
-            assert_eq!(os, oe, "outputs (threads={threads})");
-            assert_eq!(ss, se, "stats (threads={threads})");
-            assert_eq!(
-                sim.frontier_total(),
-                Executor::frontier_total(&eng),
-                "frontier (threads={threads})"
-            );
-            let report = eng.last_report().expect("recording enabled");
-            if let Some(r) = reference.as_ref() {
-                assert_eq!(
-                    r.messages_per_round, report.messages_per_round,
-                    "messages/round (threads={threads})"
-                );
-                assert_eq!(
-                    r.active_per_round, report.active_per_round,
-                    "active/round (threads={threads})"
-                );
-                assert_eq!(
-                    r.max_queue_depth_per_round, report.max_queue_depth_per_round,
-                    "depth/round (threads={threads})"
-                );
-                assert_eq!(
-                    r.hot_edges, report.hot_edges,
-                    "hot edges (threads={threads})"
-                );
-            } else {
-                reference = Some(report.clone());
-            }
+            let series = traced_rounds(Engine::with_threads(&g, threads));
+            assert_eq!(reference, series, "threads={threads}");
         }
     }
 
     #[test]
     fn stress_seeds_never_change_outputs() {
         // Randomized shard cuts and steal orders must be invisible:
-        // same outputs, stats, frontier, and report series for every
-        // seed. This is the in-tree face of ENGINE_SHARD_STRESS=1.
+        // same outputs, stats, frontier and peaks for every seed. This
+        // is the in-tree face of ENGINE_SHARD_STRESS=1.
         let g = generators::erdos_renyi(48, 0.1, 9, 3);
         let mut sim = Simulator::new(&g);
         let (os, ss) = sim.run(|_, _| Flood { have: false });
@@ -1423,7 +1364,6 @@ mod tests {
             for seed in 0..6u64 {
                 let mut eng = Engine::with_threads(&g, threads);
                 eng.set_shard_stress_seed(Some(seed));
-                eng.set_record_metrics(true);
                 let (oe, se) = eng.run(|_, _| Flood { have: false });
                 assert_eq!(os, oe, "outputs (threads={threads}, seed={seed})");
                 assert_eq!(ss, se, "stats (threads={threads}, seed={seed})");
@@ -1431,6 +1371,11 @@ mod tests {
                     sim.frontier_total(),
                     Executor::frontier_total(&eng),
                     "frontier (threads={threads}, seed={seed})"
+                );
+                assert_eq!(
+                    sim.peaks(),
+                    Executor::peaks(&eng),
+                    "peaks (threads={threads}, seed={seed})"
                 );
             }
         }
@@ -1481,7 +1426,6 @@ mod tests {
         assert_eq!(ss.messages_delivered(), ss.messages - 9);
         for threads in [1, 2, 3] {
             let mut eng = Engine::with_threads(&g, threads);
-            eng.set_record_metrics(true);
             let (oe, se) = eng.run(|_, _| KeyedBurst {
                 k: 10,
                 got: Vec::new(),
@@ -1493,9 +1437,7 @@ mod tests {
                 Executor::frontier_total(&eng),
                 "frontier (threads={threads})"
             );
-            let report = eng.last_report().expect("recording enabled");
-            assert_eq!(report.messages_combined, se.messages_combined);
-            assert_eq!(report.messages_delivered, se.messages_delivered());
+            assert_eq!(sim.peaks(), Executor::peaks(&eng), "threads={threads}");
         }
     }
 
@@ -1529,14 +1471,14 @@ mod tests {
 
     /// Configures `root`, runs it twice, and checks that its totals
     /// accumulate and that a sub-executor inherits every setting — the
-    /// cap, the round guard, metrics recording, node stats and the
-    /// trace sink — while its own totals start at zero.
+    /// cap, the round guard, phase timing, node stats and the trace
+    /// sink — while its own totals start at zero.
     fn check_sub_inherits<'g, E: Executor<'g>>(mut root: E, name: &str) {
         let written = Arc::new(Mutex::new(Vec::new()));
         let sink = congest::TraceSink::shared(Box::new(SharedBuf(written.clone())));
         root.set_cap(5);
         root.set_max_rounds(100);
-        root.set_record_metrics(true);
+        root.set_time_phases(true);
         root.set_record_node_stats(true);
         root.set_trace(Some(sink.clone()));
         root.run(|_, _| Burst { k: 3, received: 0 });
@@ -1553,12 +1495,13 @@ mod tests {
             "{name}: zero frontier totals"
         );
         assert!(sub.node_stats().is_some(), "{name}: node stats");
+        let core = format!("{:?}", sub.core());
+        assert!(core.contains("time_phases: true"), "{name}: {core}");
         let (_, stats) = sub.run(|_, _| Burst { k: 10, received: 0 });
         assert_eq!(
             stats.rounds, 2,
             "{name}: the inherited cap halves the rounds"
         );
-        assert!(sub.last_report().is_some(), "{name}: metrics recording");
         sink.lock().unwrap().flush().unwrap();
         let trace = String::from_utf8(written.lock().unwrap().clone()).unwrap();
         let rounds = trace.matches("\"type\":\"round\"").count();

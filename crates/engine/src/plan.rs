@@ -1,4 +1,4 @@
-//! The engine's topology-derived structure (see `congest::plan`).
+//! The engine's topology-derived structure.
 //!
 //! Everything the engine derives from the input **topology alone** —
 //! the CSR index and the per-directed-edge sender/receiver maps — is

@@ -32,7 +32,7 @@ use crate::config::{self, Table, Value};
 use crate::Engine;
 use congest::obs;
 use congest::tree::build_bfs_tree;
-use congest::{Executor, RunReport, RunStats, SharedTraceSink, Simulator, TraceSink};
+use congest::{Executor, RunStats, SharedTraceSink, Simulator, TraceSink};
 use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
 use dist_sssp::bellman::bellman_ford;
@@ -118,22 +118,24 @@ pub struct Row {
     /// Per-run executor setup wall (a stressed run's plan cut, arena
     /// checkout, program construction) summed over every run and
     /// sub-run of the cell, in milliseconds. Read from a process-wide
-    /// accumulator (`congest::plan::setup_wall_ns`), so concurrent
+    /// accumulator (`congest::obs::setup_wall_ns`), so concurrent
     /// sweeps in one process inflate it; machine-dependent.
     pub setup_ms: f64,
     /// Algorithm-specific headline number, e.g. BFS height, MST weight.
     pub metric_name: &'static str,
     /// Value of the headline metric.
     pub metric: u64,
-    /// Most messages delivered in one round, when recorded. Like
-    /// `peak_queue_depth`, it covers only the cell's *last* root
-    /// executor run (`Executor::last_report`): 0 on every `mst` row,
-    /// `breakpoints - 1` on every `slt` row.
+    /// Most messages delivered in one round, when recorded: the peak
+    /// over every run of the cell, sub-executors included
+    /// (`Executor::peaks`). Deterministic and engine-identical.
     pub peak_round_messages: Option<u64>,
-    /// Deepest per-edge queue in any round of the last root run.
+    /// Longest any directed-edge queue grew in any run of the cell,
+    /// read at delivery (`Executor::peaks`), when recorded.
     pub peak_queue_depth: Option<u64>,
-    /// Wall time of the deliver phase (machine-dependent; scrubbed
-    /// wherever pinned, like `wall_ms`).
+    /// Wall time of the deliver phase summed over every run and sub-run
+    /// of the cell, read like `setup_ms` from a process-wide
+    /// accumulator (`congest::obs::phase_wall_ns`), when recorded
+    /// (machine-dependent; scrubbed wherever pinned, like `wall_ms`).
     pub deliver_ms: Option<f64>,
     /// Wall time of the compute phase (machine-dependent).
     pub compute_ms: Option<f64>,
@@ -264,6 +266,7 @@ impl Row {
             self.active_peak,
             self.active_mean.to_bits(),
             self.metric,
+            (self.peak_round_messages, self.peak_queue_depth),
             (self.msg_max_node, self.msg_max, self.msg_p50, self.msg_p99),
         )
     }
@@ -538,7 +541,7 @@ fn run_cell(
     which: &str,
     threads: usize,
     cell: &Cell<'_>,
-) -> Result<(Row, Option<RunReport>), String> {
+) -> Result<Row, String> {
     let start = Instant::now();
     if which == "sim" {
         measure_cell(Simulator::new(g), 1, start, globals, which, cell)
@@ -558,23 +561,25 @@ fn measure_cell<'g, E: Executor<'g>>(
     globals: &Globals,
     which: &str,
     cell: &Cell<'_>,
-) -> Result<(Row, Option<RunReport>), String> {
+) -> Result<Row, String> {
     let (n, m) = (exec.graph().n(), exec.graph().m());
     let scope = format!(
         "{}/n{}/{}/{}/s{}",
         cell.family, n, cell.algorithm, which, cell.seed
     );
     exec.set_cap(globals.cap);
-    exec.set_record_metrics(globals.record);
+    exec.set_time_phases(globals.record);
     exec.set_record_node_stats(globals.record);
     exec.set_trace(globals.trace.clone());
-    let setup0 = congest::plan::setup_wall_ns();
+    let setup0 = obs::setup_wall_ns();
+    let (d0, c0, b0) = obs::phase_wall_ns();
     let (stats, metric_name, metric) = drive_cell(&mut exec, globals, cell, &scope)?;
-    let setup_ms = (congest::plan::setup_wall_ns() - setup0) as f64 / 1e6;
+    let setup_ms = (obs::setup_wall_ns() - setup0) as f64 / 1e6;
+    let (d1, c1, b1) = obs::phase_wall_ns();
+    let phase_ms = |ns0: u64, ns1: u64| globals.record.then(|| (ns1 - ns0) as f64 / 1e6);
     let frontier = exec.frontier_total();
-    let report = exec.last_report().cloned();
+    let peaks = globals.record.then(|| exec.peaks());
     let summary = exec.node_stats().map(|ns| ns.summary());
-    let wall = globals.record.then(|| exec.wall_total());
     // The row's wall covers the executor's teardown too.
     drop(exec);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -594,17 +599,17 @@ fn measure_cell<'g, E: Executor<'g>>(
         setup_ms,
         metric_name,
         metric,
-        peak_round_messages: report.as_ref().map(|r| r.peak_round_messages()),
-        peak_queue_depth: report.as_ref().map(|r| r.peak_queue_depth()),
-        deliver_ms: wall.map(|w| w.deliver_ns as f64 / 1e6),
-        compute_ms: wall.map(|w| w.compute_ns as f64 / 1e6),
-        barrier_ms: wall.map(|w| w.barrier_ns as f64 / 1e6),
+        peak_round_messages: peaks.map(|p| p.round_messages),
+        peak_queue_depth: peaks.map(|p| p.queue_depth),
+        deliver_ms: phase_ms(d0, d1),
+        compute_ms: phase_ms(c0, c1),
+        barrier_ms: phase_ms(b0, b1),
         msg_max_node: summary.map(|s| s.msg_max_node as u64),
         msg_max: summary.map(|s| s.msg_max),
         msg_p50: summary.map(|s| s.msg_p50),
         msg_p99: summary.map(|s| s.msg_p99),
     };
-    Ok((row, report))
+    Ok(row)
 }
 
 /// Runs every `[[run]]` sweep of a parsed config, writing rows to
@@ -747,6 +752,18 @@ fn parse_run(run: &Table, base_seed: u64) -> Result<RunSpec, String> {
     if !eps.is_finite() || eps <= 0.0 || eps > 64.0 {
         return Err(format!("`eps` must be in (0, 64], got {eps}"));
     }
+    // `light_spanner` and `doubling_spanner` assert narrower ranges;
+    // reject here, before any cell runs, instead of panicking mid-sweep.
+    for algorithm in &algorithms {
+        let range = match algorithm.as_str() {
+            "spanner" if eps >= 1.0 => "(0, 1)",
+            "doubling" if eps > 1.0 => "(0, 1]",
+            _ => continue,
+        };
+        return Err(format!(
+            "`eps` must be in {range} for `{algorithm}`, got {eps}"
+        ));
+    }
     let net_slack = run.f64_or("net_slack", 0.5)?;
     if !net_slack.is_finite() || net_slack <= 0.0 || net_slack > 64.0 {
         return Err(format!("`net_slack` must be in (0, 64], got {net_slack}"));
@@ -805,41 +822,28 @@ fn sweep_run(globals: &Globals, run: &RunSpec, out: &mut dyn Write) -> Result<()
                     seed,
                 };
                 // Every run of the cell must match its first run on the
-                // probed columns (the active set is contract-determined,
-                // clause 8 extends that to the observers) and, with
-                // metrics recorded, on the per-round series of its last
-                // root executor run (all that `last_report` keeps).
-                let mut first: Option<(Row, Option<RunReport>)> = None;
+                // probed columns (the active set and the peaks are
+                // contract-determined; clause 8 extends that to the
+                // observers).
+                let mut first: Option<Row> = None;
                 for &(which, threads) in &globals.executors {
-                    let (row, report) = run_cell(globals, &g, which, threads, &cell)?;
+                    let row = run_cell(globals, &g, which, threads, &cell)?;
                     let line = match globals.format {
                         OutputFormat::Jsonl => row.to_json(),
                         OutputFormat::Csv => row.to_csv(),
                     };
                     writeln!(out, "{line}").map_err(|e| e.to_string())?;
-                    let Some((first_row, first_report)) = &first else {
-                        first = Some((row, report));
+                    let Some(first_row) = &first else {
+                        first = Some(row);
                         continue;
-                    };
-                    let violation = |what: String| {
-                        format!(
-                            "DETERMINISM VIOLATION: {} n={n} {algorithm} seed={seed}: {} \
-                             threads={} and {which} threads={threads}: {what}",
-                            run.family, first_row.engine, first_row.threads
-                        )
                     };
                     if first_row.probe() != row.probe() {
                         let (a, b) = (first_row.probe(), row.probe());
-                        return Err(violation(format!("{a:?} != {b:?}")));
-                    }
-                    if let (Some(a), Some(b)) = (first_report, &report) {
-                        if a.messages_per_round != b.messages_per_round
-                            || a.active_per_round != b.active_per_round
-                            || a.max_queue_depth_per_round != b.max_queue_depth_per_round
-                            || a.hot_edges != b.hot_edges
-                        {
-                            return Err(violation("per-round series differ".to_owned()));
-                        }
+                        return Err(format!(
+                            "DETERMINISM VIOLATION: {} n={n} {algorithm} seed={seed}: {} \
+                             threads={} and {which} threads={threads}: {a:?} != {b:?}",
+                            run.family, first_row.engine, first_row.threads
+                        ));
                     }
                 }
             }
@@ -855,7 +859,9 @@ mod tests {
     fn sweep_err(body: &str) -> String {
         let doc = config::parse(body).expect("config parses");
         let mut out = Vec::new();
-        run_sweep(&doc, &mut out).expect_err("sweep must be rejected")
+        let err = run_sweep(&doc, &mut out).expect_err("sweep must be rejected");
+        assert!(out.is_empty(), "rejected only after writing rows: {err}");
+        err
     }
 
     #[test]
@@ -873,6 +879,23 @@ mod tests {
         assert!(sweep_err(&cell("eps = 0.0")).contains("eps"));
         assert!(sweep_err(&cell("eps = -1.0")).contains("eps"));
         assert!(sweep_err(&cell("eps = 1000.0")).contains("eps"));
+        // The narrower ranges `light_spanner` and `doubling_spanner`
+        // assert are checked before any cell runs.
+        let eps_for = |algorithm: &str, eps: &str| {
+            cell(&format!("eps = {eps}")).replace("\"bfs\"", &format!("\"bfs\", \"{algorithm}\""))
+        };
+        let spanner = sweep_err(&eps_for("spanner", "1.0"));
+        assert!(
+            spanner.contains("`eps`") && spanner.contains("`spanner`"),
+            "{spanner}"
+        );
+        let doubling = sweep_err(&eps_for("doubling", "1.5"));
+        assert!(
+            doubling.contains("`eps`") && doubling.contains("`doubling`"),
+            "{doubling}"
+        );
+        let slt = config::parse(&eps_for("slt", "1.5")).expect("config parses");
+        run_sweep(&slt, &mut Vec::new()).expect("slt takes any eps > 0");
         assert!(sweep_err(&cell("k = 0")).contains("`k`"));
         assert!(sweep_err(&cell("net_delta = -5")).contains("net_delta"));
         assert!(sweep_err(&cell("net_slack = 0.0")).contains("net_slack"));

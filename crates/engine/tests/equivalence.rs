@@ -497,6 +497,7 @@ proptest! {
                 sim.frontier_total(),
                 "frontier stats (threads={})", threads
             );
+            prop_assert_eq!(Executor::peaks(&eng), sim.peaks(), "peaks (threads={})", threads);
         }
     }
 
@@ -514,7 +515,7 @@ proptest! {
             tokens_seen: 0,
             invoked: 0,
         });
-        let fs = sim.frontier_total();
+        let (fs, ps) = (sim.frontier_total(), sim.peaks());
         // The frontier bookkeeping is honest: counted invocations equal
         // what the programs observed.
         prop_assert_eq!(fs.invocations, os.iter().map(|&(_, i)| i).sum::<u64>());
@@ -533,6 +534,7 @@ proptest! {
                 fs, Executor::frontier_total(&eng),
                 "frontier stats (threads={})", threads
             );
+            prop_assert_eq!(ps, Executor::peaks(&eng), "peaks (threads={})", threads);
         }
     }
 
@@ -551,6 +553,10 @@ proptest! {
                 sim.frontier_total(),
                 Executor::frontier_total(&eng),
                 "cumulative frontier stats (threads={})", threads
+            );
+            prop_assert_eq!(
+                sim.peaks(), Executor::peaks(&eng),
+                "cumulative peaks (threads={})", threads
             );
         }
     }
@@ -589,6 +595,7 @@ proptest! {
                 sim_c.frontier_total(), Executor::frontier_total(&eng),
                 "frontier stats (threads={})", threads
             );
+            prop_assert_eq!(sim_c.peaks(), Executor::peaks(&eng), "peaks (threads={})", threads);
         }
     }
 
@@ -605,10 +612,10 @@ proptest! {
             let (o, s) = sim.run(|_, _| BurstBeacon {
                 use_combiner: comb, waves_left: waves, min_seen: u64::MAX, invoked: 0,
             });
-            (o, s, sim.frontier_total())
+            (o, s, sim.frontier_total(), sim.peaks())
         };
-        let (ou, su, fu) = run_sim(false);
-        let (oc, sc, fc) = run_sim(true);
+        let (ou, su, fu, _) = run_sim(false);
+        let (oc, sc, fc, pc) = run_sim(true);
         prop_assert_eq!(&ou, &oc, "outputs incl. per-node invocation counts");
         prop_assert_eq!(su.rounds, sc.rounds, "rounds");
         prop_assert_eq!(su.messages, sc.messages, "sent messages");
@@ -625,6 +632,7 @@ proptest! {
             });
             prop_assert_eq!(&oc, &oe, "outputs (threads={})", threads);
             prop_assert_eq!(sc, se, "stats (threads={})", threads);
+            prop_assert_eq!(pc, Executor::peaks(&eng), "peaks (threads={})", threads);
         }
     }
 
@@ -650,7 +658,7 @@ proptest! {
             let (tau, _) = build_bfs_tree(&mut sim, 0);
             let (map, stats) =
                 collective::converge_merged_with(&mut sim, &tau, items, merge, combined);
-            (map, stats, sim.frontier_total())
+            (map, stats, (sim.frontier_total(), sim.peaks()))
         };
         // (a) same root map as the sequential fold.
         let mut fold = std::collections::BTreeMap::new();
@@ -682,8 +690,8 @@ proptest! {
             prop_assert_eq!(&map_c, &map_e, "outputs (threads={})", threads);
             prop_assert_eq!(stats_c, stats_e, "stats (threads={})", threads);
             prop_assert_eq!(
-                frontier_c, Executor::frontier_total(&eng),
-                "frontier stats (threads={})", threads
+                frontier_c, (Executor::frontier_total(&eng), Executor::peaks(&eng)),
+                "frontier stats and peaks (threads={})", threads
             );
         }
     }
@@ -709,7 +717,7 @@ proptest! {
         let (os, ss) = sim.run(|_, _| HoldAndRelay {
             hold_left: 0, pending: Vec::new(), tokens_seen: 0, invoked: 0,
         });
-        let fs = sim.frontier_total();
+        let (fs, ps) = (sim.frontier_total(), sim.peaks());
         for threads in [1usize, 2, 4, 8] {
             let mut eng = Engine::with_threads(&g, threads);
             let (oe, se) = eng.run(|_, _| HoldAndRelay {
@@ -721,6 +729,7 @@ proptest! {
                 fs, Executor::frontier_total(&eng),
                 "frontier stats (threads={})", threads
             );
+            prop_assert_eq!(ps, Executor::peaks(&eng), "peaks (threads={})", threads);
         }
     }
 
@@ -761,6 +770,11 @@ fn assert_validator_agrees(g: &Graph, algorithm: &str) {
         plain.frontier_total(),
         validated.frontier_total(),
         "{algorithm}: frontier accounting differs under validation"
+    );
+    assert_eq!(
+        plain.peaks(),
+        validated.peaks(),
+        "{algorithm}: peaks differ under validation"
     );
 }
 
@@ -948,6 +962,7 @@ fn path_wave_skips_idle_rounds_without_changing_outputs() {
         assert_eq!(te.parent, tree.parent, "threads={threads}");
         assert_eq!(se, stats, "threads={threads}");
         assert_eq!(Executor::frontier_total(&eng), f, "threads={threads}");
+        assert_eq!(Executor::peaks(&eng), sim.peaks(), "threads={threads}");
     }
 }
 
@@ -978,6 +993,7 @@ proptest! {
         prop_assert_eq!(mp.stats, ms.stats, "observers changed stats");
         prop_assert_eq!(Executor::total(&plain), Executor::total(&sim));
         prop_assert_eq!(plain.frontier_total(), sim.frontier_total());
+        prop_assert_eq!(plain.peaks(), sim.peaks());
 
         let totals = Executor::total(&sim);
         let frontier = sim.frontier_total();
@@ -1083,6 +1099,11 @@ fn chain_slt_span_tree_identical_across_threads() {
             sim.frontier_total(),
             Executor::frontier_total(&eng),
             "frontier totals (threads={threads})"
+        );
+        assert_eq!(
+            sim.peaks(),
+            Executor::peaks(&eng),
+            "peaks (threads={threads})"
         );
         let flat_e = tree_e.flatten();
         assert_eq!(flat_s.len(), flat_e.len(), "span count (threads={threads})");

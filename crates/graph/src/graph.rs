@@ -302,19 +302,12 @@ impl Graph {
 
     /// Exact hop diameter (the `D` of the paper): diameter of the graph
     /// ignoring weights. Runs a BFS from every vertex, so use it only on
-    /// test-sized graphs; the simulator uses a 2-approximation internally.
+    /// test-sized graphs.
     pub fn hop_diameter(&self) -> usize {
         (0..self.n)
             .map(|v| self.hop_eccentricity(v))
             .max()
             .unwrap_or(0)
-    }
-
-    /// 2-approximate hop diameter via a single BFS (eccentricity of vertex
-    /// 0); always within a factor 2 of the true hop diameter on connected
-    /// graphs.
-    pub fn hop_diameter_approx(&self) -> usize {
-        self.hop_eccentricity(0)
     }
 
     /// The subgraph on the same vertex set containing exactly the given
@@ -486,7 +479,7 @@ mod tests {
     fn hop_diameter_of_path() {
         let g = Graph::from_edges(5, [(0, 1, 9), (1, 2, 9), (2, 3, 9), (3, 4, 9)]).unwrap();
         assert_eq!(g.hop_diameter(), 4);
-        assert!(g.hop_diameter_approx() >= 2);
+        assert_eq!(g.hop_eccentricity(2), 2, "the middle vertex");
     }
 
     #[test]

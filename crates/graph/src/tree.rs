@@ -16,8 +16,8 @@ pub struct RootedTree {
     children: Vec<Vec<NodeId>>,
     /// Vertices in BFS order from the root.
     order: Vec<NodeId>,
+    /// Number of tree edges on the root–`v` path.
     depth_hops: Vec<usize>,
-    dist_to_root: Vec<Weight>,
 }
 
 impl RootedTree {
@@ -37,7 +37,6 @@ impl RootedTree {
         let mut parent = vec![None; n];
         let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut depth_hops = vec![0usize; n];
-        let mut dist_to_root = vec![0 as Weight; n];
         let mut order = Vec::with_capacity(n);
         let mut seen = vec![false; n];
         let mut queue = std::collections::VecDeque::new();
@@ -51,7 +50,6 @@ impl RootedTree {
                     parent[v] = Some((u, w, id));
                     children[u].push(v);
                     depth_hops[v] = depth_hops[u] + 1;
-                    dist_to_root[v] = dist_to_root[u] + w;
                     queue.push_back(v);
                 }
             }
@@ -66,7 +64,6 @@ impl RootedTree {
             children,
             order,
             depth_hops,
-            dist_to_root,
         }
     }
 
@@ -94,16 +91,6 @@ impl RootedTree {
     /// iterate in reverse).
     pub fn bfs_order(&self) -> &[NodeId] {
         &self.order
-    }
-
-    /// Number of tree edges on the root–`v` path.
-    pub fn depth_hops(&self, v: NodeId) -> usize {
-        self.depth_hops[v]
-    }
-
-    /// Weighted distance from the root to `v` *in the tree*.
-    pub fn dist_to_root(&self, v: NodeId) -> Weight {
-        self.dist_to_root[v]
     }
 
     /// Total weight of the tree.
@@ -140,19 +127,6 @@ impl RootedTree {
             b = pb;
         }
         da + db
-    }
-
-    /// The path from the root to `v` as a list of vertices
-    /// `[root, ..., v]`.
-    pub fn root_path(&self, v: NodeId) -> Vec<NodeId> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some((p, _, _)) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        path
     }
 
     /// Computes the Euler tour (preorder traversal with returns) of the
@@ -313,18 +287,33 @@ mod tests {
         }
     }
 
+    /// The path `[root, ..., v]`, walked up the parent pointers.
+    fn root_path(t: &RootedTree, v: NodeId) -> Vec<NodeId> {
+        let mut path = vec![v];
+        while let Some((p, _, _)) = t.parent(*path.last().expect("non-empty")) {
+            path.push(p);
+        }
+        path.reverse();
+        path
+    }
+
     #[test]
     fn root_path_starts_at_root_ends_at_v() {
         let (_, t) = small_tree();
-        assert_eq!(t.root_path(3), vec![0, 1, 3]);
-        assert_eq!(t.root_path(0), vec![0]);
+        assert_eq!(root_path(&t, 3), vec![0, 1, 3]);
+        assert_eq!(root_path(&t, 0), vec![0]);
     }
 
     #[test]
     fn dist_to_root_matches_distance() {
         let (_, t) = small_tree();
         for v in 0..t.n() {
-            assert_eq!(t.dist_to_root(v), t.distance(t.root(), v));
+            let path = root_path(&t, v);
+            let along: Weight = path[1..]
+                .iter()
+                .map(|&u| t.parent(u).expect("non-root").1)
+                .sum();
+            assert_eq!(along, t.distance(t.root(), v));
         }
     }
 

@@ -21,11 +21,12 @@ fn main() {
     let (tree_seq, stats_seq) = build_bfs_tree(&mut sim, 0);
 
     let mut eng = Engine::new(&g);
-    eng.set_record_metrics(true);
+    eng.set_record_node_stats(true);
     let (tree_par, stats_par) = build_bfs_tree(&mut eng, 0);
 
     assert_eq!(tree_seq.parent, tree_par.parent);
     assert_eq!(stats_seq, stats_par);
+    assert_eq!(sim.peaks(), Executor::peaks(&eng));
     println!(
         "bfs: rounds={} messages={} height={} (identical on both engines)",
         stats_par.rounds,
@@ -33,20 +34,20 @@ fn main() {
         tree_par.height()
     );
 
-    let report = eng.last_report().expect("metrics recorded");
+    let peaks = Executor::peaks(&eng);
     println!(
         "engine instrumentation: threads={} peak-round-messages={} peak-queue-depth={}",
-        report.threads,
-        report.peak_round_messages(),
-        report.peak_queue_depth()
+        eng.threads(),
+        peaks.round_messages,
+        peaks.queue_depth
     );
-    if let Some(&(e, count)) = report.hot_edges.first() {
-        let edge = g.edge(e);
-        println!(
-            "hottest edge: ({}, {}) carried {} messages",
-            edge.u, edge.v, count
-        );
-    }
+    let hub = Executor::node_stats(&eng)
+        .expect("node stats recorded")
+        .summary();
+    println!(
+        "hub: node {} sent and received {} messages (p99 {})",
+        hub.msg_max_node, hub.msg_max, hub.msg_p99
+    );
 
     // Composite paper algorithms run unchanged on the engine.
     let small = generators::erdos_renyi(256, 0.05, 50, 7);
